@@ -1,0 +1,5 @@
+"""``python -m bhf ...`` runs the command line interface."""
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

@@ -21,7 +21,7 @@ from . import _linalg
 
 __all__ = [
     "KnotGenerator", "KnotArrow", "KnotComplex",
-    "validate", "is_valid", "is_reduced", "flip", "reduce",
+    "validate", "is_reduced", "flip", "reduce",
     "vertical_simplify", "horizontal_simplify", "simultaneous_simplify",
     "is_vertically_simplified", "is_horizontally_simplified",
     "tau", "subquotient",
@@ -111,10 +111,6 @@ def validate(C: KnotComplex) -> list[str]:
         if parity:
             out.append(f"d^2 != 0: odd path count {src} -> U^{r} {tgt}")
     return out
-
-
-def is_valid(C: KnotComplex) -> bool:
-    return not validate(C)
 
 
 def is_reduced(C: KnotComplex) -> bool:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from . import cfk
 from .algebra import AlgebraElement, Idempotent, idem_element, is_idempotent
-from .type_d import (DArrow, TypeDModule, isomorphic_d, make_module,
-                     minimize_d, reduce_d)
+from .type_d import (DArrow, TypeDModule, _base_changes, _freeze_d, _graph_d,
+                     isomorphic_d, make_module, minimize_d, reduce_d)
 from .type_da import box_da_d, builtin_H, builtin_tau_mu
 
 __all__ = [
@@ -221,7 +221,6 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
             for sym in sorted(rep_z):
                 put(vname(None, s2), vname(sym, nxt), A.R23)
         else:
-            m2 = bound(nxt)
             for sym in members(nxt):
                 put(vname(sym, s2), vname(sym, nxt), A.R23)
     return make_module(gens, arrows, tags)
@@ -350,9 +349,6 @@ def _match_up_to_base_change(left: TypeDModule, right: TypeDModule,
     permutation; explore arrow-count-preserving base changes of the left
     side (breadth-first, bounded) until the generator graphs coincide.
     """
-    from .algebra import AlgebraElement, left_idem, right_idem
-    from .type_d import base_change
-
     seen = {left.arrows}
     frontier = [left]
     for _ in range(depth + 1):
@@ -361,23 +357,17 @@ def _match_up_to_base_change(left: TypeDModule, right: TypeDModule,
             mapping = isomorphic_d(M, right)
             if mapping is not None:
                 return mapping
-            idems = M.idems()
-            for gen in sorted(idems):
-                for other in sorted(idems):
-                    if gen == other:
-                        continue
-                    for coeff in sorted(AlgebraElement, key=lambda e: e.value):
-                        if coeff is AlgebraElement.ZERO:
-                            continue
-                        if (idems[gen] is not left_idem(coeff)
-                                or idems[other] is not right_idem(coeff)):
-                            continue
-                        cand = base_change(M, gen, other, coeff)
-                        if (len(cand.arrows) > len(M.arrows)
-                                or cand.arrows in seen or len(seen) > cap):
-                            continue
+            # try each base change in place, freezing only the candidates
+            G = _graph_d(M)
+            for gen, other, coeff in _base_changes(M.idems()):
+                toggled = G.base_change(gen, other, coeff)
+                if G.count <= len(M.arrows) and len(seen) <= cap:
+                    cand = _freeze_d(G)
+                    if cand.arrows not in seen:
                         seen.add(cand.arrows)
                         nxt.append(cand)
+                for e in toggled:
+                    G.toggle(*e)
         frontier = nxt
         if not frontier:
             break

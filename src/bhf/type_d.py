@@ -10,14 +10,16 @@ ones removed by homotopy reduction.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .algebra import (AlgebraElement, Idempotent, idem_element, is_idempotent,
-                      left_idem, multiply, right_idem)
+from .algebra import (NONZERO, AlgebraElement, Idempotent, idem_element,
+                      is_idempotent, left_idem, multiply, right_idem)
 
 __all__ = [
     "DArrow", "TypeDModule", "ReductionTrace", "make_module",
-    "validate_d", "is_valid_d", "is_reduced_d", "cancel", "reduce_d",
+    "validate_d", "is_reduced_d", "cancel", "reduce_d",
     "base_change", "minimize_d", "isomorphic_d", "to_dot",
 ]
 
@@ -85,53 +87,149 @@ def validate_d(M: TypeDModule) -> list[str]:
     return out
 
 
-def is_valid_d(M: TypeDModule) -> bool:
-    return not validate_d(M)
-
-
 def is_reduced_d(M: TypeDModule) -> bool:
     return all(not is_idempotent(a.label) for a in M.arrows)
 
 
+_UNITS = (AlgebraElement.I0, AlgebraElement.I1)
+
+
+class _Graph:
+    """Mutable module indexed by adjacency, edited in place and frozen once.
+
+    An edge is (source, target, label) with label = (args, coeff), so a
+    type D arrow is a DA action without inputs.  ``diff`` holds the sorted
+    (source, target) pairs of the differential edges: no inputs and an
+    idempotent coefficient.
+    """
+
+    def __init__(self, generators, edges, tags):
+        self.generators = generators
+        # generator tuples start (name, left idempotent, ...)
+        self.left = {g[0]: g[1] for g in generators}
+        self.out: dict[str, set] = defaultdict(set)
+        self.inc: dict[str, set] = defaultdict(set)
+        self.diff: list[tuple[str, str]] = []
+        self.count = 0
+        self.tags = tags
+        for s, t, label in edges:
+            self.toggle(s, t, label)
+
+    def toggle(self, s: str, t: str, label: tuple) -> None:
+        """Add the edge if absent, remove it if present (addition mod 2)."""
+        out = self.out[s]
+        differential = not label[0] and label[1] in _UNITS
+        if (t, label) in out:
+            out.remove((t, label))
+            self.inc[t].remove((s, label))
+            self.count -= 1
+            if differential:
+                del self.diff[bisect_left(self.diff, (s, t))]
+        else:
+            out.add((t, label))
+            self.inc[t].add((s, label))
+            self.count += 1
+            if differential:
+                insort(self.diff, (s, t))
+
+    def cancel(self, s: str, t: str, arity_cap: int = 8) -> None:
+        """Cancel the differential edge s -> t (the cancellation lemma).
+
+        Every zig-zag x -> t <- s -> y becomes an edge x -> y, possibly
+        passing through further edges s -> t ("mids") first.  On type D
+        data a second mid multiplies to zero: mids are chords from one
+        idempotent to itself.
+        """
+        edge = ((), idem_element(self.left[s])) if s in self.left else None
+        if edge is None or t not in self.left or (t, edge) not in self.out[s]:
+            raise ValueError(f"no idempotent arrow {s} -> {t}")
+        ends = (s, t)
+        # an input-free idempotent mid besides the edge only occurs in
+        # malformed data, where passing through it would never end
+        steps = [(y, lab) for y, lab in self.out[s] if y not in ends] + [
+            (None, lab) for y, lab in self.out[s] if y == t and lab != edge
+            and (lab[0] or lab[1] not in _UNITS)]
+        toggles: dict[tuple, int] = {}
+
+        def extend(coeff: AlgebraElement, args: tuple, x: str) -> None:
+            for y, (more, lab) in steps:
+                c = multiply(coeff, lab)
+                if c is AlgebraElement.ZERO:
+                    continue
+                if len(args) + len(more) > arity_cap:
+                    raise ValueError(f"cancellation exceeds arity cap {arity_cap}")
+                if y is None:  # pass through a mid, back to s
+                    extend(c, args + more, x)
+                else:
+                    key = (x, y, (args + more, c))
+                    toggles[key] = toggles.get(key, 0) ^ 1
+
+        for x, (args, coeff) in [e for e in self.inc[t] if e[0] not in ends]:
+            extend(coeff, args, x)
+        for g in ends:
+            toggles.update({(g, y, lab): 1 for y, lab in self.out[g]})
+            toggles.update({(x, g, lab): 1 for x, lab in self.inc[g]})
+            self.left.pop(g, None)
+        for key, parity in toggles.items():
+            if parity:
+                self.toggle(*key)
+
+    def base_change(self, gen: str, other: str, coeff: AlgebraElement) -> list:
+        """Replace gen by gen + coeff*other; returns the edges toggled."""
+        # arrows out of other now also leave gen ...
+        done = [(gen, y, (args, c)) for y, (args, lab) in self.out[other]
+                if (c := multiply(coeff, lab)) is not AlgebraElement.ZERO]
+        for e in done:
+            self.toggle(*e)
+        # ... and the old gen equals (new gen) + coeff*other
+        more = [(x, other, (args, c)) for x, (args, lab) in self.inc[gen]
+                if (c := multiply(lab, coeff)) is not AlgebraElement.ZERO]
+        for e in more:
+            self.toggle(*e)
+        return done + more
+
+    def freeze(self) -> tuple:
+        """Sorted generators and edges, and the tags of live generators."""
+        gone = {g[0] for g in self.generators} - self.left.keys()
+        gens = tuple(sorted(g for g in self.generators if g[0] in self.left))
+        edges = sorted((s, t, lab) for s, out in self.out.items() for t, lab in out)
+        return gens, edges, {n: v for n, v in self.tags.items() if n not in gone}
+
+
+def _graph_d(M: TypeDModule) -> _Graph:
+    return _Graph(M.generators, ((a.source, a.target, ((), a.label))
+                                 for a in M.arrows), M.tags)
+
+
+def _freeze_d(G: _Graph) -> TypeDModule:
+    gens, edges, tags = G.freeze()
+    # the edges are distinct and already in arrow order
+    return TypeDModule(gens, tuple(DArrow(s, t, c) for s, t, (_, c) in edges), tags)
+
+
 def cancel(M: TypeDModule, source: str, target: str) -> TypeDModule:
     """Cancel one idempotent-labelled arrow by homotopy reduction."""
-    idems = M.idems()
-    edge = DArrow(source, target, idem_element(idems.get(source)) if source in idems
-                  else AlgebraElement.ZERO)
-    if source not in idems or target not in idems or edge not in M.arrows:
-        raise ValueError(f"no idempotent arrow {source} -> {target}")
-    # Parallel arrows source -> target contribute a correction term: the
-    # inverse of (1 + N) with N the sum of their labels is 1 + N because
-    # same-idempotent chords multiply to zero.
-    parallel = [a.label for a in M.arrows
-                if a.source == source and a.target == target and a is not edge
-                and a.label is not edge.label]
-    ins = [(a.source, a.label) for a in M.arrows
-           if a.target == target and a.source not in (source, target)]
-    outs = [(a.target, a.label) for a in M.arrows
-            if a.source == source and a.target not in (source, target)]
-    kept = {a for a in M.arrows if source not in (a.source, a.target)
-            and target not in (a.source, a.target)}
-    toggles: dict[DArrow, int] = {}
-    for (s, c1) in ins:
-        for (t, c2) in outs:
-            for mid in [None] + parallel:
-                c = multiply(c1, c2) if mid is None else multiply(multiply(c1, mid), c2)
-                if c is not AlgebraElement.ZERO:
-                    arr = DArrow(s, t, c)
-                    toggles[arr] = toggles.get(arr, 0) ^ 1
-    arrows = set(kept)
-    for arr, parity in toggles.items():
-        if parity:
-            arrows ^= {arr}
-    gens = [(n, i) for n, i in M.generators if n not in (source, target)]
-    tags = {n: v for n, v in M.tags.items() if n not in (source, target)}
-    return make_module(gens, arrows, tags)
+    return reduce_d(M, [(source, target)])[0]
 
 
 @dataclass(frozen=True)
 class ReductionTrace:
     pairs: tuple[tuple[str, str], ...]
+
+
+def _reduce(G: _Graph, order, arity_cap: int = 8) -> ReductionTrace:
+    """Cancel in place until no differential edge remains (see reduce_d)."""
+    if isinstance(order, (list, tuple)):
+        for (s, t) in order:
+            G.cancel(s, t, arity_cap)
+        return ReductionTrace(tuple((s, t) for s, t in order))
+    rng = random.Random(order) if isinstance(order, int) else None
+    trace: list[tuple[str, str]] = []
+    while G.diff:
+        s, t = rng.choice(G.diff) if rng else G.diff[0]
+        G.cancel(s, t, arity_cap)
+        trace.append((s, t))
+    return ReductionTrace(tuple(trace))
 
 
 def reduce_d(M: TypeDModule, order=None) -> tuple[TypeDModule, ReductionTrace]:
@@ -140,21 +238,9 @@ def reduce_d(M: TypeDModule, order=None) -> tuple[TypeDModule, ReductionTrace]:
     order: None for deterministic lexicographic choice, an int seed for a
     random order, or an explicit list of (source, target) pairs to replay.
     """
-    trace: list[tuple[str, str]] = []
-    if isinstance(order, (list, tuple)):
-        for (s, t) in order:
-            M = cancel(M, s, t)
-            trace.append((s, t))
-        return M, ReductionTrace(tuple(trace))
-    rng = random.Random(order) if isinstance(order, int) else None
-    while True:
-        eligible = sorted((a.source, a.target) for a in M.arrows
-                          if is_idempotent(a.label))
-        if not eligible:
-            return M, ReductionTrace(tuple(trace))
-        s, t = rng.choice(eligible) if rng else eligible[0]
-        M = cancel(M, s, t)
-        trace.append((s, t))
+    G = _graph_d(M)
+    trace = _reduce(G, order)
+    return _freeze_d(G), trace
 
 
 def base_change(M: TypeDModule, gen: str, other: str,
@@ -165,31 +251,27 @@ def base_change(M: TypeDModule, gen: str, other: str,
     iota(other) = right(coeff).  The result is isomorphic to the input.
     """
     idems = M.idems()
-    if gen == other:
-        raise ValueError("base change needs two distinct generators")
-    if coeff is AlgebraElement.ZERO:
-        raise ValueError("base change coefficient must be nonzero")
-    if idems[gen] is not left_idem(coeff) or idems[other] is not right_idem(coeff):
-        raise ValueError("base change coefficient has incompatible idempotents")
-    toggles: dict[DArrow, int] = {}
+    if gen == other or coeff not in _COEFFS[idems[gen], idems[other]]:
+        raise ValueError(f"invalid base change {gen} -> {gen} + {coeff.value}*{other}")
+    G = _graph_d(M)
+    G.base_change(gen, other, coeff)
+    return _freeze_d(G)
 
-    def flip_arrow(a: DArrow) -> None:
-        toggles[a] = toggles.get(a, 0) ^ 1
 
-    for a in M.arrows:
-        flip_arrow(a)
-        if a.source == other:
-            lab = multiply(coeff, a.label)
-            if lab is not AlgebraElement.ZERO:
-                flip_arrow(DArrow(gen, a.target, lab))
-    # rewrite targets: the old gen equals (new gen) + coeff*other
-    for a, parity in list(toggles.items()):
-        if parity and a.target == gen:
-            lab = multiply(a.label, coeff)
-            if lab is not AlgebraElement.ZERO:
-                flip_arrow(DArrow(a.source, other, lab))
-    arrows = [a for a, p in toggles.items() if p]
-    return make_module(M.generators, arrows, M.tags)
+# nonzero coefficients by (left, right) idempotent, in search order
+_COEFFS = {(l, r): [c for c in sorted(NONZERO, key=lambda e: e.value)
+                    if left_idem(c) is l and right_idem(c) is r]
+           for l in Idempotent for r in Idempotent}
+
+
+def _base_changes(idems: dict[str, Idempotent]):
+    """Every (gen, other, coeff) that base_change accepts, in search order."""
+    names = sorted(idems)
+    for gen in names:
+        for other in names:
+            if other != gen:
+                for coeff in _COEFFS[idems[gen], idems[other]]:
+                    yield gen, other, coeff
 
 
 def minimize_d(M: TypeDModule, max_steps: int = 10000) -> TypeDModule:
@@ -200,30 +282,17 @@ def minimize_d(M: TypeDModule, max_steps: int = 10000) -> TypeDModule:
     none exists.  The output is isomorphic to the input.
     """
     idems = M.idems()
+    G = _graph_d(M)
     for _ in range(max_steps):
-        best = None
-        names = sorted(idems)
-        for gen in names:
-            for other in names:
-                if other == gen:
-                    continue
-                for coeff in sorted(AlgebraElement, key=lambda e: e.value):
-                    if coeff is AlgebraElement.ZERO:
-                        continue
-                    if (idems[gen] is not left_idem(coeff)
-                            or idems[other] is not right_idem(coeff)):
-                        continue
-                    cand = base_change(M, gen, other, coeff)
-                    if len(cand.arrows) < len(M.arrows):
-                        best = cand
-                        break
-                if best:
-                    break
-            if best:
+        for gen, other, coeff in _base_changes(idems):
+            before = G.count
+            toggled = G.base_change(gen, other, coeff)
+            if G.count < before:
                 break
-        if best is None:
-            return M
-        M = best
+            for e in toggled:
+                G.toggle(*e)
+        else:
+            return _freeze_d(G)
     raise ValueError("basis minimization did not converge")
 
 
@@ -254,11 +323,11 @@ def isomorphic_d(M: TypeDModule, N: TypeDModule) -> dict[str, str] | None:
     for a in M.arrows:
         m_out.setdefault(a.source, []).append(a)
     # most-constrained-first: rarest signatures early
-    order = sorted(sig_m, key=lambda n: (sorted(sig_m.values()).count(sig_m[n]), n))
+    freq = Counter(sig_m.values())
+    order = sorted(sig_m, key=lambda n: (freq[sig_m[n]], n))
     candidates = {n: sorted(k for k in sig_n if sig_n[k] == sig_m[n]) for n in order}
 
     mapping: dict[str, str] = {}
-    used: set[str] = set()
 
     def consistent(n: str, k: str) -> bool:
         for a in M.arrows:
@@ -285,6 +354,16 @@ def isomorphic_d(M: TypeDModule, N: TypeDModule) -> dict[str, str] | None:
                 if DArrow(inv[b.source], n, b.label) not in m_arrows:
                     return False
         return True
+
+    return _search(order, candidates, consistent, mapping)
+
+
+def _search(order: list[str], candidates: dict, consistent,
+            mapping: dict[str, str]) -> dict[str, str] | None:
+    """Backtracking bijection search shared by isomorphic_d and isomorphic_da:
+    map each name of ``order`` to an unused candidate that is consistent
+    with ``mapping`` so far; returns the full mapping or None."""
+    used: set[str] = set()
 
     def search(i: int) -> bool:
         if i == len(order):

@@ -14,17 +14,17 @@ strictly unital convention: no action consumes an idempotent input.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .algebra import (AlgebraElement, CHORDS, Idempotent, idem_element,
                       is_idempotent, left_idem, multiply, right_idem)
-from .type_d import DArrow, ReductionTrace, TypeDModule, make_module
+from .type_d import (DArrow, ReductionTrace, TypeDModule, _Graph, _reduce,
+                     _search, make_module)
 
 __all__ = [
     "DAAction", "TypeDAModule", "make_da",
     "builtin_tau_mu", "builtin_tau_lambda", "builtin_identity", "builtin_H",
-    "validate_da", "is_valid_da", "box_da_d", "box_da_da",
+    "validate_da", "box_da_d", "box_da_da",
     "reduce_da", "isomorphic_da",
 ]
 
@@ -224,10 +224,6 @@ def validate_da(B: TypeDAModule, bound: int | None = None) -> list[str]:
     return out
 
 
-def is_valid_da(B: TypeDAModule, bound: int | None = None) -> bool:
-    return not validate_da(B, bound)
-
-
 def box_da_d(B: TypeDAModule, M: TypeDModule, sep: str = "⊗") -> TypeDModule:
     """Box tensor product of a DA bimodule with a type D module."""
     b_idems = B.idems()
@@ -339,53 +335,12 @@ def box_da_da(B: TypeDAModule, C: TypeDAModule, sep: str = "⊗") -> TypeDAModul
 
 def cancel_da(B: TypeDAModule, source: str, target: str,
               arity_cap: int = 8) -> TypeDAModule:
-    """Cancel a differential (k=0, idempotent-coefficient) action."""
-    idems = B.idems()
-    if source not in idems or target not in idems:
-        raise ValueError(f"unknown generators {source}, {target}")
-    edge = _act(source, [], idem_element(idems[source][0]), target)
-    if edge not in B.actions:
-        raise ValueError(f"no cancellable action {source} -> {target}")
-    ins = [a for a in B.actions
-           if a.target == target and a.source not in (source, target)]
-    outs = [a for a in B.actions
-            if a.source == source and a.target not in (source, target)]
-    mids = [a for a in B.actions
-            if a.source == source and a.target == target and a != edge]
-    toggles: dict[DAAction, int] = {}
+    """Cancel a differential (k=0, idempotent-coefficient) action.
 
-    def emit(act: DAAction) -> None:
-        toggles[act] = toggles.get(act, 0) ^ 1
-
-    def extend(coeff: AlgebraElement, args: tuple, a_in_source: str) -> None:
-        # after arriving at `source` via the inverse edge, either exit or
-        # pass through another source -> target action and repeat
-        for a_out in outs:
-            c = multiply(coeff, a_out.coeff)
-            if c is not A.ZERO:
-                new_args = args + a_out.args
-                if len(new_args) > arity_cap:
-                    raise ValueError(
-                        f"cancellation exceeds arity cap {arity_cap}")
-                emit(_act(a_in_source, new_args, c, a_out.target))
-        for mid in mids:
-            c = multiply(coeff, mid.coeff)
-            if c is not A.ZERO:
-                new_args = args + mid.args
-                if len(new_args) <= arity_cap:
-                    extend(c, new_args, a_in_source)
-
-    for a_in in ins:
-        extend(a_in.coeff, a_in.args, a_in.source)
-
-    kept = [a for a in B.actions
-            if a.source not in (source, target) and a.target not in (source, target)]
-    actions = set(kept)
-    for act, p in toggles.items():
-        if p:
-            actions ^= {act}
-    gens = [(n, l, r) for n, l, r in B.generators if n not in (source, target)]
-    return make_da(gens, actions)
+    Raises ValueError when a resulting action would take more than
+    ``arity_cap`` inputs.
+    """
+    return reduce_da(B, [(source, target)], arity_cap)[0]
 
 
 def reduce_da(B: TypeDAModule, order=None, arity_cap: int = 8
@@ -395,21 +350,12 @@ def reduce_da(B: TypeDAModule, order=None, arity_cap: int = 8
     order: None (lexicographic), an int seed, or a replay list of
     (source, target) pairs.
     """
-    trace: list[tuple[str, str]] = []
-    if isinstance(order, (list, tuple)):
-        for (s, t) in order:
-            B = cancel_da(B, s, t, arity_cap)
-            trace.append((s, t))
-        return B, ReductionTrace(tuple(trace))
-    rng = random.Random(order) if isinstance(order, int) else None
-    while True:
-        eligible = sorted((a.source, a.target) for a in B.actions
-                          if not a.args and is_idempotent(a.coeff))
-        if not eligible:
-            return B, ReductionTrace(tuple(trace))
-        s, t = rng.choice(eligible) if rng else eligible[0]
-        B = cancel_da(B, s, t, arity_cap)
-        trace.append((s, t))
+    G = _Graph(B.generators, ((a.source, a.target, (a.args, a.coeff))
+                              for a in B.actions), B.tags)
+    trace = _reduce(G, order, arity_cap)
+    gens, edges, tags = G.freeze()
+    return make_da(gens, [DAAction(s, args, c, t)
+                          for s, t, (args, c) in edges], tags), trace
 
 
 def _signature_da(B: TypeDAModule, name: str) -> tuple:
@@ -435,7 +381,6 @@ def isomorphic_da(B: TypeDAModule, C: TypeDAModule) -> dict[str, str] | None:
     candidates = {n: sorted(k for k in sig_c if sig_c[k] == sig_b[n])
                   for n in order}
     mapping: dict[str, str] = {}
-    used: set[str] = set()
 
     def consistent(n: str, k: str) -> bool:
         for act in B.actions:
@@ -460,19 +405,4 @@ def isomorphic_da(B: TypeDAModule, C: TypeDAModule) -> dict[str, str] | None:
                     return False
         return True
 
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        n = order[i]
-        for k in candidates[n]:
-            if k in used or not consistent(n, k):
-                continue
-            mapping[n] = k
-            used.add(k)
-            if search(i + 1):
-                return True
-            del mapping[n]
-            used.remove(k)
-        return False
-
-    return dict(mapping) if search(0) else None
+    return _search(order, candidates, consistent, mapping)

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import bhf
 from bhf import cli, io_formats
 from conftest import FIXTURES
 
@@ -148,3 +153,16 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     assert code1 == 0
     assert code2 == 1
     assert "BHF_SEED" in err
+
+
+def test_python_dash_m_runs_cli():
+    src = str(pathlib.Path(bhf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "bhf", "tau", fx("trefoil_left.cfk.json")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout.strip()) == (0, "-1")
+    done = subprocess.run([sys.executable, "-m", "bhf", "frobnicate"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2

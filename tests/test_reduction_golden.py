@@ -1,0 +1,162 @@
+"""Golden outputs of homotopy reduction and basis minimisation.
+
+Each case pins the sha256 of the canonical writer's output
+(``write_typed`` / ``write_typeda``) together with the cancellation trace,
+so a change to how reduction or minimisation work inside cannot change
+what they return.  The digests were computed on the rebuild-per-step
+implementation that preceded the in-place module graph, by running this
+file from the repository root:
+
+    PYTHONPATH=src python tests/test_reduction_golden.py
+
+which prints the GOLDEN table for the code on the path.
+"""
+import hashlib
+
+import pytest
+
+from bhf import io_formats, ktd, type_d, type_da
+from bhf.algebra import NONZERO, left_idem, right_idem
+from conftest import FIXTURES, FIXTURE_NAMES, load_cfk
+
+SEEDS = range(20)
+# five_gen at this framing gives a 520-generator box
+LARGE = ("five_gen", 33)
+
+
+def _sixfold_twist():
+    B, L = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
+    prod = type_da.box_da_da(B, L)
+    for factor in (B, L, B, L):
+        prod = type_da.box_da_da(prod, factor)
+    return prod
+
+
+def _box(name, n=None):
+    return type_da.box_da_d(type_da.builtin_H(),
+                            ktd.ktd_basefree(load_cfk(name), n))
+
+
+def _record(module, trace=None):
+    write = (io_formats.write_typed if isinstance(module, type_d.TypeDModule)
+             else io_formats.write_typeda)
+    text = write(module)
+    if trace is not None:
+        text += io_formats.write_script(trace.pairs)
+    return text
+
+
+def _lex(box):
+    R, trace = type_d.reduce_d(box)
+    return _record(R, trace) + _record(type_d.minimize_d(R))
+
+
+def _seeded(name):
+    D = ktd.ktd_basefree(load_cfk(name))
+    parts = []
+    for seed in SEEDS:
+        R, trace = type_d.reduce_d(D, seed)
+        parts.append(f"seed {seed}\n" + _record(R, trace)
+                     + _record(type_d.minimize_d(R)))
+    return "".join(parts)
+
+
+def _da_scripted():
+    script = io_formats.parse_script(
+        (FIXTURES / "h_cancellations.script").read_text(encoding="utf-8"))
+    return _record(*type_da.reduce_da(_sixfold_twist(), script))
+
+
+def _da_seeded():
+    prod = _sixfold_twist()
+    return "".join(f"seed {seed}\n" + _record(*type_da.reduce_da(prod, seed))
+                   for seed in [None, *SEEDS])
+
+
+CASES = {
+    **{f"lex/{name}": (lambda name=name: _lex(_box(name)))
+       for name in FIXTURE_NAMES},
+    f"lex/{LARGE[0]}@{LARGE[1]}": lambda: _lex(_box(*LARGE)),
+    **{f"seeded/{name}": (lambda name=name: _seeded(name))
+       for name in FIXTURE_NAMES},
+    "da/scripted": _da_scripted,
+    "da/seeded": _da_seeded,
+}
+
+GOLDEN = {
+    "da/scripted":
+        "54f568e3f84c52156ea135ef58035122449a1d5777b2bd2a27a200583637988d",
+    "da/seeded":
+        "212c27076016036629395f5d26838c2771341988b2f97d304a3c539be2a20dc1",
+    "lex/figure_eight":
+        "fe3c3c0063ef301f6daa61b1db21460a245bac670bcb47a5a41dcd3f8000b21e",
+    "lex/five_gen":
+        "0e91e02215bdf0a408782949be198b0e534369ffef2731fab6f1e25d4a3f8d63",
+    "lex/five_gen@33":
+        "f8ad8f8df9a5015e5a23edac2f916a0e683c515d33546ee89632277eead309c8",
+    "lex/trefoil_left":
+        "03ce3efbf1934958a8c51e7ac9ecb569c5cc2ad251711d9a7baa71b04de34bf2",
+    "lex/trefoil_right":
+        "44b296bb55a66358969e1003051a2086581b39b599ae78b1d17cba8137024776",
+    "lex/unknot":
+        "9a7a251804b19dcde17985403d4900882463142c7da88c24c93a39a3f1656614",
+    "seeded/figure_eight":
+        "889031cd35211c1ed150c58cb420a2e022fa7e64147c94b740612b528e2a50c6",
+    "seeded/five_gen":
+        "544f3885e00b69188770858f9819f7c83cfe29a8f610f901f06fa6d0a45e59a0",
+    "seeded/trefoil_left":
+        "9c43e1dc594b158ec4d602e06f142af3ebebf7d9f0ca8c2d581845e89c1c94fa",
+    "seeded/trefoil_right":
+        "b80b8b1a7eaa850e1438746352c1d0a1467a933a39a7b107c1b8b2105557dc7a",
+    "seeded/unknot":
+        "3685aa3ae8786113172760468bbf6d9a59aa390cefb6d6ea02e8e55a2e342f49",
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case):
+    assert _digest(CASES[case]()) == GOLDEN[case]
+
+
+def test_large_box_size():
+    assert len(_box(*LARGE).generators) >= 500
+
+
+def test_cancel_missing_edge_raises():
+    M = _box("trefoil_right")
+    R, _ = type_d.reduce_d(M)
+    x, y = R.arrows[0].source, R.arrows[0].target
+    for s, t in [(x, y), (x, "nowhere"), ("nowhere", y)]:
+        with pytest.raises(ValueError):
+            type_d.cancel(R, s, t)
+    B = type_da.builtin_H()
+    for s, t in [("x3", "x2"), ("x3", "nowhere"), ("nowhere", "x2")]:
+        with pytest.raises(ValueError):
+            type_da.cancel_da(B, s, t)
+
+
+def test_base_change_twice_is_identity():
+    R = type_d.minimize_d(type_d.reduce_d(_box("five_gen"))[0])
+    idems = R.idems()
+    done = 0
+    for gen in sorted(idems):
+        for other in sorted(idems):
+            for coeff in NONZERO:
+                if (gen == other or idems[gen] is not left_idem(coeff)
+                        or idems[other] is not right_idem(coeff)):
+                    continue
+                B = type_d.base_change(R, gen, other, coeff)
+                assert type_d.base_change(B, gen, other, coeff) == R
+                done += 1
+    assert done
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for case in sorted(CASES):
+        print(f'    "{case}":\n        "{_digest(CASES[case]())}",')
+    print("}")

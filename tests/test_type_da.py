@@ -129,6 +129,23 @@ def test_cancel_da_arity_cap():
         type_da.reduce_da(prod, arity_cap=0)
 
 
+def test_cancel_da_arity_cap_on_pass_through():
+    # x -[rho1]-> t <- s -> y exits within a cap of one input; passing
+    # through the second action s -[rho23]-> t first needs two
+    B = type_da.make_da(
+        [("x", I.I0, I.I0), ("s", I.I0, I.I1), ("t", I.I0, I.I1),
+         ("y", I.I1, I.I1)],
+        [type_da.DAAction("s", (), A.I0, "t"),
+         type_da.DAAction("x", (A.R1,), A.I0, "t"),
+         type_da.DAAction("s", (A.R23,), A.R12, "t"),
+         type_da.DAAction("s", (), A.R3, "y")])
+    with pytest.raises(ValueError, match="arity cap 1"):
+        type_da.cancel_da(B, "s", "t", arity_cap=1)
+    R = type_da.cancel_da(B, "s", "t", arity_cap=2)
+    assert R.actions == (type_da.DAAction("x", (A.R1,), A.R3, "y"),
+                         type_da.DAAction("x", (A.R1, A.R23), A.R123, "y"))
+
+
 def test_isomorphic_da_detects_difference():
     assert type_da.isomorphic_da(type_da.builtin_tau_mu(),
                                  type_da.builtin_tau_lambda()) is None
