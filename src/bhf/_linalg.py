@@ -26,10 +26,6 @@ def reduce_mod(v: int, basis: list[int]) -> int:
     return v
 
 
-def rank(vectors: list[int]) -> int:
-    return len(rref(vectors))
-
-
 def kernel_basis(columns: dict[int, int], nbits: int) -> list[int]:
     """Kernel of the map sending unit vector e_j to columns[j] (missing -> 0).
 

@@ -24,7 +24,7 @@ __all__ = [
     "validate", "is_reduced", "flip", "reduce",
     "vertical_simplify", "horizontal_simplify", "simultaneous_simplify",
     "is_vertically_simplified", "is_horizontally_simplified",
-    "tau", "subquotient",
+    "tau",
 ]
 
 
@@ -47,9 +47,6 @@ class KnotComplex:
     generators: tuple[KnotGenerator, ...]
     arrows: tuple[KnotArrow, ...]
     shift: tuple[int, int] | None = None
-
-    def gen(self, name: str) -> KnotGenerator:
-        return self.by_name()[name]
 
     def by_name(self) -> dict[str, KnotGenerator]:
         return {g.name: g for g in self.generators}
@@ -291,72 +288,34 @@ def simultaneous_simplify(C: KnotComplex, max_passes: int = 64):
     return None
 
 
-def _family_survivor(C: KnotComplex, family: str) -> list[str]:
-    """Generators surviving elimination of one arrow family (graph model)."""
-    if family == "vertical":
-        arrows = {(a.source, a.target) for a in C.arrows if a.u_power == 0}
-    else:
-        arrows = {(a.source, a.target) for a in C.arrows if C.n_z(a) == 0}
-    gens = {g.name for g in C.generators}
-    while arrows:
-        x, y = min(arrows)
-        ins = [s for (s, t) in arrows if t == y and s != x]
-        outs = [t for (s, t) in arrows if s == x and t != y]
-        arrows = {(s, t) for (s, t) in arrows if x not in (s, t) and y not in (s, t)}
-        for s in ins:
-            for t in outs:
-                key = (s, t)
-                if key in arrows:
-                    arrows.remove(key)
-                else:
-                    arrows.add(key)
-        gens -= {x, y}
-    return sorted(gens)
-
-
 def tau(C: KnotComplex) -> int:
-    """Alexander grading of the generator of the vertical homology."""
+    """Alexander grading of the generator of the vertical homology: the one
+    generator that no vertical arrow touches once vertically simplified."""
     bad = validate(C)
     if bad:
         raise ValueError("invalid complex: " + bad[0])
     if not is_reduced(C):
         raise ValueError("complex must be reduced")
-    survivors = _family_survivor(C, "vertical")
+    V = vertical_simplify(C)
+    touched = {g for a in V.arrows if a.u_power == 0 for g in (a.source, a.target)}
+    survivors = [g for g in V.generators if g.name not in touched]
     if len(survivors) != 1:
         raise ValueError(
             f"vertical homology has rank {len(survivors)}, not a knot complex")
-    return C.gen(survivors[0]).alexander
+    return survivors[0].alexander
 
 
-def subquotient(C: KnotComplex, sel: str, bound: int | None, diff: str) -> KnotComplex:
-    """Sub/quotient complex of one arrow family.
-
-    sel: "at" (A == bound), "le" (A <= bound), "ge" (A >= bound); a bound
-    of None selects everything.  diff: "dw" keeps horizontal arrows (n_z=0),
-    "dz" keeps vertical arrows (u_power=0).  Arrows with an endpoint outside
-    the selection are dropped, which implements both the subcomplex and the
-    quotient conventions.
-    """
-    if sel not in ("at", "le", "ge"):
-        raise ValueError(f"unknown selector {sel!r}")
-    if diff not in ("dw", "dz"):
-        raise ValueError(f"unknown differential {diff!r}")
-
-    def keep(g: KnotGenerator) -> bool:
-        if bound is None:
-            return True
-        if sel == "at":
-            return g.alexander == bound
-        if sel == "le":
-            return g.alexander <= bound
-        return g.alexander >= bound
-
-    gens = [g for g in C.generators if keep(g)]
-    names = {g.name for g in gens}
-    fam = C.is_horizontal if diff == "dw" else C.is_vertical
-    arrows = [a for a in C.arrows
-              if a.source in names and a.target in names and fam(a)]
-    return make_complex(gens, arrows, C.shift)
+def _family_matrix(C: KnotComplex, family: str):
+    """Generator order, index and the F2 matrix (as column bitmasks) of one
+    arrow family: "dw" horizontal arrows, "dz" vertical arrows."""
+    order = sorted(g.name for g in C.generators)
+    index = {n: i for i, n in enumerate(order)}
+    fam = C.is_horizontal if family == "dw" else C.is_vertical
+    cols: dict[int, int] = {}
+    for a in C.arrows:
+        if fam(a):
+            cols[index[a.source]] = cols.get(index[a.source], 0) ^ (1 << index[a.target])
+    return order, index, cols
 
 
 def homology_support(C: KnotComplex, family: str) -> frozenset[str]:
@@ -366,13 +325,7 @@ def homology_support(C: KnotComplex, family: str) -> frozenset[str]:
     kernel vectors are reduced modulo the image and the smallest survivor in
     the generator order is returned.
     """
-    order = sorted(g.name for g in C.generators)
-    index = {n: i for i, n in enumerate(order)}
-    fam = C.is_horizontal if family == "dw" else C.is_vertical
-    cols: dict[int, int] = {}
-    for a in C.arrows:
-        if fam(a):
-            cols[index[a.source]] = cols.get(index[a.source], 0) ^ (1 << index[a.target])
+    order, index, cols = _family_matrix(C, family)
     ker = _linalg.kernel_basis(cols, len(order))
     img = _linalg.rref([v for v in cols.values() if v])
     reduced = sorted({v for v in (_linalg.reduce_mod(k, img) for k in ker) if v})
@@ -386,13 +339,7 @@ def homology_support(C: KnotComplex, family: str) -> frozenset[str]:
 def cohomology_support(C: KnotComplex, family: str) -> frozenset[str]:
     """Canonical functional vanishing on boundaries and pairing 1 with the
     canonical homology cycle of the family; free coordinates are zero."""
-    order = sorted(g.name for g in C.generators)
-    index = {n: i for i, n in enumerate(order)}
-    fam = C.is_horizontal if family == "dw" else C.is_vertical
-    cols: dict[int, int] = {}
-    for a in C.arrows:
-        if fam(a):
-            cols[index[a.source]] = cols.get(index[a.source], 0) ^ (1 << index[a.target])
+    order, index, cols = _family_matrix(C, family)
     rep = homology_support(C, family)
     rep_mask = 0
     for n in rep:

@@ -45,13 +45,14 @@ def _write(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _load_any(path: str):
-    """Load a document of any kind; returns (kind, object)."""
+def _load_any(path: str, kind: str | None = None):
+    """Load a document of the given kind, or else of the kind detected from
+    its text; returns (kind, object)."""
     if path in BUILTINS:
         return "type_da", BUILTINS[path]()
     text = _read(path)
     try:
-        kind = io_formats.detect_kind(text)
+        kind = kind or io_formats.detect_kind(text)
         if kind == "cfk":
             return kind, io_formats.parse_cfk(text)
         if kind == "type_d":
@@ -63,24 +64,24 @@ def _load_any(path: str):
         raise CliError(f"{path}: {e}") from None
 
 
-def _load_cfk(path: str) -> cfk.KnotComplex:
-    kind, obj = _load_any(path)
-    if kind != "cfk":
-        raise CliError(f"{path}: expected a knot complex, found {kind}")
-    bad = cfk.validate(obj)
-    if bad:
-        raise CliError(f"{path}: invalid complex: {bad[0]}")
-    return obj
+_VALIDATORS = {
+    "cfk": cfk.validate,
+    "type_d": type_d.validate_d,
+    "type_da": type_da.validate_da,
+    "script": lambda _obj: [],
+}
 
 
-def _load_typed(path: str) -> type_d.TypeDModule:
-    kind, obj = _load_any(path)
-    if kind != "type_d":
-        raise CliError(f"{path}: expected a type D module, found {kind}")
-    bad = type_d.validate_d(obj)
+def _load(path: str, *kinds: str):
+    """Load a document of one of ``kinds`` and validate it; returns
+    (kind, object)."""
+    kind, obj = _load_any(path, kinds[0] if len(kinds) == 1 else None)
+    if kind not in kinds:
+        raise CliError(f"{path}: expected {' or '.join(kinds)}, found {kind}")
+    bad = _VALIDATORS[kind](obj)
     if bad:
-        raise CliError(f"{path}: invalid module: {bad[0]}")
-    return obj
+        raise CliError(f"{path}: invalid {kind}: {bad[0]}")
+    return kind, obj
 
 
 def _seed(args) -> int | None:
@@ -154,14 +155,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> int:
     kind, obj = _load_any(args.path)
-    if kind == "cfk":
-        bad = cfk.validate(obj)
-    elif kind == "type_d":
-        bad = type_d.validate_d(obj)
-    elif kind == "type_da":
-        bad = type_da.validate_da(obj)
-    else:
-        bad = []
+    bad = _VALIDATORS[kind](obj)
     if bad:
         for b in bad:
             print(b, file=sys.stderr)
@@ -171,13 +165,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_flip(args) -> int:
-    C = _load_cfk(args.path)
+    C = _load(args.path, "cfk")[1]
     _write(args.output, io_formats.write_cfk(cfk.flip(C)))
     return 0
 
 
 def _cmd_simplify(args) -> int:
-    C = cfk.reduce(_load_cfk(args.path))
+    C = cfk.reduce(_load(args.path, "cfk")[1])
     if args.mode == "v":
         C = cfk.vertical_simplify(C)
     elif args.mode == "h":
@@ -192,26 +186,21 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    C = cfk.reduce(_load_cfk(args.path))
+    C = cfk.reduce(_load(args.path, "cfk")[1])
     print(cfk.tau(C))
     return 0
 
 
 def _cmd_cfd(args) -> int:
-    C = cfk.reduce(_load_cfk(args.path))
-    try:
-        D = ktd._ktd(C, args.algo, args.framing)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    C = cfk.reduce(_load(args.path, "cfk")[1])
+    D = ktd._ktd(C, args.algo, args.framing)
     _write(args.output, io_formats.write_typed(D))
     return 0
 
 
 def _cmd_tensor(args) -> int:
-    kind, B = _load_any(args.bimodule)
-    if kind != "type_da":
-        raise CliError(f"{args.bimodule}: expected a type DA bimodule")
-    M = _load_typed(args.path)
+    _, B = _load(args.bimodule, "type_da")
+    _, M = _load(args.path, "type_d")
     _write(args.output, io_formats.write_typed(type_da.box_da_d(B, M)))
     return 0
 
@@ -219,50 +208,38 @@ def _cmd_tensor(args) -> int:
 def _cmd_build_h(args) -> int:
     order = None
     if args.script:
-        order = io_formats.parse_script(_read(args.script))
+        _, order = _load(args.script, "script")
     B = type_da.builtin_tau_mu()
     L = type_da.builtin_tau_lambda()
     prod = type_da.box_da_da(B, L)
     for factor in (B, L, B, L):
         prod = type_da.box_da_da(prod, factor)
-    try:
-        reduced, _trace = type_da.reduce_da(prod, order)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    reduced, _trace = type_da.reduce_da(prod, order)
     _write(args.output, io_formats.write_typeda(reduced))
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    kind, obj = _load_any(args.path)
+    kind, obj = _load(args.path, "type_d", "type_da")
     order = _seed(args)
     if args.script:
-        order = io_formats.parse_script(_read(args.script))
-    try:
-        if kind == "type_d":
-            out, _ = type_d.reduce_d(obj, order)
-            _write(args.output, io_formats.write_typed(out))
-        elif kind == "type_da":
-            out, _ = type_da.reduce_da(obj, order)
-            _write(args.output, io_formats.write_typeda(out))
-        else:
-            raise CliError(f"{args.path}: cannot reduce a {kind}")
-    except ValueError as e:
-        raise CliError(str(e)) from None
+        _, order = _load(args.script, "script")
+    if kind == "type_d":
+        out, _ = type_d.reduce_d(obj, order)
+        _write(args.output, io_formats.write_typed(out))
+    else:
+        out, _ = type_da.reduce_da(obj, order)
+        _write(args.output, io_formats.write_typeda(out))
     return 0
 
 
 def _cmd_iso(args) -> int:
-    kl, left = _load_any(args.left)
-    kr, right = _load_any(args.right)
+    kl, left = _load(args.left, "type_d", "type_da")
+    kr, right = _load(args.right, "type_d", "type_da")
     if kl != kr:
         raise CliError(f"cannot compare a {kl} with a {kr}")
-    if kl == "type_d":
-        mapping = type_d.isomorphic_d(left, right)
-    elif kl == "type_da":
-        mapping = type_da.isomorphic_da(left, right)
-    else:
-        raise CliError(f"isomorphism search needs modules, not {kl}")
+    iso = type_d.isomorphic_d if kl == "type_d" else type_da.isomorphic_da
+    mapping = iso(left, right)
     if mapping is None:
         print("no permutation isomorphism found", file=sys.stderr)
         return 3
@@ -272,11 +249,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    C = _load_cfk(args.path)
-    try:
-        res = ktd.verify_elliptic_invariance(C, args.algo, args.framing)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    C = _load(args.path, "cfk")[1]
+    res = ktd.verify_elliptic_invariance(C, args.algo, args.framing)
     print(f"{res.verdict}: {res.detail}")
     if res.verdict == "verified":
         return 0
@@ -286,7 +260,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    M = _load_typed(args.path)
+    _, M = _load(args.path, "type_d")
     _write(args.output, type_d.to_dot(M))
     return 0
 
@@ -317,6 +291,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except ValueError as e:  # the library rejects input it cannot take
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 1
 

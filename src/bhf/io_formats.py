@@ -62,6 +62,13 @@ def _open_envelope(text: str, kind: str | None = None) -> tuple[str, dict]:
     return k, payload
 
 
+def _entries(payload: dict, key: str) -> list[dict]:
+    items = payload.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+        raise ParseError(f"{key} must be a list of objects")
+    return items
+
+
 def detect_kind(text: str) -> str:
     if text.lstrip().startswith("{"):
         return _open_envelope(text)[0]
@@ -103,14 +110,14 @@ def _cfk_from_payload(payload: dict) -> KnotComplex:
     if extra:
         raise ParseError(f"unknown cfk fields: {sorted(extra)}")
     gens = []
-    for g in payload.get("generators", []):
+    for g in _entries(payload, "generators"):
         try:
             gens.append(KnotGenerator(str(g["name"]), int(g["alexander"]),
                                       int(g["maslov"])))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"bad generator entry {g!r}: {e}") from None
     arrows = []
-    for a in payload.get("arrows", []):
+    for a in _entries(payload, "arrows"):
         try:
             arrows.append(KnotArrow(str(a["from"]), str(a["to"]),
                                     int(a.get("u_power", 0))))
@@ -118,7 +125,12 @@ def _cfk_from_payload(payload: dict) -> KnotComplex:
             raise ParseError(f"bad arrow entry {a!r}: {e}") from None
     shift = payload.get("shift")
     if shift is not None:
-        shift = (int(shift[0]), int(shift[1]))
+        try:
+            if not isinstance(shift, list) or len(shift) != 2:
+                raise ValueError("expected two integers")
+            shift = (int(shift[0]), int(shift[1]))
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"bad shift {shift!r}: {e}") from None
     return make_complex(gens, arrows, shift)
 
 
@@ -139,19 +151,22 @@ def parse_typed(text: str) -> TypeDModule:
     if extra:
         raise ParseError(f"unknown type_d fields: {sorted(extra)}")
     gens = []
-    for g in payload.get("generators", []):
+    for g in _entries(payload, "generators"):
         try:
             gens.append((str(g["name"]), idem_from_name(g["idempotent"])))
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"bad generator entry {g!r}: {e}") from None
     arrows = []
-    for a in payload.get("arrows", []):
+    for a in _entries(payload, "arrows"):
         try:
-            label = element_from_name(a["label"])
-        except (KeyError, ValueError) as e:
+            arrows.append(DArrow(str(a["from"]), str(a["to"]),
+                                 element_from_name(a["label"])))
+        except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"bad arrow entry {a!r}: {e}") from None
-        arrows.append(DArrow(str(a["from"]), str(a["to"]), label))
-    return make_module(gens, arrows, payload.get("tags") or {})
+    tags = payload.get("tags") or {}
+    if not isinstance(tags, dict):
+        raise ParseError("tags must be an object")
+    return make_module(gens, arrows, tags)
 
 
 def write_typed(M: TypeDModule) -> str:
@@ -172,20 +187,23 @@ def parse_typeda(text: str) -> TypeDAModule:
     if extra:
         raise ParseError(f"unknown type_da fields: {sorted(extra)}")
     gens = []
-    for g in payload.get("generators", []):
+    for g in _entries(payload, "generators"):
         try:
             gens.append((str(g["name"]), idem_from_name(g["left"]),
                          idem_from_name(g["right"])))
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"bad generator entry {g!r}: {e}") from None
     actions = []
-    for a in payload.get("actions", []):
+    for a in _entries(payload, "actions"):
         try:
-            args = tuple(element_from_name(x) for x in a.get("inputs", []))
-            coeff = element_from_name(a["output"])
-        except (KeyError, ValueError) as e:
+            inputs = a.get("inputs", [])
+            if not isinstance(inputs, list):
+                raise TypeError("inputs must be a list")
+            actions.append(DAAction(str(a["from"]),
+                                    tuple(element_from_name(x) for x in inputs),
+                                    element_from_name(a["output"]), str(a["to"])))
+        except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"bad action entry {a!r}: {e}") from None
-        actions.append(DAAction(str(a["from"]), args, coeff, str(a["to"])))
     return make_da(gens, actions)
 
 

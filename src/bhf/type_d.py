@@ -296,91 +296,82 @@ def minimize_d(M: TypeDModule, max_steps: int = 10000) -> TypeDModule:
     raise ValueError("basis minimization did not converge")
 
 
-def _signature_d(M: TypeDModule, name: str) -> tuple:
-    idems = M.idems()
-    outs = sorted((a.label.value, idems[a.target].value)
-                  for a in M.arrows if a.source == name)
-    ins = sorted((a.label.value, idems[a.source].value)
-                 for a in M.arrows if a.target == name)
-    return (idems[name].value, tuple(outs), tuple(ins))
-
-
 def isomorphic_d(M: TypeDModule, N: TypeDModule) -> dict[str, str] | None:
     """Search for a generator bijection matching idempotents and arrows.
 
     Returns the mapping M -> N, or None when no permutation-level
     isomorphism exists (base-change isomorphisms are not attempted).
     """
-    if len(M.generators) != len(N.generators) or len(M.arrows) != len(N.arrows):
+    def form(X: TypeDModule) -> tuple:
+        return ({n: (i.value,) for n, i in X.generators},
+                [(a.source, a.target, a.label.value) for a in X.arrows])
+
+    return _isomorphic(*form(M), *form(N))
+
+
+def _isomorphic(gens_m: dict, edges_m: list, gens_n: dict,
+                edges_n: list) -> dict[str, str] | None:
+    """Backtracking bijection search shared by isomorphic_d and isomorphic_da.
+
+    ``gens`` maps each generator name to its idempotents and ``edges`` are
+    distinct (source, target, label) triples, all keyed on value strings.
+    Generators are tried most-constrained first (rarest signature, then
+    name), each against its candidates in name order.
+    """
+    if len(gens_m) != len(gens_n) or len(edges_m) != len(edges_n):
         return None
-    sig_m = {n: _signature_d(M, n) for n in M.names()}
-    sig_n = {n: _signature_d(N, n) for n in N.names()}
-    if sorted(sig_m.values()) != sorted(sig_n.values()):
-        return None
-    m_arrows = set(M.arrows)
-    n_arrows = set(N.arrows)
-    m_out: dict[str, list[DArrow]] = {}
-    for a in M.arrows:
-        m_out.setdefault(a.source, []).append(a)
-    # most-constrained-first: rarest signatures early
+
+    def index(gens, edges):
+        out: dict[str, set] = {n: set() for n in gens}
+        inc: dict[str, set] = {n: set() for n in gens}
+        for s, t, lab in edges:
+            out[s].add((t, lab))
+            inc[t].add((s, lab))
+        sig = {n: (gens[n], tuple(sorted((lab, gens[t]) for t, lab in out[n])),
+                   tuple(sorted((lab, gens[s]) for s, lab in inc[n])))
+               for n in gens}
+        return out, inc, sig
+
+    out_m, inc_m, sig_m = index(gens_m, edges_m)
+    out_n, inc_n, sig_n = index(gens_n, edges_n)
     freq = Counter(sig_m.values())
+    if freq != Counter(sig_n.values()):
+        return None
     order = sorted(sig_m, key=lambda n: (freq[sig_m[n]], n))
-    candidates = {n: sorted(k for k in sig_n if sig_n[k] == sig_m[n]) for n in order}
-
+    by_sig = defaultdict(list)
+    for k in sorted(sig_n):
+        by_sig[sig_n[k]].append(k)
     mapping: dict[str, str] = {}
+    inv: dict[str, str] = {}
 
-    def consistent(n: str, k: str) -> bool:
-        for a in M.arrows:
-            if a.source == n and a.target in mapping:
-                if DArrow(k, mapping[a.target], a.label) not in n_arrows:
-                    return False
-            if a.target == n and a.source in mapping:
-                if DArrow(mapping[a.source], k, a.label) not in n_arrows:
-                    return False
-            if a.source == n and a.target == n:
-                if DArrow(k, k, a.label) not in n_arrows:
-                    return False
-        # reverse direction: arrows of N between already-chosen images
-        inv = {v: u for u, v in mapping.items()}
-        for b in N.arrows:
-            if b.source == k and b.target == k:
-                if DArrow(n, n, b.label) not in m_arrows:
-                    return False
-                continue
-            if b.source == k and b.target in inv:
-                if DArrow(n, inv[b.target], b.label) not in m_arrows:
-                    return False
-            if b.target == k and b.source in inv:
-                if DArrow(inv[b.source], n, b.label) not in m_arrows:
-                    return False
+    def kept(n: str, k: str, out_a, inc_a, out_b, inc_b, to_b) -> bool:
+        """Every edge at n whose other end is n or in to_b has its image at k."""
+        for t, lab in out_a[n]:
+            u = k if t == n else to_b.get(t)
+            if u is not None and (u, lab) not in out_b[k]:
+                return False
+        for s, lab in inc_a[n]:
+            u = to_b.get(s)
+            if u is not None and (u, lab) not in inc_b[k]:
+                return False
         return True
-
-    return _search(order, candidates, consistent, mapping)
-
-
-def _search(order: list[str], candidates: dict, consistent,
-            mapping: dict[str, str]) -> dict[str, str] | None:
-    """Backtracking bijection search shared by isomorphic_d and isomorphic_da:
-    map each name of ``order`` to an unused candidate that is consistent
-    with ``mapping`` so far; returns the full mapping or None."""
-    used: set[str] = set()
 
     def search(i: int) -> bool:
         if i == len(order):
             return True
         n = order[i]
-        for k in candidates[n]:
-            if k in used or not consistent(n, k):
+        for k in by_sig[sig_m[n]]:
+            if (k in inv or not kept(n, k, out_m, inc_m, out_n, inc_n, mapping)
+                    or not kept(k, n, out_n, inc_n, out_m, inc_m, inv)):
                 continue
             mapping[n] = k
-            used.add(k)
+            inv[k] = n
             if search(i + 1):
                 return True
-            del mapping[n]
-            used.remove(k)
+            del mapping[n], inv[k]
         return False
 
-    return dict(mapping) if search(0) else None
+    return mapping if search(0) else None
 
 
 def to_dot(M: TypeDModule) -> str:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from .algebra import (AlgebraElement, CHORDS, Idempotent, idem_element,
                       is_idempotent, left_idem, multiply, right_idem)
-from .type_d import (DArrow, ReductionTrace, TypeDModule, _Graph, _reduce,
-                     _search, make_module)
+from .type_d import (DArrow, ReductionTrace, TypeDModule, _Graph, _isomorphic,
+                     _reduce, make_module)
 
 __all__ = [
     "DAAction", "TypeDAModule", "make_da",
@@ -358,51 +358,11 @@ def reduce_da(B: TypeDAModule, order=None, arity_cap: int = 8
                           for s, t, (args, c) in edges], tags), trace
 
 
-def _signature_da(B: TypeDAModule, name: str) -> tuple:
-    l, r = B.idems()[name]
-    outs = sorted((tuple(a.value for a in act.args), act.coeff.value)
-                  for act in B.actions if act.source == name)
-    ins = sorted((tuple(a.value for a in act.args), act.coeff.value)
-                 for act in B.actions if act.target == name)
-    return (l.value, r.value, tuple(outs), tuple(ins))
-
-
 def isomorphic_da(B: TypeDAModule, C: TypeDAModule) -> dict[str, str] | None:
     """Permutation-level isomorphism search for DA bimodules."""
-    if len(B.generators) != len(C.generators) or len(B.actions) != len(C.actions):
-        return None
-    sig_b = {n: _signature_da(B, n) for n in B.names()}
-    sig_c = {n: _signature_da(C, n) for n in C.names()}
-    if sorted(sig_b.values()) != sorted(sig_c.values()):
-        return None
-    c_actions = set(C.actions)
-    b_actions = set(B.actions)
-    order = sorted(sig_b)
-    candidates = {n: sorted(k for k in sig_c if sig_c[k] == sig_b[n])
-                  for n in order}
-    mapping: dict[str, str] = {}
+    def form(X: TypeDAModule) -> tuple:
+        return ({n: (l.value, r.value) for n, l, r in X.generators},
+                [(a.source, a.target, (tuple(x.value for x in a.args), a.coeff.value))
+                 for a in X.actions])
 
-    def consistent(n: str, k: str) -> bool:
-        for act in B.actions:
-            if act.source == n and (act.target in mapping or act.target == n):
-                tgt = k if act.target == n else mapping[act.target]
-                if _act(k, act.args, act.coeff, tgt) not in c_actions:
-                    return False
-            if act.target == n and act.source in mapping:
-                if _act(mapping[act.source], act.args, act.coeff, k) not in c_actions:
-                    return False
-        inv = {v: u for u, v in mapping.items()}
-        for act in C.actions:
-            if act.source == k and act.target == k:
-                if _act(n, act.args, act.coeff, n) not in b_actions:
-                    return False
-                continue
-            if act.source == k and act.target in inv:
-                if _act(n, act.args, act.coeff, inv[act.target]) not in b_actions:
-                    return False
-            if act.target == k and act.source in inv:
-                if _act(inv[act.source], act.args, act.coeff, n) not in b_actions:
-                    return False
-        return True
-
-    return _search(order, candidates, consistent, mapping)
+    return _isomorphic(*form(B), *form(C))

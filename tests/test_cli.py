@@ -166,3 +166,54 @@ def test_python_dash_m_runs_cli():
     done = subprocess.run([sys.executable, "-m", "bhf", "frobnicate"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 2
+
+
+def _doc(kind, payload):
+    return json.dumps({"format_version": "1", "kind": kind, "payload": payload})
+
+
+_SELF_LOOP = _doc("type_d", {"generators": [{"name": "x", "idempotent": "iota0"}],
+                             "arrows": [{"from": "x", "to": "x", "label": "iota0"}]})
+_BAD_DA = _doc("type_da", {"generators": [{"name": "x", "left": "iota0",
+                                           "right": "iota0"}],
+                           "actions": [{"from": "x", "inputs": [], "output": "iota0",
+                                        "to": "x"}]})
+
+
+_NO_ARROWS = _doc("type_d", {"generators": [{"name": "x", "idempotent": "iota0"}]})
+
+
+_MALFORMED = [
+    (["validate", "{}"], _doc("type_d", {"generators": ["x"]}), "generators must be"),
+    (["reduce", "{}"], _doc("type_d", {"generators": ["x"]}), "generators must be"),
+    (["tensor", "--bimodule", "builtin:H", "{}"],
+     _doc("type_d", {"generators": ["x"]}), "generators must be"),
+    (["validate", "{}"], _doc("type_d", {"arrows": [{"label": "rho1"}]}), "bad arrow"),
+    (["validate", "{}"], _doc("type_d", {"tags": [1]}), "tags"),
+    (["validate", "{}"], _doc("type_da", {"actions": ["x"]}), "actions"),
+    (["validate", "{}"], _doc("type_da", {"actions": [
+        {"from": "x", "to": "x", "inputs": "rho1", "output": "iota0"}]}), "bad action"),
+    (["validate", "{}"], _doc("cfk", {"shift": 5}), "bad shift"),
+    (["validate", "{}"], _doc("cfk", {"generators": 5}), "generators"),
+    (["reduce", "{}"], _SELF_LOOP, "invalid type_d: d^2"),
+    (["iso", "{}", "{}"], _SELF_LOOP, "invalid type_d: d^2"),
+    (["tensor", "--bimodule", "{}", "{ok}"], _BAD_DA, "invalid type_da: A-infinity"),
+    (["tensor", "--bimodule", "builtin:H", "{}"], _BAD_DA, "expected kind 'type_d'"),
+    (["tau", "{}"], _SELF_LOOP, "expected kind 'cfk'"),
+    (["iso", "{}", "builtin:H"], _doc("cfk", {}), "expected type_d or type_da"),
+    (["build-h", "--script", "{}"], "a -> b -> c\n", "expected 'from -> to'"),
+    (["reduce", "{ok}", "--script", "{}"], "a -> b -> c\n", "expected 'from -> to'"),
+    (["tau", "{}"], "x: A=0 M=0\ny: A=0 M=0\n", "vertical homology has rank 2"),
+]
+
+
+@pytest.mark.parametrize("argv, text, says", _MALFORMED,
+                         ids=[f"{argv[0]}:{says}" for argv, _, says in _MALFORMED])
+def test_malformed_input_exits_1_without_traceback(tmp_path, capsys, argv, text, says):
+    bad, ok = tmp_path / "bad.json", tmp_path / "ok.json"
+    bad.write_text(text)
+    ok.write_text(_NO_ARROWS)
+    paths = {"{}": str(bad), "{ok}": str(ok)}
+    code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and says in err and "Traceback" not in err

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
-from bhf import cfk, ktd, type_d
+from bhf import cfk, ktd, type_d, type_da
 from bhf.algebra import AlgebraElement as A, Idempotent as I
-from conftest import load_cfk
+from conftest import FIXTURE_NAMES, load_cfk
 
 DArrow = type_d.DArrow
 
@@ -123,6 +125,69 @@ def test_isomorphic_symmetric(boxed):
     S, _ = type_d.reduce_d(boxed, 3)
     assert (type_d.isomorphic_d(R, S) is None) == \
            (type_d.isomorphic_d(S, R) is None)
+
+
+def _iso_case(name):
+    """A module or bimodule, by name: builtins, each fixture's reduced
+    module, and the unknot at framing 0 (one generator with a rho12 loop)."""
+    if name.startswith("builtin_"):
+        return getattr(type_da, name)()
+    if name == "unknot_loop":
+        return ktd.ktd_basis(cfk.simultaneous_simplify(load_cfk("unknot")), 0)
+    return type_d.reduce_d(ktd.ktd_basefree(load_cfk(name)))[0]
+
+
+def _renamed(X, seed):
+    """A seeded random renaming of the generators of X, and X renamed."""
+    names = sorted(X.names())
+    new = [f"g{i}" for i in range(len(names))]
+    random.Random(seed).shuffle(new)
+    ren = dict(zip(names, new))
+    if isinstance(X, type_d.TypeDModule):
+        return ren, type_d.make_module(
+            [(ren[n], i) for n, i in X.generators],
+            [DArrow(ren[a.source], ren[a.target], a.label) for a in X.arrows])
+    return ren, type_da.make_da(
+        [(ren[n], l, r) for n, l, r in X.generators],
+        [type_da.DAAction(ren[a.source], a.args, a.coeff, ren[a.target])
+         for a in X.actions])
+
+
+def _iso(X):
+    return type_d.isomorphic_d if isinstance(X, type_d.TypeDModule) \
+        else type_da.isomorphic_da
+
+
+# builtin_tau_mu and builtin_tau_lambda have self-loop actions
+ISO_CASES = ["builtin_H", "builtin_tau_mu", "builtin_tau_lambda",
+             "builtin_identity", "unknot_loop"] + FIXTURE_NAMES
+
+
+@pytest.mark.parametrize("name", ISO_CASES)
+def test_isomorphic_finds_the_renaming(name):
+    X = _iso_case(name)
+    for seed in range(3):
+        ren, Y = _renamed(X, seed)
+        assert _iso(X)(X, Y) == ren
+        assert _iso(X)(Y, X) == {v: k for k, v in ren.items()}
+
+
+@pytest.mark.parametrize("name", ISO_CASES)
+@pytest.mark.parametrize("change", ["drop_edge", "flip_idempotent"])
+def test_isomorphic_rejects_a_changed_copy(name, change):
+    X = _iso_case(name)
+    _, Y = _renamed(X, 0)
+    rng = random.Random(1)
+    is_d = isinstance(Y, type_d.TypeDModule)
+    gens, edges = list(Y.generators), list(Y.arrows if is_d else Y.actions)
+    if change == "drop_edge":
+        del edges[rng.randrange(len(edges))]
+    else:
+        i = rng.randrange(len(gens))
+        n, left, *right = gens[i]
+        gens[i] = (n, I.I1 if left is I.I0 else I.I0, *right)
+    build = type_d.make_module if is_d else type_da.make_da
+    assert _iso(X)(X, build(gens, edges)) is None
 
 
 def test_base_change_is_involution():
