@@ -14,8 +14,10 @@ vertical arrows dz; both square to zero on their own.
 """
 from __future__ import annotations
 
+import heapq
 import random
-from dataclasses import dataclass, replace
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 
 from . import _linalg
 
@@ -55,14 +57,11 @@ class KnotComplex:
         m = self.by_name()
         return m[a.source].alexander - m[a.target].alexander
 
-    def n_z(self, a: KnotArrow) -> int:
-        return a.u_power + self.alexander_drop(a)
-
     def is_vertical(self, a: KnotArrow) -> bool:
         return a.u_power == 0
 
     def is_horizontal(self, a: KnotArrow) -> bool:
-        return self.n_z(a) == 0
+        return a.u_power + self.alexander_drop(a) == 0
 
 
 def make_complex(gens, arrows, shift=None) -> KnotComplex:
@@ -96,22 +95,25 @@ def validate(C: KnotComplex) -> list[str]:
     if out:
         return out
     # d^2 = 0 over F2[U]: count two-step paths per (start, end, total U power).
-    outs: dict[str, list[KnotArrow]] = {}
-    for a in C.arrows:
-        outs.setdefault(a.source, []).append(a)
-    counts: dict[tuple[str, str, int], int] = {}
-    for a in C.arrows:
-        for b in outs.get(a.target, ()):
-            key = (a.source, b.target, a.u_power + b.u_power)
-            counts[key] = counts.get(key, 0) ^ 1
-    for (src, tgt, r), parity in sorted(counts.items()):
-        if parity:
+    m = _Mut(C)
+    paths = Counter((a.source, t, a.u_power + r)
+                    for a in C.arrows for t, r in m.out[a.target])
+    for (src, tgt, r), count in sorted(paths.items()):
+        if count % 2:
             out.append(f"d^2 != 0: odd path count {src} -> U^{r} {tgt}")
     return out
 
 
 def is_reduced(C: KnotComplex) -> bool:
     return all(a.u_power > 0 or C.alexander_drop(a) > 0 for a in C.arrows)
+
+
+def _require_model(C: KnotComplex) -> None:
+    bad = validate(C)
+    if bad:
+        raise ValueError("invalid complex: " + bad[0])
+    if not is_reduced(C):
+        raise ValueError("complex must be reduced")
 
 
 def flip(C: KnotComplex) -> KnotComplex:
@@ -122,50 +124,73 @@ def flip(C: KnotComplex) -> KnotComplex:
     horizontal arrows trade places.
     """
     by = C.by_name()
-    gens = [replace(g, alexander=-g.alexander, maslov=g.maslov - 2 * g.alexander)
+    gens = [KnotGenerator(g.name, -g.alexander, g.maslov - 2 * g.alexander)
             for g in C.generators]
-    arrows = [replace(a, u_power=a.u_power + by[a.source].alexander
-                      - by[a.target].alexander)
+    arrows = [KnotArrow(a.source, a.target,
+                        a.u_power + by[a.source].alexander - by[a.target].alexander)
               for a in C.arrows]
     return make_complex(gens, arrows, C.shift)
 
 
 class _Mut:
-    """Mutable arrow-set view used by base changes and cancellation."""
+    """Mutable complex indexed by adjacency, edited in place and frozen once.
+
+    ``out[x]`` holds (target, U power) for the arrows leaving x and
+    ``inc[y]`` (source, U power) for those entering y, so a base change or
+    a cancellation touches only the arrows at its generators.
+    """
 
     def __init__(self, C: KnotComplex):
         self.gens: dict[str, KnotGenerator] = dict(C.by_name())
-        self.arrows: set[tuple[str, str, int]] = {
-            (a.source, a.target, a.u_power) for a in C.arrows}
+        self.out: dict[str, set[tuple[str, int]]] = defaultdict(set)
+        self.inc: dict[str, set[tuple[str, int]]] = defaultdict(set)
         self.shift = C.shift
+        for a in C.arrows:
+            self.toggle(a.source, a.target, a.u_power)
 
     def freeze(self) -> KnotComplex:
-        return make_complex(
-            self.gens.values(),
-            [KnotArrow(s, t, r) for (s, t, r) in self.arrows],
-            self.shift)
+        arrows = [KnotArrow(s, t, r) for s, outs in self.out.items() for t, r in outs]
+        return make_complex(self.gens.values(), arrows, self.shift)
 
-    def toggle(self, s: str, t: str, r: int) -> None:
-        key = (s, t, r)
-        if key in self.arrows:
-            self.arrows.remove(key)
-        else:
-            self.arrows.add(key)
+    def toggle(self, s: str, t: str, r: int) -> bool:
+        """Add s -> U^r t if absent, else remove it; True when added."""
+        out = self.out[s]
+        if (t, r) in out:
+            out.remove((t, r))
+            self.inc[t].remove((s, r))
+            return False
+        out.add((t, r))
+        self.inc[t].add((s, r))
+        return True
 
-    def add_to(self, a: str, b: str, j: int) -> None:
-        """Base change b := b + U^j a (a valid filtered change of basis)."""
+    def add_to(self, a: str, b: str, j: int) -> list[tuple[str, str, int]]:
+        """Base change b := b + U^j a (a valid filtered change of basis);
+        returns the arrows it added."""
         ga, gb = self.gens[a], self.gens[b]
         if a == b or j < 0:
             raise ValueError("invalid base change")
         if ga.maslov - 2 * j != gb.maslov or ga.alexander - j > gb.alexander:
             raise ValueError("base change violates gradings")
-        snapshot = list(self.arrows)
-        for (s, t, r) in snapshot:
-            if s == a:
-                self.toggle(b, t, r + j)
-        for (s, t, r) in snapshot:
-            if t == b:
-                self.toggle(s, a, r + j)
+        # arrows out of a now also leave b, and the old b is b + U^j a
+        changes = ([(b, t, r + j) for t, r in self.out[a]]
+                   + [(s, a, r + j) for s, r in self.inc[b]])
+        return [e for e in changes if self.toggle(*e)]
+
+    def cancel(self, x: str, y: str) -> None:
+        """Cancel the arrow x -> y: each zig-zag s -> y <- x -> t becomes
+        an arrow s -> t, and x and y go."""
+        if any(t == y and r > 0 for t, r in self.out[x]):
+            raise ValueError(
+                f"cannot cancel {x}->{y}: parallel arrow with positive U power")
+        ins = [(s, r) for s, r in self.inc[y] if s != x]
+        outs = [(t, r) for t, r in self.out[x] if t != y]
+        for e in ({(g, t, r) for g in (x, y) for t, r in self.out[g]}
+                  | {(s, g, r) for g in (x, y) for s, r in self.inc[g]}):
+            self.toggle(*e)
+        del self.gens[x], self.gens[y]
+        for s, r1 in ins:
+            for t, r2 in outs:
+                self.toggle(s, t, r1 + r2)
 
     def drop(self, s: str, t: str) -> int:
         return self.gens[s].alexander - self.gens[t].alexander
@@ -176,126 +201,76 @@ def reduce(C: KnotComplex, seed: int | None = None) -> KnotComplex:
     m = _Mut(C)
     rng = random.Random(seed) if seed is not None else None
     while True:
-        eligible = sorted((s, t) for (s, t, r) in m.arrows
+        eligible = sorted((s, t) for s, outs in m.out.items() for t, r in outs
                           if r == 0 and m.drop(s, t) == 0)
         if not eligible:
             return m.freeze()
-        x, y = rng.choice(eligible) if rng else eligible[0]
-        for (s, t, r) in m.arrows:
-            if s == x and t == y and r > 0:
-                raise ValueError(
-                    f"cannot cancel {x}->{y}: parallel arrow with positive U power")
-        ins = [(s, r) for (s, t, r) in m.arrows if t == y and s != x]
-        outs = [(t, r) for (s, t, r) in m.arrows if s == x and t != y]
-        m.arrows = {(s, t, r) for (s, t, r) in m.arrows
-                    if x not in (s, t) and y not in (s, t)}
-        del m.gens[x], m.gens[y]
-        for (s, r1) in ins:
-            for (t, r2) in outs:
-                m.toggle(s, t, r1 + r2)
+        m.cancel(*(rng.choice(eligible) if rng else eligible[0]))
 
 
-def _simplify(C: KnotComplex, family: str) -> KnotComplex:
+def vertical_simplify(C: KnotComplex) -> KnotComplex:
+    """Base-change until vertical arrows form a disjoint matching: take the
+    shortest vertical arrow x -> y between unmatched generators (ties by
+    name), clear the other vertical arrows into y and out of x, then match
+    x with y."""
     if not is_reduced(C):
         raise ValueError("complex must be reduced before simplification")
     m = _Mut(C)
+    heap: list[tuple[int, str, str]] = []  # may hold arrows gone since
 
-    def fam_arrows(live):
-        if family == "vertical":
-            sel = [(r, m.drop(s, t), s, t) for (s, t, r) in m.arrows
-                   if r == 0 and s in live and t in live]
-            # sort by length = drop
-            return sorted((d, s, t) for (_r, d, s, t) in sel)
-        sel = [(s, t, r) for (s, t, r) in m.arrows
-               if r + m.drop(s, t) == 0 and s in live and t in live]
-        return sorted((r, s, t) for (s, t, r) in sel)
+    def push(arrows):
+        for s, t, r in arrows:
+            if r == 0:
+                heapq.heappush(heap, (m.drop(s, t), s, t))
 
+    push((a.source, a.target, a.u_power) for a in C.arrows)
     live = set(m.gens)
-    while True:
-        fam = fam_arrows(live)
-        if not fam:
-            break
-        ln, x, y = fam[0]
-        # clear further arrows of the family into y
-        while True:
-            extra = sorted(
-                (s, r) for (s, t, r) in m.arrows
-                if t == y and s != x
-                and ((family == "vertical" and r == 0)
-                     or (family == "horizontal" and r + m.drop(s, t) == 0)))
-            if not extra:
-                break
-            s, r = extra[0]
-            m.add_to(x, s, r - ln if family == "horizontal" else 0)
-        # clear further arrows of the family out of x
-        while True:
-            extra = sorted(
-                (t, r) for (s, t, r) in m.arrows
-                if s == x and t != y
-                and ((family == "vertical" and r == 0)
-                     or (family == "horizontal" and r + m.drop(s, t) == 0)))
-            if not extra:
-                break
-            t, r = extra[0]
-            m.add_to(t, y, r - ln if family == "horizontal" else 0)
+    while heap:
+        _, x, y = heapq.heappop(heap)
+        if x not in live or y not in live or (y, 0) not in m.out[x]:
+            continue
+        for s in sorted(s for s, r in m.inc[y] if r == 0 and s != x):
+            push(m.add_to(x, s, 0))
+        for t in sorted(t for t, r in m.out[x] if r == 0 and t != y):
+            push(m.add_to(t, y, 0))
         live -= {x, y}
     return m.freeze()
 
 
-def vertical_simplify(C: KnotComplex) -> KnotComplex:
-    """Base-change until vertical arrows form a disjoint matching."""
-    return _simplify(C, "vertical")
-
-
 def horizontal_simplify(C: KnotComplex) -> KnotComplex:
-    """Base-change until horizontal arrows form a disjoint matching."""
-    return _simplify(C, "horizontal")
-
-
-def _matched(C: KnotComplex, pred) -> bool:
-    seen: set[str] = set()
-    for a in C.arrows:
-        if pred(a):
-            if a.source in seen or a.target in seen:
-                return False
-            seen.add(a.source)
-            seen.add(a.target)
-    return True
+    """Base-change until horizontal arrows form a disjoint matching; flip
+    trades them for vertical arrows."""
+    return flip(vertical_simplify(flip(C)))
 
 
 def is_vertically_simplified(C: KnotComplex) -> bool:
-    return _matched(C, C.is_vertical)
+    ends = [g for a in C.arrows if a.u_power == 0 for g in (a.source, a.target)]
+    return len(ends) == len(set(ends))
 
 
 def is_horizontally_simplified(C: KnotComplex) -> bool:
-    return _matched(C, C.is_horizontal)
+    return is_vertically_simplified(flip(C))
 
 
-def simultaneous_simplify(C: KnotComplex, max_passes: int = 64):
+def simultaneous_simplify(C: KnotComplex):
     """Alternate vertical and horizontal simplification until both hold.
 
-    Returns the simplified complex, or None if the bound is hit.
+    Returns the simplified complex, or None after 64 rounds.
     """
     if not is_reduced(C):
         raise ValueError("complex must be reduced before simplification")
-    for _ in range(max_passes):
-        if is_vertically_simplified(C) and is_horizontally_simplified(C):
-            return C
-        C = vertical_simplify(C)
-        if is_vertically_simplified(C) and is_horizontally_simplified(C):
-            return C
-        C = horizontal_simplify(C)
+    for _ in range(64):
+        for simplify in (vertical_simplify, horizontal_simplify):
+            if is_vertically_simplified(C) and is_horizontally_simplified(C):
+                return C
+            C = simplify(C)
     return None
 
 
 def tau(C: KnotComplex) -> int:
     """Alexander grading of the generator of the vertical homology: the one
     generator that no vertical arrow touches once vertically simplified."""
-    bad = validate(C)
-    if bad:
-        raise ValueError("invalid complex: " + bad[0])
-    if not is_reduced(C):
-        raise ValueError("complex must be reduced")
+    _require_model(C)
     V = vertical_simplify(C)
     touched = {g for a in V.arrows if a.u_power == 0 for g in (a.source, a.target)}
     survivors = [g for g in V.generators if g.name not in touched]

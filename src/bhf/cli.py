@@ -41,8 +41,11 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e}") from None
 
 
 def _load_any(path: str, kind: str | None = None):

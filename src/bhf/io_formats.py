@@ -72,10 +72,9 @@ def _entries(payload: dict, key: str) -> list[dict]:
 def detect_kind(text: str) -> str:
     if text.lstrip().startswith("{"):
         return _open_envelope(text)[0]
-    if "->" in text and ":" not in text.split("->")[0].strip().split("\n")[-1]:
-        # heuristics are unreliable; callers should prefer envelopes
-        return "script"
-    return "cfk"
+    # terse knot complexes have "name: A=.. M=.." lines, scripts never do
+    code = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    return "script" if "->" in code and ":" not in code else "cfk"
 
 
 _GEN_RE = re.compile(r"^(\S+)\s*:\s*A=(-?\d+)\s+M=(-?\d+)$")
@@ -224,10 +223,11 @@ def parse_script(text: str) -> list[tuple[str, str]]:
         extra = set(payload) - {"pairs"}
         if extra:
             raise ParseError(f"unknown script fields: {sorted(extra)}")
-        try:
-            return [(str(a), str(b)) for a, b in payload.get("pairs", [])]
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"bad pairs: {e}") from None
+        pairs = payload.get("pairs", [])
+        if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise ParseError("pairs must be a list of [from, to] lists")
+        return [(str(a), str(b)) for a, b in pairs]
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

@@ -36,17 +36,9 @@ A = AlgebraElement
 META = "__meta__"
 
 
-def _require_model(C: cfk.KnotComplex) -> None:
-    bad = cfk.validate(C)
-    if bad:
-        raise ValueError("invalid complex: " + bad[0])
-    if not cfk.is_reduced(C):
-        raise ValueError("complex must be reduced")
-
-
 def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
     """Type D module of the complement from a simplified basis."""
-    _require_model(C)
+    cfk._require_model(C)
     if not (cfk.is_vertically_simplified(C) and cfk.is_horizontally_simplified(C)):
         raise ValueError("complex must be simultaneously simplified")
     gens: list[tuple[str, Idempotent]] = []
@@ -114,7 +106,7 @@ def _width(C: cfk.KnotComplex) -> int:
 
 def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     """Base-free type D module; describes the complement with framing -n."""
-    _require_model(C)
+    cfk._require_model(C)
     t = _width(C)
     if n is None:
         n = 4 * t + 3
@@ -237,7 +229,7 @@ def flip_ktd_direct(D: TypeDModule, C: cfk.KnotComplex) -> TypeDModule:
     if META not in D.tags or D.tags[META].get("algo") != "basefree":
         raise ValueError("module lacks base-free column metadata")
     n = D.tags[META]["framing"]
-    _require_model(C)
+    cfk._require_model(C)
     by = C.by_name()
     tagof = D.tags
 

@@ -1,4 +1,5 @@
 import pathlib
+import random
 import re
 
 import pytest
@@ -44,10 +45,58 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = ["unknot", "trefoil_right", "trefoil_left", "figure_eight",
                  "five_gen"]
 
+# the right-handed trefoil in the terse line format
+TERSE_TREFOIL = ("a: A=1 M=0\nb: A=0 M=-1\nc: A=-1 M=-2\n"
+                 "b -> U^1 a\nb -> c\n")
+
 
 def load_cfk(name: str) -> cfk.KnotComplex:
     text = (FIXTURES / f"{name}.cfk.json").read_text(encoding="utf-8")
     return io_formats.parse_cfk(text)
+
+
+def random_base_change(m, rng: random.Random) -> bool:
+    """Attempt one filtered base change b += U^j a on the mutable complex
+    ``m`` (a ``cfk._Mut``) between two random generators; False when the
+    gradings admit none."""
+    if len(m.gens) < 2:
+        return False
+    a, b = rng.sample(sorted(m.gens), 2)
+    twice_j = m.gens[a].maslov - m.gens[b].maslov
+    if twice_j < 0 or twice_j % 2:
+        return False
+    try:
+        m.add_to(a, b, twice_j // 2)
+    except ValueError:  # the change would raise the Alexander filtration
+        return False
+    return True
+
+
+def random_complex(name: str, seed: int, shift=None) -> cfk.KnotComplex:
+    """A fixture plus 0-3 acyclic pairs (vertical, horizontal, or unreduced
+    with U^0 and Alexander drop 0), scrambled by up to 25 attempted filtered
+    base changes.  The pairs are acyclic over F2[U, U^-1], but a horizontal
+    pair adds rank 2 to the vertical homology, so ``tau`` rejects those."""
+    rng = random.Random(seed)
+    C = load_cfk(name)
+    gens, arrows = list(C.generators), list(C.arrows)
+    for i in range(rng.randint(0, 3)):
+        A, M = rng.randint(-2, 2), rng.randint(-3, 2)
+        p, q = f"p{i}", f"q{i}"
+        kind = rng.choice(["vertical", "horizontal", "unreduced"])
+        if kind == "vertical":
+            q_gen, r = cfk.KnotGenerator(q, A - rng.randint(1, 2), M - 1), 0
+        elif kind == "horizontal":
+            r = rng.randint(1, 2)
+            q_gen = cfk.KnotGenerator(q, A + r, M - 1 + 2 * r)
+        else:
+            q_gen, r = cfk.KnotGenerator(q, A, M - 1), 0
+        gens += [cfk.KnotGenerator(p, A, M), q_gen]
+        arrows.append(cfk.KnotArrow(p, q, r))
+    m = cfk._Mut(cfk.make_complex(gens, arrows, shift or C.shift))
+    for _ in range(rng.randint(0, 25)):
+        random_base_change(m, rng)
+    return m.freeze()
 
 
 @pytest.fixture(params=FIXTURE_NAMES)

@@ -4,7 +4,7 @@ import pytest
 
 from bhf import cfk
 from bhf._linalg import rref
-from conftest import FIXTURE_NAMES, load_cfk
+from conftest import FIXTURE_NAMES, load_cfk, random_base_change, random_complex
 
 G = cfk.KnotGenerator
 Ar = cfk.KnotArrow
@@ -153,10 +153,16 @@ def test_tau_requires_rank_one():
         cfk.tau(C)
 
 
-def test_random_base_changes_keep_validity(five_gen):
-    rng = random.Random(7)
-    C = five_gen
-    for _ in range(25):
-        S = cfk.vertical_simplify(C) if rng.random() < 0.5 \
-            else cfk.horizontal_simplify(C)
-        assert cfk.validate(S) == []
+def test_random_base_changes_keep_validity():
+    applied = 0
+    for seed in range(20):
+        C = random_complex(FIXTURE_NAMES[seed % len(FIXTURE_NAMES)], seed)
+        want = maslov_homology_ranks(C)
+        m, rng = cfk._Mut(C), random.Random(seed)
+        for _ in range(25):
+            if random_base_change(m, rng):
+                applied += 1
+                B = m.freeze()
+                assert cfk.validate(B) == []
+                assert maslov_homology_ranks(B) == want
+    assert applied >= 50

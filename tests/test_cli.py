@@ -1,14 +1,16 @@
+import copy
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 import bhf
-from bhf import cli, io_formats
-from conftest import FIXTURES
+from bhf import cli, io_formats, ktd, type_da
+from conftest import FIXTURE_NAMES, FIXTURES, TERSE_TREFOIL, load_cfk
 
 
 def fx(name):
@@ -25,6 +27,13 @@ def test_validate_ok(capsys):
     code, out, _ = run(capsys, "validate", fx("five_gen.cfk.json"))
     assert code == 0
     assert "valid cfk" in out
+
+
+def test_validate_terse_complex(tmp_path, capsys):
+    p = tmp_path / "trefoil.cfk"
+    p.write_text(TERSE_TREFOIL)
+    code, out, _ = run(capsys, "validate", str(p))
+    assert (code, out) == (0, "valid cfk\n")
 
 
 def test_validate_bad_file(tmp_path, capsys):
@@ -204,6 +213,10 @@ _MALFORMED = [
     (["build-h", "--script", "{}"], "a -> b -> c\n", "expected 'from -> to'"),
     (["reduce", "{ok}", "--script", "{}"], "a -> b -> c\n", "expected 'from -> to'"),
     (["tau", "{}"], "x: A=0 M=0\ny: A=0 M=0\n", "vertical homology has rank 2"),
+    (["flip", "{}", "-o", "{nodir}"], TERSE_TREFOIL, "cannot write"),
+    (["build-h", "--script", "{}"], _doc("script", {"pairs": ["ab"]}), "pairs must be"),
+    (["build-h", "--script", "{}"], _doc("script", {"pairs": [{"x": 1, "y": 2}]}),
+     "[from, to] lists"),
 ]
 
 
@@ -213,7 +226,59 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, capsys, argv, text,
     bad, ok = tmp_path / "bad.json", tmp_path / "ok.json"
     bad.write_text(text)
     ok.write_text(_NO_ARROWS)
-    paths = {"{}": str(bad), "{ok}": str(ok)}
+    paths = {"{}": str(bad), "{ok}": str(ok),
+             "{nodir}": str(tmp_path / "no_such_dir" / "out.json")}
     code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and says in err and "Traceback" not in err
+
+
+_JUNK = [None, True, -1, 2.5, "", "x", "rho12", "iota0", [], [1, 2], {}, {"a": 1}]
+
+
+def _containers(node):
+    if isinstance(node, (dict, list)):
+        yield node
+        for v in (node.values() if isinstance(node, dict) else node):
+            yield from _containers(v)
+
+
+def _mutate(doc, rng):
+    """Delete a key or entry, swap a value for junk, or duplicate an entry,
+    somewhere in the JSON tree."""
+    op = rng.choice(["delete", "junk", "duplicate"])
+    nodes = [c for c in _containers(doc)
+             if c and (op != "duplicate" or isinstance(c, list))]
+    if not nodes:
+        return
+    node = rng.choice(nodes)
+    key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+    if op == "delete":
+        del node[key]
+    elif op == "junk":
+        node[key] = copy.deepcopy(rng.choice(_JUNK))
+    else:
+        node.insert(key, copy.deepcopy(node[key]))
+
+
+def test_fuzzed_documents_never_raise(tmp_path, capsys):
+    module = tmp_path / "module.json"
+    module.write_text(io_formats.write_typed(ktd.ktd_basefree(load_cfk("unknot"))))
+    docs = [(io_formats.write_cfk(load_cfk(n)), ["tau"]) for n in FIXTURE_NAMES]
+    docs += [(io_formats.write_typed(ktd.ktd_basefree(load_cfk(n))), ["reduce"])
+             for n in ("trefoil_right", "five_gen")]
+    docs += [(io_formats.write_typeda(B()), ["tensor", str(module), "--bimodule"])
+             for B in (type_da.builtin_tau_mu, type_da.builtin_tau_lambda,
+                       type_da.builtin_identity)]
+    rng = random.Random(2024)
+    path = tmp_path / "doc.json"
+    for _ in range(200):
+        text, load = rng.choice(docs)
+        doc = json.loads(text)
+        for _ in range(rng.randint(1, 2)):
+            _mutate(doc, rng)
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], [*load, str(path)]):
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 3), (argv, doc)
+            assert code == 0 or err, (argv, doc)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from bhf import cfk, io_formats, ktd, type_da
-from conftest import FIXTURES, FIXTURE_NAMES, load_cfk
+from conftest import FIXTURES, FIXTURE_NAMES, TERSE_TREFOIL, load_cfk
 
 
 def test_fixture_files_parse():
@@ -84,6 +84,9 @@ def test_detect_kind(any_complex):
     assert io_formats.detect_kind(io_formats.write_typed(D)) == "type_d"
     B = type_da.builtin_tau_mu()
     assert io_formats.detect_kind(io_formats.write_typeda(B)) == "type_da"
+    assert io_formats.detect_kind(TERSE_TREFOIL) == "cfk"
+    assert io_formats.parse_cfk(TERSE_TREFOIL) == load_cfk("trefoil_right")
+    assert io_formats.detect_kind(io_formats.write_script([("a", "b")])) == "script"
 
 
 def test_envelope_errors():
