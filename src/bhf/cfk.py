@@ -252,14 +252,17 @@ def is_horizontally_simplified(C: KnotComplex) -> bool:
     return is_vertically_simplified(flip(C))
 
 
+SIMPLIFY_ROUNDS = 64
+
+
 def simultaneous_simplify(C: KnotComplex):
     """Alternate vertical and horizontal simplification until both hold.
 
-    Returns the simplified complex, or None after 64 rounds.
+    Returns the simplified complex, or None after SIMPLIFY_ROUNDS rounds.
     """
     if not is_reduced(C):
         raise ValueError("complex must be reduced before simplification")
-    for _ in range(64):
+    for _ in range(SIMPLIFY_ROUNDS):
         for simplify in (vertical_simplify, horizontal_simplify):
             if is_vertically_simplified(C) and is_horizontally_simplified(C):
                 return C

@@ -8,6 +8,7 @@ and builtin:identity.  BHF_SEED overrides --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -97,6 +98,7 @@ def _seed(args) -> int | None:
     return getattr(args, "seed", None)
 
 
+@functools.cache  # building the parser costs more than most commands
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bhf", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -197,6 +199,8 @@ def _cmd_tau(args) -> int:
 def _cmd_cfd(args) -> int:
     C = cfk.reduce(_load(args.path, "cfk")[1])
     D = ktd._ktd(C, args.algo, args.framing)
+    if D is None:
+        raise CliError("simultaneous simplification did not converge")
     _write(args.output, io_formats.write_typed(D))
     return 0
 

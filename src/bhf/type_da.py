@@ -150,9 +150,19 @@ def _args_chain_ok(start: Idempotent, args: tuple[AlgebraElement, ...]) -> bool:
     return True
 
 
-def validate_da(B: TypeDAModule, bound: int | None = None) -> list[str]:
-    """Check well-formedness plus A-infinity relations up to input length
-    ``bound`` (default twice the maximal arity plus one)."""
+# the two-chord factorisations: rho1.rho2, rho2.rho3, rho1.rho23, rho12.rho3
+_SPLITS = {c: [(p, q) for p in CHORDS for q in CHORDS if multiply(p, q) is c]
+           for c in CHORDS}
+
+
+def validate_da(B: TypeDAModule) -> list[str]:
+    """Check well-formedness, then the A-infinity relations.
+
+    A relation can fail only where it has a term, so the terms come from
+    the actions: each composable pair of actions, and each action with one
+    input split into two chords.  There is no length bound.  Failures are
+    listed by generator, then by input length, then by chords in order.
+    """
     out: list[str] = []
     names = B.names()
     if len(set(names)) != len(names):
@@ -180,47 +190,26 @@ def validate_da(B: TypeDAModule, bound: int | None = None) -> list[str]:
                        f"{act.coeff.value} mismatches left idempotents")
     if out:
         return out
-    if bound is None:
-        bound = 2 * B.max_arity() + 1
-    lookup: dict[tuple[str, tuple], list[DAAction]] = {}
+    by_source: dict[str, list[DAAction]] = {}
     for act in B.actions:
-        lookup.setdefault((act.source, act.args), []).append(act)
-
-    def sequences(start: Idempotent, n: int):
-        if n == 0:
-            yield ()
-            return
-        for c in CHORDS:
-            if left_idem(c) is start:
-                for rest in sequences(right_idem(c), n - 1):
-                    yield (c,) + rest
-
-    for x in names:
-        _lx, rx = idems[x]
-        for n in range(0, bound + 1):
-            for seq in sequences(rx, n):
-                counts: dict[tuple[str, AlgebraElement], int] = {}
-                for i in range(n + 1):
-                    for act1 in lookup.get((x, seq[:i]), ()):
-                        for act2 in lookup.get((act1.target, seq[i:]), ()):
-                            c = multiply(act1.coeff, act2.coeff)
-                            if c is not A.ZERO:
-                                key = (act2.target, c)
-                                counts[key] = counts.get(key, 0) ^ 1
-                for i in range(n - 1):
-                    c = multiply(seq[i], seq[i + 1])
-                    if c is A.ZERO:
-                        continue
-                    merged = seq[:i] + (c,) + seq[i + 2:]
-                    for act in lookup.get((x, merged), ()):
-                        key = (act.target, act.coeff)
-                        counts[key] = counts.get(key, 0) ^ 1
-                for (tgt, c), parity in sorted(counts.items(), key=str):
-                    if parity:
-                        out.append(
-                            f"A-infinity relation fails at ({x}, "
-                            f"{[a.value for a in seq]}): odd term "
-                            f"{c.value} {tgt}")
+        by_source.setdefault(act.source, []).append(act)
+    terms: dict[tuple[str, tuple], dict[tuple[str, AlgebraElement], int]] = {}
+    for act in B.actions:
+        found = [(act.args + nxt.args, nxt.target, multiply(act.coeff, nxt.coeff))
+                 for nxt in by_source.get(act.target, ())]
+        found += [(act.args[:i] + split + act.args[i + 1:], act.target, act.coeff)
+                  for i, a in enumerate(act.args) for split in _SPLITS[a]]
+        for seq, tgt, c in found:
+            if c is not A.ZERO:
+                counts = terms.setdefault((act.source, seq), {})
+                counts[tgt, c] = counts.get((tgt, c), 0) ^ 1
+    rank = {x: i for i, x in enumerate(names)}
+    for x, seq in sorted(terms, key=lambda k: (rank[k[0]], len(k[1]),
+                                                [CHORDS.index(c) for c in k[1]])):
+        for (tgt, c), parity in sorted(terms[x, seq].items(), key=str):
+            if parity:
+                out.append(f"A-infinity relation fails at ({x}, "
+                           f"{[a.value for a in seq]}): odd term {c.value} {tgt}")
     return out
 
 

@@ -142,6 +142,44 @@ def test_verify_basis_path(capsys):
     assert out.startswith("verified")
 
 
+# trefoil_left plus an acyclic box; its alternating simplification cycles,
+# while the base-free path verifies it
+UNSIMPLIFIABLE = ("a: A=1 M=2\nb: A=0 M=1\nc: A=-1 M=0\npa: A=-1 M=-1\n"
+                  "pb: A=-2 M=-2\npc: A=1 M=2\npd: A=0 M=1\n"
+                  "a -> b\nc -> U^1 b\npa -> U^2 a\npa -> pb\npa -> U^2 pc\n"
+                  "pb -> U^2 b\npb -> U^2 pd\npc -> pd\n")
+
+
+def test_verify_basis_unconverged_is_inconclusive(tmp_path, capsys):
+    p = tmp_path / "box.cfk"
+    p.write_text(UNSIMPLIFIABLE)
+    assert run(capsys, "verify", str(p), "--algo", "basis") == (
+        3, "inconclusive: simultaneous simplification did not converge in "
+           "64 rounds\n", "")
+    code, out, _ = run(capsys, "verify", str(p))
+    assert (code, out.split(":")[0]) == (0, "verified")
+    assert run(capsys, "tau", str(p)) == (0, "-1\n", "")
+    for argv in (["cfd", str(p)], ["simplify", str(p)]):
+        assert run(capsys, *argv) == (
+            1, "", "error: simultaneous simplification did not converge\n")
+
+
+def test_parser_is_built_once(capsys):
+    calls = [["validate", fx("five_gen.cfk.json")], ["frobnicate"],
+             ["cfd", fx("trefoil_right.cfk.json"), "--framing", "3"],
+             ["verify", fx("trefoil_left.cfk.json"), "--algo", "nope"],
+             ["cfd", fx("trefoil_right.cfk.json")],
+             ["tau", fx("trefoil_right.cfk.json")],
+             ["iso", "builtin:tau-mu", "builtin:tau-lambda"]]
+    first = [run(capsys, *argv) for argv in calls]
+    again = [run(capsys, *argv) for argv in reversed(calls)][::-1]
+    assert cli._parser() is cli._parser()
+    assert first == again
+    assert [code for code, _, _ in first] == [0, 2, 0, 2, 0, 0, 3]
+    assert first[2][1] != first[4][1]  # --framing does not stick
+    assert "usage: bhf" in first[1][2] and "invalid choice" in first[3][2]
+
+
 def test_dot_output(tmp_path, capsys):
     mod = tmp_path / "m.dmod.json"
     run(capsys, "cfd", fx("unknot.cfk.json"), "-o", str(mod),
