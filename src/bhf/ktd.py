@@ -19,11 +19,12 @@ independent construction used to cross-check the two.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import cfk
 from .algebra import AlgebraElement, Idempotent, idem_element, is_idempotent
-from .type_d import (DArrow, TypeDModule, _base_changes, _freeze_d, _graph_d,
+from .type_d import (DArrow, TypeDModule, _freeze_d, _graph_d, _near_changes,
                      isomorphic_d, make_module, minimize_d, reduce_d)
 from .type_da import box_da_d, builtin_H, builtin_tau_mu
 
@@ -325,32 +326,29 @@ def _ktd(C: cfk.KnotComplex, algo: str, framing: int | None) -> TypeDModule | No
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _d_invariants(M: TypeDModule) -> tuple:
-    idems = M.idems()
-    per = sorted(i.value for i in idems.values())
-    labels = sorted(a.label.value for a in M.arrows)
-    return (tuple(per), tuple(labels))
-
-
 def _match_up_to_base_change(left: TypeDModule, right: TypeDModule,
-                             depth: int = 2, cap: int = 4000):
+                             depth: int = 2, cap: int = 4000, seen: set | None = None):
     """Permutation isomorphism search, allowing a few changes of basis.
 
     Minimal modules are unique up to isomorphism but not up to
     permutation; explore arrow-count-preserving base changes of the left
     side (breadth-first, bounded) until the generator graphs coincide.
+    No change outside type_d._near_changes gives a new candidate.  Returns
+    the module matched and its mapping onto right, or None; more than
+    ``cap`` arrow sets in ``seen`` means the cap was hit.
     """
-    seen = {left.arrows}
+    seen = set() if seen is None else seen
+    seen.add(left.arrows)
     frontier = [left]
     for _ in range(depth + 1):
         nxt = []
         for M in frontier:
             mapping = isomorphic_d(M, right)
             if mapping is not None:
-                return mapping
+                return M, mapping
             # try each base change in place, freezing only the candidates
             G = _graph_d(M)
-            for gen, other, coeff in _base_changes(M.idems()):
+            for gen, other, coeff in _near_changes(G, M.idems()):
                 toggled = G.base_change(gen, other, coeff)
                 if G.count <= len(M.arrows) and len(seen) <= cap:
                     cand = _freeze_d(G)
@@ -365,6 +363,39 @@ def _match_up_to_base_change(left: TypeDModule, right: TypeDModule,
     return None
 
 
+def _carries(mapping: dict[str, str], M: TypeDModule, N: TypeDModule) -> bool:
+    """Whether mapping carries M's generators, idempotents and arrows onto N's."""
+    gm, gn = M.idems(), N.idems()
+    return (sorted(mapping) == sorted(gm) and sorted(mapping.values()) == sorted(gn)
+            and all(gm[x] is gn[y] for x, y in mapping.items())
+            and len(M.arrows) == len(N.arrows)
+            and {DArrow(mapping[a.source], mapping[a.target], a.label)
+                 for a in M.arrows} == set(N.arrows))
+
+
+def _compare_d(left: TypeDModule, right: TypeDModule, depth: int = 2,
+               cap: int = 4000) -> VerifyResult:
+    """Verdict on two reduced modules.  A reduced M has as many generators
+    at an idempotent as F2 box M has homology there, a homotopy invariant,
+    so a difference is ``failed``; a match that _carries checks is
+    ``verified``; no match is ``inconclusive``."""
+    counts = [sorted(Counter(i.value for _, i in M.generators).items())
+              for M in (left, right)]
+    if counts[0] != counts[1]:
+        return VerifyResult("failed", None, "generators per idempotent differ: "
+                            f"{counts[0]} vs {counts[1]}")
+    seen: set = set()
+    found = _match_up_to_base_change(left, right, depth, cap, seen)
+    if found is None:
+        hit = "hit" if len(seen) > cap else "not hit"
+        return VerifyResult("inconclusive", None, "no permutation-level isomorphism "
+                            f"within {depth} base changes (cap of {cap} modules {hit})")
+    M, mapping = found
+    if not _carries(mapping, M, right):
+        return VerifyResult("inconclusive", None, "matched mapping failed its check")
+    return VerifyResult("verified", mapping, f"matched {len(mapping)} generators")
+
+
 def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
                                framing: int | None = None) -> VerifyResult:
     """Check that the complement's type D module is unchanged, up to
@@ -372,9 +403,8 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
 
     Tensors the involution bimodule with the module built from C and
     compares the reduction against the module built from the flipped
-    complex.  Comparison is permutation-level: a missing bijection with
-    equal coarse invariants is reported as inconclusive, not failed, and
-    so is a simplified basis that ``basis`` does not find.
+    complex (see _compare_d).  A simplified basis that ``basis`` does not
+    find is reported as inconclusive.
     """
     bad = cfk.validate(C)
     if bad:
@@ -387,15 +417,4 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
                             f"did not converge in {cfk.SIMPLIFY_ROUNDS} rounds")
     left, _ = reduce_d(box_da_d(builtin_H(), DL))
     right, _ = reduce_d(DR)
-    left = minimize_d(left)
-    right = minimize_d(right)
-    mapping = _match_up_to_base_change(left, right)
-    if mapping is not None:
-        return VerifyResult("verified", mapping,
-                            f"matched {len(mapping)} generators")
-    if _d_invariants(left) != _d_invariants(right):
-        return VerifyResult(
-            "failed", None,
-            f"invariants differ: {_d_invariants(left)} vs {_d_invariants(right)}")
-    return VerifyResult("inconclusive", None,
-                        "no permutation-level isomorphism found")
+    return _compare_d(minimize_d(left), minimize_d(right))

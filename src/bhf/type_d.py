@@ -264,14 +264,23 @@ _COEFFS = {(l, r): [c for c in sorted(NONZERO, key=lambda e: e.value)
            for l in Idempotent for r in Idempotent}
 
 
-def _base_changes(idems: dict[str, Idempotent]):
-    """Every (gen, other, coeff) that base_change accepts, in search order."""
-    names = sorted(idems)
-    for gen in names:
-        for other in names:
-            if other != gen:
-                for coeff in _COEFFS[idems[gen], idems[other]]:
-                    yield gen, other, coeff
+def _near_changes(G: _Graph, idems: dict[str, Idempotent]):
+    """The (gen, other, coeff) of base_change that can remove an arrow of G.
+
+    gen -> gen + coeff*other toggles only arrows gen -> y from other -> y
+    and x -> other from x -> gen: unless other is adjacent to gen or shares
+    an out- or in-neighbour with it, each toggle adds an arrow or undoes
+    one just added.  In search order; the caller edits G between yields
+    and restores it, so each neighbourhood is read before its triples.
+    """
+    for gen in sorted(idems):
+        outs = {y for y, _ in G.out[gen]}
+        ins = {x for x, _ in G.inc[gen]}
+        near = (outs | ins | {o for y in outs for o, _ in G.inc[y]}
+                | {o for x in ins for o, _ in G.out[x]})
+        for other in sorted(near - {gen}):
+            for coeff in _COEFFS[idems[gen], idems[other]]:
+                yield gen, other, coeff
 
 
 def minimize_d(M: TypeDModule, max_steps: int = 10000) -> TypeDModule:
@@ -279,12 +288,14 @@ def minimize_d(M: TypeDModule, max_steps: int = 10000) -> TypeDModule:
 
     Homotopy reduction can leave arrows that an invertible change of basis
     removes; repeatedly apply the first strictly-improving change until
-    none exists.  The output is isomorphic to the input.
+    none exists.  The output is isomorphic to the input.  Only the changes
+    of _near_changes are tried: no other lowers the arrow count, so the
+    output is that of the search over every pair.
     """
     idems = M.idems()
     G = _graph_d(M)
     for _ in range(max_steps):
-        for gen, other, coeff in _base_changes(idems):
+        for gen, other, coeff in _near_changes(G, idems):
             before = G.count
             toggled = G.base_change(gen, other, coeff)
             if G.count < before:
@@ -337,7 +348,16 @@ def _isomorphic(gens_m: dict, edges_m: list, gens_n: dict,
     freq = Counter(sig_m.values())
     if freq != Counter(sig_n.values()):
         return None
-    order = sorted(sig_m, key=lambda n: (freq[sig_m[n]], n))
+    # breadth-first along the arrows, so that each generator but the first
+    # of its component meets an image already fixed and kept prunes at once
+    placed: dict[str, None] = {}  # an insertion-ordered set
+    for root in sorted(sig_m, key=lambda n: (freq[sig_m[n]], n)):
+        queue = [root]
+        for n in queue:
+            if n not in placed:
+                placed[n] = None
+                queue += sorted({t for t, _ in out_m[n]} | {s for s, _ in inc_m[n]})
+    order = list(placed)
     by_sig = defaultdict(list)
     for k in sorted(sig_n):
         by_sig[sig_n[k]].append(k)

@@ -99,6 +99,30 @@ def random_complex(name: str, seed: int, shift=None) -> cfk.KnotComplex:
     return m.freeze()
 
 
+def staircase(exponents: list[int]) -> cfk.KnotComplex:
+    """The staircase complex x0, ..., x2m with A(xk) = exponents[k]: each
+    odd xk has a horizontal arrow to x(k-1) and a vertical one to x(k+1).
+    With the exponents of a torus knot's Alexander polynomial, highest
+    first, this is the knot Floer complex of the torus knot."""
+    gens, arrows, maslov = [], [], 0
+    for k, a in enumerate(exponents):
+        if k % 2:
+            maslov -= 2 * (exponents[k - 1] - a) - 1
+            arrows.append(cfk.KnotArrow(f"x{k}", f"x{k - 1}", exponents[k - 1] - a))
+            arrows.append(cfk.KnotArrow(f"x{k}", f"x{k + 1}", 0))
+        elif k:
+            maslov -= 1
+        gens.append(cfk.KnotGenerator(f"x{k}", a, maslov))
+    return cfk.make_complex(gens, arrows)
+
+
+def mirror(C: cfk.KnotComplex) -> cfk.KnotComplex:
+    """The dual complex: both gradings negated and every arrow reversed."""
+    return cfk.make_complex(
+        [cfk.KnotGenerator(g.name, -g.alexander, -g.maslov) for g in C.generators],
+        [cfk.KnotArrow(a.target, a.source, a.u_power) for a in C.arrows], C.shift)
+
+
 @pytest.fixture(params=FIXTURE_NAMES)
 def any_complex(request):
     return load_cfk(request.param)

@@ -4,7 +4,7 @@ import pytest
 
 from bhf import cfk, ktd, type_d, type_da
 from bhf.algebra import AlgebraElement as A, Idempotent as I
-from conftest import FIXTURE_NAMES, load_cfk
+from conftest import FIXTURE_NAMES, load_cfk, mirror, staircase
 
 # frozen oracle for the five-generator example at n=7: column populations,
 # arrow label inventory and the distinguished homology representatives
@@ -153,3 +153,82 @@ def test_verify_basefree(any_complex):
 def test_verify_basis(any_complex):
     res = ktd.verify_elliptic_invariance(any_complex, "basis")
     assert res.verdict == "verified"
+
+
+# exponents of the Alexander polynomials of T(2,3) and T(5,6), highest first
+T23 = [1, 0, -1]
+T56 = [10, 9, 5, 3, 0, -3, -5, -9, -10]
+
+
+def reduced(D):
+    return ktd.minimize_d(type_d.reduce_d(D)[0])
+
+
+def test_compare_fails_on_a_different_knot():
+    # negative control: H box CFD(trefoil_right) is not CFD(trefoil_left)
+    left = reduced(type_da.box_da_d(type_da.builtin_H(),
+                                    ktd.ktd_basefree(load_cfk("trefoil_right"))))
+    right = reduced(ktd.ktd_basefree(load_cfk("trefoil_left")))
+    assert (len(left.generators), len(right.generators)) == (14, 10)
+    res = ktd._compare_d(left, right)
+    assert res.verdict == "failed"
+    assert res.witness is None
+
+
+def test_compare_never_fails_on_isomorphic_modules():
+    # two 17-arrow modules of five_gen one base change apart, whose arrow
+    # label multisets differ
+    R = reduced(ktd.ktd_basefree(load_cfk("five_gen")))
+    S = type_d.base_change(R, "b|8", "a|8", A.I1)
+    assert len(R.arrows) == len(S.arrows) == 17
+    assert (collections.Counter(a.label for a in R.arrows)
+            != collections.Counter(a.label for a in S.arrows))
+    for depth, cap in [(2, 4000), (0, 4000), (2, 0)]:
+        for X, Y in [(R, S), (S, R)]:
+            assert ktd._compare_d(X, Y, depth, cap).verdict != "failed"
+    assert ktd._compare_d(R, S).verdict == "verified"
+    res = ktd._compare_d(R, S, depth=0)
+    assert res.verdict == "inconclusive"
+    assert "within 0 base changes (cap of 4000 modules not hit)" in res.detail
+    res = ktd._compare_d(R, S, cap=0)
+    assert res.verdict == "inconclusive"
+    assert "within 2 base changes (cap of 0 modules hit)" in res.detail
+
+
+def test_carries_rejects_a_wrong_mapping():
+    M = type_d.make_module([("x", I.I0), ("y", I.I1), ("z", I.I1)],
+                           [type_d.DArrow("x", "y", A.R1),
+                            type_d.DArrow("y", "z", A.R23)])
+    ident = {"x": "x", "y": "y", "z": "z"}
+    assert ktd._carries(ident, M, M)
+    assert not ktd._carries({"x": "x", "y": "z", "z": "y"}, M, M)
+    assert not ktd._carries({"x": "y", "y": "x", "z": "z"}, M, M)
+    assert not ktd._carries({"x": "x", "y": "y", "z": "y"}, M, M)
+    assert not ktd._carries({"x": "x", "y": "y"}, M, M)
+
+
+@pytest.mark.parametrize("algo", ["basefree", "basis"])
+def test_verified_carries_a_checked_witness(algo, monkeypatch):
+    checks = []
+    carries = ktd._carries
+
+    def recorded(mapping, M, N):
+        checks.append(carries(mapping, M, N))
+        return checks[-1]
+
+    monkeypatch.setattr(ktd, "_carries", recorded)
+    T = staircase(T23)
+    for C in [load_cfk(n) for n in FIXTURE_NAMES] + [T, mirror(T)]:
+        checks.clear()
+        assert ktd.verify_elliptic_invariance(C, algo).verdict == "verified"
+        assert checks == [True]
+
+
+@pytest.mark.parametrize("algo", ["basefree", "basis"])
+def test_verify_torus_knot_5_6(algo):
+    T = staircase(T56)
+    res = ktd.verify_elliptic_invariance(T, algo)
+    assert res.verdict == "verified"
+    if algo == "basefree":
+        assert len(res.witness) == 92  # generators of the reduced H box CFD
+    assert ktd.verify_elliptic_invariance(mirror(T), algo).verdict == "verified"

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -234,3 +235,38 @@ def test_to_dot(boxed):
     dot = type_d.to_dot(R)
     assert dot.startswith("digraph")
     assert dot == type_d.to_dot(R)
+
+
+def every_change(idems):
+    """Oracle: every (gen, other, coeff) that base_change accepts, in order."""
+    names = sorted(idems)
+    for gen in names:
+        for other in names:
+            if other != gen:
+                for coeff in type_d._COEFFS[idems[gen], idems[other]]:
+                    yield gen, other, coeff
+
+
+def test_near_changes_skip_only_changes_that_remove_no_arrow():
+    H = type_da.builtin_H()
+    for name in FIXTURE_NAMES:
+        D = ktd.ktd_basefree(load_cfk(name))
+        for M in (type_da.box_da_d(H, D), D):
+            for order in [None, *range(20)]:
+                R = type_d.reduce_d(M, order)[0]
+                G = type_d._graph_d(R)
+                oracle = list(every_change(R.idems()))
+                near = list(type_d._near_changes(G, R.idems()))
+                rest = iter(oracle)
+                assert all(t in rest for t in near), (name, order)  # subsequence
+                kept = set(near)
+                for gen, other, coeff in [t for t in oracle if t not in kept]:
+                    toggled = G.base_change(gen, other, coeff)
+                    # the arrow set changed iff some edge was toggled an odd
+                    # number of times
+                    odd = [e for e, k in collections.Counter(toggled).items() if k % 2]
+                    assert not odd or G.count > len(R.arrows), (name, order, gen, other)
+                    for e in toggled:
+                        G.toggle(*e)
+                    assert G.count == len(R.arrows)
+                assert type_d._freeze_d(G) == R  # every undo restored the graph
