@@ -326,41 +326,44 @@ def _ktd(C: cfk.KnotComplex, algo: str, framing: int | None) -> TypeDModule | No
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
+MATCH_DEPTH, MATCH_CAP = 2, 4000  # base changes deep, candidate modules kept
+
+
 def _match_up_to_base_change(left: TypeDModule, right: TypeDModule,
-                             depth: int = 2, cap: int = 4000, seen: set | None = None):
+                             depth: int = MATCH_DEPTH, cap: int = MATCH_CAP):
     """Permutation isomorphism search, allowing a few changes of basis.
 
     Minimal modules are unique up to isomorphism but not up to
     permutation; explore arrow-count-preserving base changes of the left
     side (breadth-first, bounded) until the generator graphs coincide.
     No change outside type_d._near_changes gives a new candidate.  Returns
-    the module matched and its mapping onto right, or None; more than
-    ``cap`` arrow sets in ``seen`` means the cap was hit.
+    the module matched and its mapping onto right, or None and whether a
+    new candidate was dropped because ``cap`` of them were already kept.
     """
-    seen = set() if seen is None else seen
-    seen.add(left.arrows)
+    seen = {left.arrows}
     frontier = [left]
-    for _ in range(depth + 1):
+    hit = False
+    for level in range(depth + 1):
         nxt = []
         for M in frontier:
             mapping = isomorphic_d(M, right)
             if mapping is not None:
                 return M, mapping
+            if level == depth:
+                continue
             # try each base change in place, freezing only the candidates
             G = _graph_d(M)
             for gen, other, coeff in _near_changes(G, M.idems()):
                 toggled = G.base_change(gen, other, coeff)
-                if G.count <= len(M.arrows) and len(seen) <= cap:
+                if G.count <= len(M.arrows) and not hit:
                     cand = _freeze_d(G)
-                    if cand.arrows not in seen:
+                    if cand.arrows not in seen and not (hit := len(seen) > cap):
                         seen.add(cand.arrows)
                         nxt.append(cand)
                 for e in toggled:
                     G.toggle(*e)
         frontier = nxt
-        if not frontier:
-            break
-    return None
+    return None, hit
 
 
 def _carries(mapping: dict[str, str], M: TypeDModule, N: TypeDModule) -> bool:
@@ -373,8 +376,7 @@ def _carries(mapping: dict[str, str], M: TypeDModule, N: TypeDModule) -> bool:
                  for a in M.arrows} == set(N.arrows))
 
 
-def _compare_d(left: TypeDModule, right: TypeDModule, depth: int = 2,
-               cap: int = 4000) -> VerifyResult:
+def _compare_d(left: TypeDModule, right: TypeDModule) -> VerifyResult:
     """Verdict on two reduced modules.  A reduced M has as many generators
     at an idempotent as F2 box M has homology there, a homotopy invariant,
     so a difference is ``failed``; a match that _carries checks is
@@ -384,16 +386,14 @@ def _compare_d(left: TypeDModule, right: TypeDModule, depth: int = 2,
     if counts[0] != counts[1]:
         return VerifyResult("failed", None, "generators per idempotent differ: "
                             f"{counts[0]} vs {counts[1]}")
-    seen: set = set()
-    found = _match_up_to_base_change(left, right, depth, cap, seen)
-    if found is None:
-        hit = "hit" if len(seen) > cap else "not hit"
+    M, found = _match_up_to_base_change(left, right)
+    if M is None:  # found says whether the cap was hit
         return VerifyResult("inconclusive", None, "no permutation-level isomorphism "
-                            f"within {depth} base changes (cap of {cap} modules {hit})")
-    M, mapping = found
-    if not _carries(mapping, M, right):
+                            f"within {MATCH_DEPTH} base changes (cap of {MATCH_CAP} "
+                            f"modules {'hit' if found else 'not hit'})")
+    if not _carries(found, M, right):
         return VerifyResult("inconclusive", None, "matched mapping failed its check")
-    return VerifyResult("verified", mapping, f"matched {len(mapping)} generators")
+    return VerifyResult("verified", found, f"matched {len(found)} generators")
 
 
 def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",

@@ -1,10 +1,11 @@
 import pathlib
 import random
 import re
+import sys
 
 import pytest
 
-from bhf import cfk, io_formats
+from bhf import cfk, io_formats, type_d
 
 ACCEPTANCE_CRITERIA = {
     1: "involution bimodule recovered from the sixfold twist tensor, "
@@ -40,7 +41,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(
                 f"criterion {n}: {results[n]} - {ACCEPTANCE_CRITERIA[n]}")
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+# the benchmark's staircase complexes of torus knots, for the tests at scale
+sys.path.append(str(ROOT / "bench"))
 
 FIXTURE_NAMES = ["unknot", "trefoil_right", "trefoil_left", "figure_eight",
                  "five_gen"]
@@ -99,28 +103,15 @@ def random_complex(name: str, seed: int, shift=None) -> cfk.KnotComplex:
     return m.freeze()
 
 
-def staircase(exponents: list[int]) -> cfk.KnotComplex:
-    """The staircase complex x0, ..., x2m with A(xk) = exponents[k]: each
-    odd xk has a horizontal arrow to x(k-1) and a vertical one to x(k+1).
-    With the exponents of a torus knot's Alexander polynomial, highest
-    first, this is the knot Floer complex of the torus knot."""
-    gens, arrows, maslov = [], [], 0
-    for k, a in enumerate(exponents):
-        if k % 2:
-            maslov -= 2 * (exponents[k - 1] - a) - 1
-            arrows.append(cfk.KnotArrow(f"x{k}", f"x{k - 1}", exponents[k - 1] - a))
-            arrows.append(cfk.KnotArrow(f"x{k}", f"x{k + 1}", 0))
-        elif k:
-            maslov -= 1
-        gens.append(cfk.KnotGenerator(f"x{k}", a, maslov))
-    return cfk.make_complex(gens, arrows)
-
-
-def mirror(C: cfk.KnotComplex) -> cfk.KnotComplex:
-    """The dual complex: both gradings negated and every arrow reversed."""
-    return cfk.make_complex(
-        [cfk.KnotGenerator(g.name, -g.alexander, -g.maslov) for g in C.generators],
-        [cfk.KnotArrow(a.target, a.source, a.u_power) for a in C.arrows], C.shift)
+def every_change(idems):
+    """Every (gen, other, coeff) that type_d.base_change accepts, in search
+    order; type_d._near_changes prunes this to a subsequence."""
+    names = sorted(idems)
+    for gen in names:
+        for other in names:
+            if other != gen:
+                for coeff in type_d._COEFFS[idems[gen], idems[other]]:
+                    yield gen, other, coeff
 
 
 @pytest.fixture(params=FIXTURE_NAMES)

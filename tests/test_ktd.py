@@ -4,7 +4,8 @@ import pytest
 
 from bhf import cfk, ktd, type_d, type_da
 from bhf.algebra import AlgebraElement as A, Idempotent as I
-from conftest import FIXTURE_NAMES, load_cfk, mirror, staircase
+from conftest import FIXTURE_NAMES, every_change, load_cfk
+from staircase import mirror, staircase
 
 # frozen oracle for the five-generator example at n=7: column populations,
 # arrow label inventory and the distinguished homology representatives
@@ -131,7 +132,7 @@ def test_adjust_framing_matches_direct_construction(any_complex):
         adj = ktd.minimize_d(ktd.adjust_framing(D, k))
         direct, _ = type_d.reduce_d(ktd.ktd_basis(S, base + k))
         direct = ktd.minimize_d(direct)
-        assert ktd._match_up_to_base_change(adj, direct) is not None
+        assert ktd._match_up_to_base_change(adj, direct)[0] is not None
 
 
 def test_algorithms_agree(any_complex):
@@ -141,7 +142,7 @@ def test_algorithms_agree(any_complex):
     n = 4 * t + 3
     bf = ktd.minimize_d(type_d.reduce_d(ktd.ktd_basefree(C, n))[0])
     bs = ktd.minimize_d(type_d.reduce_d(ktd.ktd_basis(S, -n))[0])
-    assert ktd._match_up_to_base_change(bf, bs) is not None
+    assert ktd._match_up_to_base_change(bf, bs)[0] is not None
 
 
 def test_verify_basefree(any_complex):
@@ -155,8 +156,7 @@ def test_verify_basis(any_complex):
     assert res.verdict == "verified"
 
 
-# exponents of the Alexander polynomials of T(2,3) and T(5,6), highest first
-T23 = [1, 0, -1]
+# exponents of the Alexander polynomial of T(5,6), highest first
 T56 = [10, 9, 5, 3, 0, -3, -5, -9, -10]
 
 
@@ -175,24 +175,42 @@ def test_compare_fails_on_a_different_knot():
     assert res.witness is None
 
 
-def test_compare_never_fails_on_isomorphic_modules():
-    # two 17-arrow modules of five_gen one base change apart, whose arrow
-    # label multisets differ
+def five_gen_modules():
+    """Three isomorphic reduced modules of five_gen: R and S, of 17 arrows,
+    one base change apart, whose arrow label multisets differ; and T, of 16
+    arrows, which minimize_d reaches from R after two base changes."""
     R = reduced(ktd.ktd_basefree(load_cfk("five_gen")))
     S = type_d.base_change(R, "b|8", "a|8", A.I1)
-    assert len(R.arrows) == len(S.arrows) == 17
+    T = type_d.minimize_d(type_d.base_change(
+        type_d.base_change(R, "*|-2", "*|0", A.R23), "b|8", "a|8", A.I1))
+    assert (len(R.arrows), len(S.arrows), len(T.arrows)) == (17, 17, 16)
     assert (collections.Counter(a.label for a in R.arrows)
             != collections.Counter(a.label for a in S.arrows))
-    for depth, cap in [(2, 4000), (0, 4000), (2, 0)]:
-        for X, Y in [(R, S), (S, R)]:
-            assert ktd._compare_d(X, Y, depth, cap).verdict != "failed"
+    return R, S, T
+
+
+def test_compare_never_fails_on_isomorphic_modules():
+    R, S, T = five_gen_modules()
+    for X, Y in [(R, S), (S, R), (R, T), (T, R)]:
+        assert ktd._compare_d(X, Y).verdict != "failed"
     assert ktd._compare_d(R, S).verdict == "verified"
-    res = ktd._compare_d(R, S, depth=0)
+    assert ktd._compare_d(R, T).verdict == "verified"
+    # T admits no base change that keeps its 16 arrows, so the search from
+    # T never reaches the 17 arrows of R
+    res = ktd._compare_d(T, R)
     assert res.verdict == "inconclusive"
-    assert "within 0 base changes (cap of 4000 modules not hit)" in res.detail
-    res = ktd._compare_d(R, S, cap=0)
-    assert res.verdict == "inconclusive"
-    assert "within 2 base changes (cap of 0 modules hit)" in res.detail
+    assert res.detail.endswith("within 2 base changes (cap of 4000 modules not hit)")
+
+
+def test_match_reports_the_cap_only_when_a_candidate_is_dropped():
+    R, _, T = five_gen_modules()
+    candidates = {type_d.base_change(R, *t).arrows for t in every_change(R.idems())}
+    n = len({c for c in candidates if len(c) <= len(R.arrows)} - {R.arrows})
+    assert n == 2
+    assert ktd._match_up_to_base_change(R, T, depth=1, cap=n) == (None, False)
+    assert ktd._match_up_to_base_change(R, T, depth=1, cap=n - 1) == (None, True)
+    # the last level's base changes are never tried, so never dropped
+    assert ktd._match_up_to_base_change(R, T, depth=0, cap=0) == (None, False)
 
 
 def test_carries_rejects_a_wrong_mapping():
@@ -217,8 +235,8 @@ def test_verified_carries_a_checked_witness(algo, monkeypatch):
         return checks[-1]
 
     monkeypatch.setattr(ktd, "_carries", recorded)
-    T = staircase(T23)
-    for C in [load_cfk(n) for n in FIXTURE_NAMES] + [T, mirror(T)]:
+    # trefoil_right and trefoil_left are T(2,3) and its mirror
+    for C in [load_cfk(n) for n in FIXTURE_NAMES]:
         checks.clear()
         assert ktd.verify_elliptic_invariance(C, algo).verdict == "verified"
         assert checks == [True]

@@ -236,7 +236,7 @@ def test_box_associativity_with_modules():
         two, _ = type_d.reduce_d(type_da.box_da_d(HT, D))
         one = ktd.minimize_d(one)
         two = ktd.minimize_d(two)
-        assert ktd._match_up_to_base_change(one, two) is not None
+        assert ktd._match_up_to_base_change(one, two)[0] is not None
 
 
 def test_involution_commutes_with_twist():
@@ -246,7 +246,7 @@ def test_involution_commutes_with_twist():
     lhs, _ = type_d.reduce_d(type_da.box_da_d(H, type_da.box_da_d(tau, D)))
     rhs, _ = type_d.reduce_d(type_da.box_da_d(tau, type_da.box_da_d(H, D)))
     assert ktd._match_up_to_base_change(
-        ktd.minimize_d(lhs), ktd.minimize_d(rhs)) is not None
+        ktd.minimize_d(lhs), ktd.minimize_d(rhs))[0] is not None
 
 
 def test_string_reversal_loops():
