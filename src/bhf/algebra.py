@@ -15,6 +15,8 @@ class Idempotent(Enum):
     I0 = "iota0"
     I1 = "iota1"
 
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     def __repr__(self) -> str:
         return self.value
 
@@ -33,6 +35,8 @@ class AlgebraElement(Enum):
     R23 = "rho23"
     R123 = "rho123"
 
+    __hash__ = object.__hash__  # see Idempotent
+
     def __repr__(self) -> str:
         return self.value
 
@@ -41,6 +45,7 @@ class AlgebraElement(Enum):
 
 
 _BY_NAME = {e.value: e for e in AlgebraElement}
+_IDEM_BY_NAME = {i.value: i for i in Idempotent}
 
 # (left idempotent, right idempotent) of each nonzero element.
 _IDEMS = {
@@ -64,6 +69,14 @@ _PRODUCTS = {
 
 NONZERO = tuple(e for e in AlgebraElement if e is not AlgebraElement.ZERO)
 CHORDS = tuple(e for e in NONZERO if e not in (AlgebraElement.I0, AlgebraElement.I1))
+_UNIT = {Idempotent.I0: AlgebraElement.I0, Idempotent.I1: AlgebraElement.I1}
+_UNITS = frozenset(_UNIT.values())
+
+# _MUL[a][b] = ab: zero but for _PRODUCTS and the unit laws
+_MUL = {a: {b: _PRODUCTS.get((a, b), AlgebraElement.ZERO) for b in AlgebraElement}
+        for a in AlgebraElement}
+for _a, (_left, _right) in _IDEMS.items():
+    _MUL[_UNIT[_left]][_a] = _MUL[_a][_UNIT[_right]] = _a
 
 
 def element_from_name(name: str) -> AlgebraElement:
@@ -74,18 +87,18 @@ def element_from_name(name: str) -> AlgebraElement:
 
 
 def idem_from_name(name: str) -> Idempotent:
-    for i in Idempotent:
-        if i.value == name:
-            return i
-    raise ValueError(f"unknown idempotent {name!r}")
+    try:
+        return _IDEM_BY_NAME[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ValueError(f"unknown idempotent {name!r}") from None
 
 
 def is_idempotent(a: AlgebraElement) -> bool:
-    return a in (AlgebraElement.I0, AlgebraElement.I1)
+    return a in _UNITS
 
 
 def idem_element(i: Idempotent) -> AlgebraElement:
-    return AlgebraElement.I0 if i is Idempotent.I0 else AlgebraElement.I1
+    return _UNIT[i]
 
 
 def left_idem(a: AlgebraElement) -> Idempotent:
@@ -102,13 +115,4 @@ def right_idem(a: AlgebraElement) -> Idempotent:
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Product of two basis elements; returns ZERO when they don't compose."""
-    Z = AlgebraElement.ZERO
-    if a is Z or b is Z:
-        return Z
-    if right_idem(a) is not left_idem(b):
-        return Z
-    if is_idempotent(a):
-        return b
-    if is_idempotent(b):
-        return a
-    return _PRODUCTS.get((a, b), Z)
+    return _MUL[a][b]

@@ -17,8 +17,8 @@ import re
 
 from .algebra import element_from_name, idem_from_name
 from .cfk import KnotArrow, KnotComplex, KnotGenerator, make_complex
-from .type_d import DArrow, TypeDModule, make_module
-from .type_da import DAAction, TypeDAModule, make_da
+from .type_d import _ARROW_KEY, DArrow, TypeDModule, make_module
+from .type_da import _ACTION_KEY, DAAction, TypeDAModule, make_da
 
 __all__ = [
     "ParseError", "detect_kind",
@@ -173,7 +173,7 @@ def write_typed(M: TypeDModule) -> str:
         "generators": [{"name": n, "idempotent": i.value}
                        for n, i in sorted(M.generators)],
         "arrows": [{"from": a.source, "to": a.target, "label": a.label.value}
-                   for a in sorted(M.arrows)],
+                   for a in sorted(M.arrows, key=_ARROW_KEY)],
     }
     if M.tags:
         payload["tags"] = M.tags
@@ -212,7 +212,7 @@ def write_typeda(B: TypeDAModule) -> str:
                        for n, l, r in sorted(B.generators)],
         "actions": [{"from": a.source, "inputs": [x.value for x in a.args],
                      "output": a.coeff.value, "to": a.target}
-                    for a in sorted(B.actions)],
+                    for a in sorted(B.actions, key=_ACTION_KEY)],
     }
     return _envelope("type_da", payload)
 

@@ -13,8 +13,9 @@ import random
 from bisect import bisect_left, insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from .algebra import (NONZERO, AlgebraElement, Idempotent, idem_element,
+from .algebra import (_UNITS, NONZERO, AlgebraElement, Idempotent, idem_element,
                       is_idempotent, left_idem, multiply, right_idem)
 
 __all__ = [
@@ -29,6 +30,10 @@ class DArrow:
     source: str
     target: str
     label: AlgebraElement
+
+
+# the order=True order as a C-level key, without the dataclass __lt__
+_ARROW_KEY = attrgetter("source", "target", "label")
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,7 @@ class TypeDModule:
 
 def make_module(gens, arrows, tags=None) -> TypeDModule:
     gtuple = tuple(sorted(gens))
-    atuple = tuple(sorted(set(arrows)))
+    atuple = tuple(sorted(set(arrows), key=_ARROW_KEY))
     return TypeDModule(gtuple, atuple, dict(tags or {}))
 
 
@@ -81,17 +86,14 @@ def validate_d(M: TypeDModule) -> list[str]:
             if prod is not AlgebraElement.ZERO:
                 key = (a.source, b.target, prod)
                 counts[key] = counts.get(key, 0) ^ 1
-    for (src, tgt, lab), parity in sorted(counts.items(), key=str):
-        if parity:
-            out.append(f"d^2 != 0: odd count {src} -> {lab.value} {tgt}")
+    odd = [key for key, parity in counts.items() if parity]
+    for src, tgt, lab in sorted(odd, key=str):
+        out.append(f"d^2 != 0: odd count {src} -> {lab.value} {tgt}")
     return out
 
 
 def is_reduced_d(M: TypeDModule) -> bool:
     return all(not is_idempotent(a.label) for a in M.arrows)
-
-
-_UNITS = (AlgebraElement.I0, AlgebraElement.I1)
 
 
 class _Graph:
@@ -395,10 +397,13 @@ def _isomorphic(gens_m: dict, edges_m: list, gens_n: dict,
 
 
 def to_dot(M: TypeDModule) -> str:
+    def q(s: str) -> str:  # a DOT quoted string
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["digraph {"]
     for n, i in sorted(M.generators):
-        lines.append(f'  "{n}" [label="{n} [{i.value}]"];')
-    for a in sorted(M.arrows):
-        lines.append(f'  "{a.source}" -> "{a.target}" [label="{a.label.value}"];')
+        lines.append(f'  {q(n)} [label={q(f"{n} [{i.value}]")}];')
+    for a in sorted(M.arrows, key=_ARROW_KEY):
+        lines.append(f'  {q(a.source)} -> {q(a.target)} [label="{a.label.value}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

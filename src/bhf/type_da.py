@@ -15,6 +15,7 @@ strictly unital convention: no action consumes an idempotent input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .algebra import (AlgebraElement, CHORDS, Idempotent, idem_element,
                       is_idempotent, left_idem, multiply, right_idem)
@@ -39,6 +40,10 @@ class DAAction:
     target: str
 
 
+# the order=True order as a C-level key, without the dataclass __lt__
+_ACTION_KEY = attrgetter("source", "args", "coeff", "target")
+
+
 @dataclass(frozen=True)
 class TypeDAModule:
     generators: tuple[tuple[str, Idempotent, Idempotent], ...]
@@ -56,7 +61,8 @@ class TypeDAModule:
 
 
 def make_da(gens, actions, tags=None) -> TypeDAModule:
-    return TypeDAModule(tuple(sorted(gens)), tuple(sorted(set(actions))),
+    return TypeDAModule(tuple(sorted(gens)),
+                        tuple(sorted(set(actions), key=_ACTION_KEY)),
                         dict(tags or {}))
 
 
@@ -236,25 +242,25 @@ def box_da_d(B: TypeDAModule, M: TypeDModule, sep: str = "⊗") -> TypeDModule:
             if arr.label is labels[0]:
                 yield from paths(arr.target, labels[1:])
 
-    toggles: dict[DArrow, int] = {}
+    toggles: dict[tuple[str, str, AlgebraElement], int] = {}
     # differential arrows of M pass through untouched: b⊗x -> b⊗y
     for arr in M.arrows:
         if not is_idempotent(arr.label):
             continue
         for (bn, (bl, br)) in b_idems.items():
             if br is m_idems[arr.source]:
-                a = DArrow(f"{bn}{sep}{arr.source}", f"{bn}{sep}{arr.target}",
-                           idem_element(bl))
-                toggles[a] = toggles.get(a, 0) ^ 1
+                key = (f"{bn}{sep}{arr.source}", f"{bn}{sep}{arr.target}",
+                       idem_element(bl))
+                toggles[key] = toggles.get(key, 0) ^ 1
     for act in B.actions:
         for mn in m_idems:
             if b_idems[act.source][1] is not m_idems[mn]:
                 continue
             for end in paths(mn, act.args):
-                arr = DArrow(f"{act.source}{sep}{mn}", f"{act.target}{sep}{end}",
-                             act.coeff)
-                toggles[arr] = toggles.get(arr, 0) ^ 1
-    arrows = [arr for arr, p in toggles.items() if p]
+                key = (f"{act.source}{sep}{mn}", f"{act.target}{sep}{end}",
+                       act.coeff)
+                toggles[key] = toggles.get(key, 0) ^ 1
+    arrows = [DArrow(*key) for key, p in toggles.items() if p]
     for arr in arrows:
         if arr.source not in gen_set or arr.target not in gen_set:
             raise AssertionError("box product produced an arrow outside the "

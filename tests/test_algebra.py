@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -78,3 +80,44 @@ def test_associativity_all_triples():
         assert multiply(multiply(x, y), z) is multiply(x, multiply(y, z))
         count += 1
     assert count == 729
+
+
+# The rule-based algebra the tables are built to agree with: the
+# (left, right) idempotents of each nonzero element, the unit laws and the
+# four chord concatenations.
+IDEMS = {A.I0: (Idempotent.I0, Idempotent.I0), A.I1: (Idempotent.I1, Idempotent.I1),
+         A.R1: (Idempotent.I0, Idempotent.I1), A.R2: (Idempotent.I1, Idempotent.I0),
+         A.R3: (Idempotent.I0, Idempotent.I1), A.R12: (Idempotent.I0, Idempotent.I0),
+         A.R23: (Idempotent.I1, Idempotent.I1), A.R123: (Idempotent.I0, Idempotent.I1)}
+CONCATENATIONS = {(A.R1, A.R2): A.R12, (A.R2, A.R3): A.R23,
+                  (A.R1, A.R23): A.R123, (A.R12, A.R3): A.R123}
+
+
+def rule_multiply(a, b):
+    if a is A.ZERO or b is A.ZERO or IDEMS[a][1] is not IDEMS[b][0]:
+        return A.ZERO
+    if a in (A.I0, A.I1):
+        return b
+    if b in (A.I0, A.I1):
+        return a
+    return CONCATENATIONS.get((a, b), A.ZERO)
+
+
+def test_tables_match_the_rules():
+    for a, b in itertools.product(A, repeat=2):
+        assert multiply(a, b) is rule_multiply(a, b), (a, b)
+    for a in A:
+        assert is_idempotent(a) is (a in (A.I0, A.I1))
+        if a is A.ZERO:
+            with pytest.raises(ValueError):
+                left_idem(a)
+            with pytest.raises(ValueError):
+                right_idem(a)
+        else:
+            assert (left_idem(a), right_idem(a)) == IDEMS[a]
+
+
+def test_members_survive_pickle_and_deepcopy():
+    for e in [*A, *Idempotent]:
+        for again in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert again is e and hash(again) == hash(e)

@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -187,6 +188,28 @@ def test_dot_output(tmp_path, capsys):
     code, out, _ = run(capsys, "dot", str(mod))
     assert code == 0
     assert out.startswith("digraph")
+
+
+def test_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    mod = tmp_path / "m.dmod.json"
+    mod.write_text(json.dumps({
+        "format_version": "1", "kind": "type_d",
+        "payload": {"generators": [{"name": 'a"b', "idempotent": "iota0"},
+                                   {"name": "c\\d", "idempotent": "iota1"}],
+                    "arrows": [{"from": 'a"b', "to": "c\\d", "label": "rho1"}]}}))
+    assert run(capsys, "validate", str(mod))[0] == 0
+    code, out, _ = run(capsys, "dot", str(mod))
+    assert code == 0
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    node = re.compile(rf"  {quoted} \[label={quoted}\];")
+    edge = re.compile(rf"  {quoted} -> {quoted} \[label={quoted}\];")
+    lines = out.splitlines()
+    assert lines[0] == "digraph {" and lines[-1] == "}"
+    parsed = [(node.fullmatch(line) or edge.fullmatch(line)).groups()
+              for line in lines[1:-1]]
+    unquote = lambda s: re.sub(r"\\(.)", r"\1", s)
+    assert [tuple(map(unquote, p)) for p in parsed] == [
+        ('a"b', 'a"b [iota0]'), ("c\\d", "c\\d [iota1]"), ('a"b', "c\\d", "rho1")]
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,11 @@
+import collections
 import json
+import random
 
 import pytest
 
-from bhf import cfk, io_formats, ktd, type_da
+from bhf import cfk, io_formats, ktd, type_d, type_da
+from bhf.algebra import CHORDS, NONZERO, Idempotent
 from conftest import FIXTURES, FIXTURE_NAMES, TERSE_TREFOIL, load_cfk
 
 
@@ -114,3 +117,51 @@ def test_bad_entries_rejected():
              "payload": {"generators": [{"name": "x", "idempotent": "iota0"}],
                          "arrows": [{"from": "x", "to": "x",
                                      "label": "sigma"}]}}))
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("iota2", "'iota2'"), (5, "5"), (["iota0"], "['iota0']")])
+def test_unknown_idempotents_rejected(value, shown):
+    gen = {"name": "x", "idempotent": value}
+    with pytest.raises(io_formats.ParseError) as err:
+        io_formats.parse_typed(json.dumps(
+            {"format_version": "1", "kind": "type_d",
+             "payload": {"generators": [gen], "arrows": []}}))
+    assert str(err.value) == f"bad generator entry {gen!r}: unknown idempotent {shown}"
+    gen = {"name": "x", "left": "iota0", "right": value}
+    with pytest.raises(io_formats.ParseError) as err:
+        io_formats.parse_typeda(json.dumps(
+            {"format_version": "1", "kind": "type_da",
+             "payload": {"generators": [gen], "actions": []}}))
+    assert str(err.value) == f"bad generator entry {gen!r}: unknown idempotent {shown}"
+
+
+def test_arrows_and_actions_in_dataclass_order():
+    """Construction and the writers order arrows and actions as sorted()
+    does, also between several labels of one (source, target) pair."""
+    rng = random.Random(7)
+    names = ["a", "b", "c"]
+    arrows = [type_d.DArrow(rng.choice(names), rng.choice(names), rng.choice(NONZERO))
+              for _ in range(60)]
+    pairs = collections.Counter((a.source, a.target) for a in set(arrows))
+    assert max(pairs.values()) >= 3
+    M = type_d.make_module([(n, Idempotent.I0) for n in names], arrows)
+    assert M.arrows == tuple(sorted(set(arrows)))
+    rng.shuffle(arrows)
+    text = io_formats.write_typed(type_d.TypeDModule(M.generators, tuple(arrows)))
+    assert [(a["from"], a["to"], a["label"])
+            for a in json.loads(text)["payload"]["arrows"]] \
+        == [(a.source, a.target, a.label.value) for a in sorted(arrows)]
+    actions = [type_da.DAAction(rng.choice(names),
+                                tuple(rng.choice(CHORDS) for _ in range(rng.randrange(3))),
+                                rng.choice(NONZERO), rng.choice(names))
+               for _ in range(80)]
+    gens = [(n, Idempotent.I0, Idempotent.I1) for n in names]
+    B = type_da.make_da(gens, actions)
+    assert B.actions == tuple(sorted(set(actions)))
+    rng.shuffle(actions)
+    text = io_formats.write_typeda(type_da.TypeDAModule(B.generators, tuple(actions)))
+    assert [(a["from"], a["inputs"], a["output"], a["to"])
+            for a in json.loads(text)["payload"]["actions"]] \
+        == [(a.source, [x.value for x in a.args], a.coeff.value, a.target)
+            for a in sorted(actions)]

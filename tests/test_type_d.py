@@ -43,6 +43,19 @@ def test_validate_rejects_d_squared():
     assert any("d^2" in e for e in type_d.validate_d(M))
 
 
+def test_validate_lists_odd_counts_in_order():
+    # x->b->d and x->c->d give rho12 twice, which cancels; the rest is odd
+    M = type_d.make_module(
+        [("x", I.I0), ("c", I.I1), ("b", I.I1), ("d", I.I0), ("a", I.I1)],
+        [DArrow("x", "c", A.R1), DArrow("x", "b", A.R1), DArrow("c", "d", A.R2),
+         DArrow("b", "d", A.R2), DArrow("d", "a", A.R3), DArrow("x", "d", A.R12)])
+    assert type_d.validate_d(M) == [
+        "d^2 != 0: odd count b -> rho23 a",
+        "d^2 != 0: odd count c -> rho23 a",
+        "d^2 != 0: odd count x -> rho123 a",
+    ]
+
+
 def test_cancel_basic():
     M = type_d.make_module(
         [("x", I.I1), ("y", I.I1), ("s", I.I0), ("t", I.I0)],
