@@ -82,7 +82,7 @@ for _a, (_left, _right) in _IDEMS.items():
 def element_from_name(name: str) -> AlgebraElement:
     try:
         return _BY_NAME[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown algebra element {name!r}") from None
 
 

@@ -50,20 +50,12 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _load_any(path: str, kind: str | None = None):
-    """Load a document of the given kind, or else of the kind detected from
-    its text; returns (kind, object)."""
+    """Load a document of the given kind, or else of the kind its text
+    shows; returns (kind, object)."""
     if path in BUILTINS:
         return "type_da", BUILTINS[path]()
-    text = _read(path)
     try:
-        kind = kind or io_formats.detect_kind(text)
-        if kind == "cfk":
-            return kind, io_formats.parse_cfk(text)
-        if kind == "type_d":
-            return kind, io_formats.parse_typed(text)
-        if kind == "type_da":
-            return kind, io_formats.parse_typeda(text)
-        return kind, io_formats.parse_script(text)
+        return io_formats.parse_any(_read(path), kind)
     except io_formats.ParseError as e:
         raise CliError(f"{path}: {e}") from None
 

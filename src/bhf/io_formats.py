@@ -8,20 +8,22 @@ with kind one of "cfk", "type_d", "type_da", "script".  Knot complexes
 also accept a terse line format ("x: A=1 M=0", "x -> U^2 y"); scripts
 also accept plain lines "from -> to".  Writers are canonical: sorted
 objects, two-space indentation, LF line endings, so equal objects always
-serialize to identical bytes.
+serialize to identical bytes: those of json.dumps(indent=2, sort_keys=True,
+ensure_ascii=False), filled into templates by the C string encoder.
 """
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring as _q  # json.dumps's escaper, in C
 
 from .algebra import element_from_name, idem_from_name
 from .cfk import KnotArrow, KnotComplex, KnotGenerator, make_complex
-from .type_d import _ARROW_KEY, DArrow, TypeDModule, make_module
-from .type_da import _ACTION_KEY, DAAction, TypeDAModule, make_da
+from .type_d import DArrow, TypeDModule, make_module
+from .type_da import DAAction, TypeDAModule, make_da
 
 __all__ = [
-    "ParseError", "detect_kind",
+    "ParseError", "detect_kind", "parse_any",
     "parse_cfk", "write_cfk", "parse_typed", "write_typed",
     "parse_typeda", "write_typeda", "parse_script", "write_script",
 ]
@@ -32,11 +34,6 @@ KINDS = ("cfk", "type_d", "type_da", "script")
 
 class ParseError(ValueError):
     pass
-
-
-def _envelope(kind: str, payload: dict) -> str:
-    doc = {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def _open_envelope(text: str, kind: str | None = None) -> tuple[str, dict]:
@@ -64,27 +61,72 @@ def _open_envelope(text: str, kind: str | None = None) -> tuple[str, dict]:
 
 def _entries(payload: dict, key: str) -> list[dict]:
     items = payload.get(key, [])
-    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+    if not isinstance(items, list) or not set(map(type, items)) <= {dict}:
         raise ParseError(f"{key} must be a list of objects")
     return items
+
+
+def _no_extra(payload: dict, kind: str, allowed: set) -> None:
+    extra = set(payload) - allowed
+    if extra:
+        raise ParseError(f"unknown {kind} fields: {sorted(extra)}")
+
+
+def _field(entry: dict, key: str, kind: type, default=None):
+    value = entry[key] if default is None else entry.get(key, default)
+    if type(value) is not kind:  # no bool, float or numeric string is an int
+        raise TypeError(f"{key} must be {'a string' if kind is str else 'an integer'}")
+    return value
+
+
+def _terse_kind(text: str) -> str:
+    # terse knot complexes have "name: A=.. M=.." lines, scripts never do
+    code = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    return "script" if "->" in code and ":" not in code else "cfk"
 
 
 def detect_kind(text: str) -> str:
     if text.lstrip().startswith("{"):
         return _open_envelope(text)[0]
-    # terse knot complexes have "name: A=.. M=.." lines, scripts never do
-    code = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    return "script" if "->" in code and ":" not in code else "cfk"
+    return _terse_kind(text)
+
+
+def _parse(text: str, kind: str | None) -> tuple[str, object]:
+    """Decode text once and read it as a document of kind, or of the kind
+    its envelope names or its terse lines show."""
+    if text.lstrip().startswith("{") or kind in ("type_d", "type_da"):
+        kind, payload = _open_envelope(text, kind)
+        return kind, _PAYLOAD_READERS[kind](payload)
+    kind = kind or _terse_kind(text)
+    return kind, _LINE_READERS[kind](text)
+
+
+def parse_any(text: str, kind: str | None = None) -> tuple[str, object]:
+    """The (kind, object) of a document of any kind, or of kind if given."""
+    return _parse(text, kind)
+
+
+def parse_cfk(text: str) -> KnotComplex:
+    return _parse(text, "cfk")[1]
+
+
+def parse_typed(text: str) -> TypeDModule:
+    return _parse(text, "type_d")[1]
+
+
+def parse_typeda(text: str) -> TypeDAModule:
+    return _parse(text, "type_da")[1]
+
+
+def parse_script(text: str) -> list[tuple[str, str]]:
+    return _parse(text, "script")[1]
 
 
 _GEN_RE = re.compile(r"^(\S+)\s*:\s*A=(-?\d+)\s+M=(-?\d+)$")
 _ARROW_RE = re.compile(r"^(\S+)\s*->\s*(?:U\^(\d+)\s+)?(\S+)$")
 
 
-def parse_cfk(text: str) -> KnotComplex:
-    if text.lstrip().startswith("{"):
-        _, payload = _open_envelope(text, "cfk")
-        return _cfk_from_payload(payload)
+def _cfk_lines(text: str) -> KnotComplex:
     gens: list[KnotGenerator] = []
     arrows: list[KnotArrow] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -104,91 +146,59 @@ def parse_cfk(text: str) -> KnotComplex:
     return make_complex(gens, arrows)
 
 
-def _cfk_from_payload(payload: dict) -> KnotComplex:
-    extra = set(payload) - {"generators", "arrows", "shift"}
-    if extra:
-        raise ParseError(f"unknown cfk fields: {sorted(extra)}")
+def _cfk_payload(payload: dict) -> KnotComplex:
+    _no_extra(payload, "cfk", {"generators", "arrows", "shift"})
     gens = []
     for g in _entries(payload, "generators"):
         try:
-            gens.append(KnotGenerator(str(g["name"]), int(g["alexander"]),
-                                      int(g["maslov"])))
-        except (KeyError, TypeError, ValueError) as e:
+            gens.append(KnotGenerator(_field(g, "name", str),
+                                      _field(g, "alexander", int),
+                                      _field(g, "maslov", int)))
+        except (KeyError, TypeError) as e:
             raise ParseError(f"bad generator entry {g!r}: {e}") from None
     arrows = []
     for a in _entries(payload, "arrows"):
         try:
-            arrows.append(KnotArrow(str(a["from"]), str(a["to"]),
-                                    int(a.get("u_power", 0))))
-        except (KeyError, TypeError, ValueError) as e:
+            arrows.append(KnotArrow(_field(a, "from", str), _field(a, "to", str),
+                                    _field(a, "u_power", int, 0)))
+        except (KeyError, TypeError) as e:
             raise ParseError(f"bad arrow entry {a!r}: {e}") from None
     shift = payload.get("shift")
     if shift is not None:
-        try:
-            if not isinstance(shift, list) or len(shift) != 2:
-                raise ValueError("expected two integers")
-            shift = (int(shift[0]), int(shift[1]))
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"bad shift {shift!r}: {e}") from None
+        if not (isinstance(shift, list) and len(shift) == 2
+                and all(type(x) is int for x in shift)):
+            raise ParseError(f"bad shift {shift!r}: expected two integers")
+        shift = tuple(shift)
     return make_complex(gens, arrows, shift)
 
 
-def write_cfk(C: KnotComplex) -> str:
-    payload = {
-        "generators": [{"name": g.name, "alexander": g.alexander,
-                        "maslov": g.maslov} for g in sorted(C.generators)],
-        "arrows": [{"from": a.source, "to": a.target, "u_power": a.u_power}
-                   for a in sorted(C.arrows)],
-        "shift": list(C.shift) if C.shift else None,
-    }
-    return _envelope("cfk", payload)
-
-
-def parse_typed(text: str) -> TypeDModule:
-    _, payload = _open_envelope(text, "type_d")
-    extra = set(payload) - {"generators", "arrows", "tags"}
-    if extra:
-        raise ParseError(f"unknown type_d fields: {sorted(extra)}")
+def _typed_payload(payload: dict) -> TypeDModule:
+    _no_extra(payload, "type_d", {"generators", "arrows", "tags"})
     gens = []
     for g in _entries(payload, "generators"):
         try:
-            gens.append((str(g["name"]), idem_from_name(g["idempotent"])))
+            gens.append((_field(g, "name", str), idem_from_name(g["idempotent"])))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"bad generator entry {g!r}: {e}") from None
     arrows = []
     for a in _entries(payload, "arrows"):
         try:
-            arrows.append(DArrow(str(a["from"]), str(a["to"]),
+            arrows.append(DArrow(_field(a, "from", str), _field(a, "to", str),
                                  element_from_name(a["label"])))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"bad arrow entry {a!r}: {e}") from None
-    tags = payload.get("tags") or {}
+    tags = payload.get("tags", {})
     if not isinstance(tags, dict):
         raise ParseError("tags must be an object")
     return make_module(gens, arrows, tags)
 
 
-def write_typed(M: TypeDModule) -> str:
-    payload = {
-        "generators": [{"name": n, "idempotent": i.value}
-                       for n, i in sorted(M.generators)],
-        "arrows": [{"from": a.source, "to": a.target, "label": a.label.value}
-                   for a in sorted(M.arrows, key=_ARROW_KEY)],
-    }
-    if M.tags:
-        payload["tags"] = M.tags
-    return _envelope("type_d", payload)
-
-
-def parse_typeda(text: str) -> TypeDAModule:
-    _, payload = _open_envelope(text, "type_da")
-    extra = set(payload) - {"generators", "actions"}
-    if extra:
-        raise ParseError(f"unknown type_da fields: {sorted(extra)}")
+def _typeda_payload(payload: dict) -> TypeDAModule:
+    _no_extra(payload, "type_da", {"generators", "actions"})
     gens = []
     for g in _entries(payload, "generators"):
         try:
-            gens.append((str(g["name"]), idem_from_name(g["left"]),
+            gens.append((_field(g, "name", str), idem_from_name(g["left"]),
                          idem_from_name(g["right"])))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"bad generator entry {g!r}: {e}") from None
@@ -198,36 +208,26 @@ def parse_typeda(text: str) -> TypeDAModule:
             inputs = a.get("inputs", [])
             if not isinstance(inputs, list):
                 raise TypeError("inputs must be a list")
-            actions.append(DAAction(str(a["from"]),
+            actions.append(DAAction(_field(a, "from", str),
                                     tuple(element_from_name(x) for x in inputs),
-                                    element_from_name(a["output"]), str(a["to"])))
+                                    element_from_name(a["output"]),
+                                    _field(a, "to", str)))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"bad action entry {a!r}: {e}") from None
     return make_da(gens, actions)
 
 
-def write_typeda(B: TypeDAModule) -> str:
-    payload = {
-        "generators": [{"name": n, "left": l.value, "right": r.value}
-                       for n, l, r in sorted(B.generators)],
-        "actions": [{"from": a.source, "inputs": [x.value for x in a.args],
-                     "output": a.coeff.value, "to": a.target}
-                    for a in sorted(B.actions, key=_ACTION_KEY)],
-    }
-    return _envelope("type_da", payload)
+def _script_payload(payload: dict) -> list[tuple[str, str]]:
+    _no_extra(payload, "script", {"pairs"})
+    pairs = payload.get("pairs", [])
+    if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(type(x) is str for x in p)
+            for p in pairs):
+        raise ParseError("pairs must be a list of [from, to] lists of strings")
+    return [(a, b) for a, b in pairs]
 
 
-def parse_script(text: str) -> list[tuple[str, str]]:
-    if text.lstrip().startswith("{"):
-        _, payload = _open_envelope(text, "script")
-        extra = set(payload) - {"pairs"}
-        if extra:
-            raise ParseError(f"unknown script fields: {sorted(extra)}")
-        pairs = payload.get("pairs", [])
-        if not isinstance(pairs, list) or not all(
-                isinstance(p, list) and len(p) == 2 for p in pairs):
-            raise ParseError("pairs must be a list of [from, to] lists")
-        return [(str(a), str(b)) for a, b in pairs]
+def _script_lines(text: str) -> list[tuple[str, str]]:
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -238,6 +238,60 @@ def parse_script(text: str) -> list[tuple[str, str]]:
             raise ParseError(f"line {lineno}: expected 'from -> to', got {line!r}")
         pairs.append((parts[0], parts[1]))
     return pairs
+
+
+_PAYLOAD_READERS = {"cfk": _cfk_payload, "type_d": _typed_payload,
+                    "type_da": _typeda_payload, "script": _script_payload}
+_LINE_READERS = {"cfk": _cfk_lines, "script": _script_lines}
+
+
+def _list(items: list[str], indent: str) -> str:
+    """A JSON list of encoded items, the list's own line at indent."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _document(kind: str, payload: dict) -> str:
+    """The envelope around payload, whose keys come in sorted order, each
+    mapped to a list of encoded items or to an encoded value."""
+    fields = ",\n    ".join(f'"{k}": {_list(v, "    ") if isinstance(v, list) else v}'
+                            for k, v in payload.items())
+    return (f'{{\n  "format_version": "{FORMAT_VERSION}",\n  "kind": "{kind}",\n'
+            f'  "payload": {{\n    {fields}\n  }}\n}}\n')
+
+
+def write_cfk(C: KnotComplex) -> str:
+    gens = [f'{{\n        "alexander": {g.alexander},\n        "maslov": {g.maslov},\n'
+            f'        "name": {_q(g.name)}\n      }}' for g in sorted(C.generators)]
+    arrows = [f'{{\n        "from": {_q(a.source)},\n        "to": {_q(a.target)},\n'
+              f'        "u_power": {a.u_power}\n      }}' for a in sorted(C.arrows)]
+    shift = [str(x) for x in C.shift] if C.shift else "null"
+    return _document("cfk", {"arrows": arrows, "generators": gens, "shift": shift})
+
+
+def write_typed(M: TypeDModule) -> str:
+    arrows = [f'{{\n        "from": {_q(s)},\n        "label": "{c.value}",\n'
+              f'        "to": {_q(t)}\n      }}' for s, t, c in sorted(M.arrows)]
+    gens = [f'{{\n        "idempotent": "{i.value}",\n        "name": {_q(n)}\n      }}'
+            for n, i in sorted(M.generators)]
+    payload = {"arrows": arrows, "generators": gens}
+    if M.tags:  # free-form, so left to json; strings hold no raw newline,
+        # so indenting after each newline moves the whole object two levels in
+        payload["tags"] = json.dumps(M.tags, indent=2, sort_keys=True,
+                                     ensure_ascii=False).replace("\n", "\n    ")
+    return _document("type_d", payload)
+
+
+def write_typeda(B: TypeDAModule) -> str:
+    actions = [f'{{\n        "from": {_q(s)},\n        "inputs": '
+               f'{_list([_q(x.value) for x in args], "        ")},\n'
+               f'        "output": "{c.value}",\n        "to": {_q(t)}\n      }}'
+               for s, args, c, t in sorted(B.actions)]
+    gens = [f'{{\n        "left": "{l.value}",\n        "name": {_q(n)},\n'
+            f'        "right": "{r.value}"\n      }}' for n, l, r in sorted(B.generators)]
+    return _document("type_da", {"actions": actions, "generators": gens})
 
 
 def write_script(pairs) -> str:

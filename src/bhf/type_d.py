@@ -13,9 +13,9 @@ import random
 from bisect import bisect_left, insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter
+from typing import NamedTuple
 
-from .algebra import (_UNITS, NONZERO, AlgebraElement, Idempotent, idem_element,
+from .algebra import (_MUL, _UNITS, NONZERO, AlgebraElement, Idempotent, idem_element,
                       is_idempotent, left_idem, multiply, right_idem)
 
 __all__ = [
@@ -25,15 +25,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class DArrow:
+class DArrow(NamedTuple):  # a tuple: hashed, compared and ordered in C
     source: str
     target: str
     label: AlgebraElement
-
-
-# the order=True order as a C-level key, without the dataclass __lt__
-_ARROW_KEY = attrgetter("source", "target", "label")
 
 
 @dataclass(frozen=True)
@@ -50,18 +45,23 @@ class TypeDModule:
 
 
 def make_module(gens, arrows, tags=None) -> TypeDModule:
-    gtuple = tuple(sorted(gens))
-    atuple = tuple(sorted(set(arrows), key=_ARROW_KEY))
-    return TypeDModule(gtuple, atuple, dict(tags or {}))
+    # fromkeys drops repeats but keeps the order: sorted input sorts in one pass
+    atuple = tuple(sorted(dict.fromkeys(arrows)))
+    return TypeDModule(tuple(sorted(gens)), atuple, dict(tags or {}))
+
+
+# (idempotent of source, label, idempotent of target) of each well-formed arrow
+_WELL_FORMED = frozenset((left_idem(c), c, right_idem(c)) for c in NONZERO)
 
 
 def validate_d(M: TypeDModule) -> list[str]:
     out: list[str] = []
-    names = M.names()
-    if len(set(names)) != len(names):
-        return ["duplicate generator names"]
     idems = M.idems()
+    if len(idems) != len(M.generators):
+        return ["duplicate generator names"]
     for a in M.arrows:
+        if (idems.get(a.source), a.label, idems.get(a.target)) in _WELL_FORMED:
+            continue
         if a.source not in idems or a.target not in idems:
             out.append(f"arrow {a.source}->{a.target} references unknown generator")
             continue
@@ -76,17 +76,13 @@ def validate_d(M: TypeDModule) -> list[str]:
                        f"does not end at {idems[a.target].value}")
     if out:
         return out
-    outs: dict[str, list[DArrow]] = {}
-    for a in M.arrows:
-        outs.setdefault(a.source, []).append(a)
-    counts: dict[tuple[str, str, AlgebraElement], int] = {}
-    for a in M.arrows:
-        for b in outs.get(a.target, ()):
-            prod = multiply(a.label, b.label)
-            if prod is not AlgebraElement.ZERO:
-                key = (a.source, b.target, prod)
-                counts[key] = counts.get(key, 0) ^ 1
-    odd = [key for key, parity in counts.items() if parity]
+    outs: dict[str, list[tuple[str, AlgebraElement]]] = defaultdict(list)
+    for s, t, c in M.arrows:
+        outs[s].append((t, c))
+    zero = AlgebraElement.ZERO
+    counts = Counter((s, u, p) for s, t, c in M.arrows for u, d in outs.get(t, ())
+                     if (p := _MUL[c][d]) is not zero)
+    odd = [key for key, n in counts.items() if n & 1]
     for src, tgt, lab in sorted(odd, key=str):
         out.append(f"d^2 != 0: odd count {src} -> {lab.value} {tgt}")
     return out
@@ -403,7 +399,7 @@ def to_dot(M: TypeDModule) -> str:
     lines = ["digraph {"]
     for n, i in sorted(M.generators):
         lines.append(f'  {q(n)} [label={q(f"{n} [{i.value}]")}];')
-    for a in sorted(M.arrows, key=_ARROW_KEY):
+    for a in sorted(M.arrows):
         lines.append(f'  {q(a.source)} -> {q(a.target)} [label="{a.label.value}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ strictly unital convention: no action consumes an idempotent input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from typing import NamedTuple
 
 from .algebra import (AlgebraElement, CHORDS, Idempotent, idem_element,
                       is_idempotent, left_idem, multiply, right_idem)
@@ -32,16 +32,11 @@ __all__ = [
 A = AlgebraElement
 
 
-@dataclass(frozen=True, order=True)
-class DAAction:
+class DAAction(NamedTuple):  # a tuple, as DArrow
     source: str
     args: tuple[AlgebraElement, ...]
     coeff: AlgebraElement
     target: str
-
-
-# the order=True order as a C-level key, without the dataclass __lt__
-_ACTION_KEY = attrgetter("source", "args", "coeff", "target")
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,7 @@ class TypeDAModule:
 
 def make_da(gens, actions, tags=None) -> TypeDAModule:
     return TypeDAModule(tuple(sorted(gens)),
-                        tuple(sorted(set(actions), key=_ACTION_KEY)),
+                        tuple(sorted(dict.fromkeys(actions))),  # see make_module
                         dict(tags or {}))
 
 

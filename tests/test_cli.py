@@ -294,6 +294,100 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, capsys, argv, text,
     assert err.startswith("error: ") and says in err and "Traceback" not in err
 
 
+def _edited(fixture, edit):
+    """The fixture's JSON document after edit(payload)."""
+    doc = json.loads((FIXTURES / f"{fixture}.cfk.json").read_text(encoding="utf-8"))
+    edit(doc["payload"])
+    return json.dumps(doc)
+
+
+def _set(entries, key, value):
+    def edit(payload):
+        payload[entries][0][key] = value
+    return edit
+
+
+_GEN = {"name": "x", "idempotent": "iota0"}
+_DA_GEN = {"name": "x", "left": "iota0", "right": "iota0"}
+_ACTION = {"from": "x", "to": "x", "inputs": [], "output": "iota0"}
+
+# one field of the wrong JSON type per document; an absent tags is valid
+_STRICT = [(f"tags {json.dumps(v)}", _doc("type_d", {"generators": [_GEN], "tags": v}),
+            "tags must be an object") for v in ([], 0, "", False, None)] + [
+    ("arrow label", _doc("type_d", {"generators": [_GEN], "arrows": [
+        {"from": "x", "to": "x", "label": ["rho12"]}]}),
+     "bad arrow entry {'from': 'x', 'to': 'x', 'label': ['rho12']}: "
+     "unknown algebra element ['rho12']"),
+    ("action input", _doc("type_da", {"generators": [_DA_GEN], "actions": [
+        dict(_ACTION, inputs=[["rho1"]])]}), ": unknown algebra element ['rho1']"),
+    ("action output", _doc("type_da", {"generators": [_DA_GEN], "actions": [
+        dict(_ACTION, output=["rho1"])]}), ": unknown algebra element ['rho1']"),
+    ("idempotent", _doc("type_d", {"generators": [dict(_GEN, idempotent=True)]}),
+     "unknown idempotent True"),
+    ("type_d name", _doc("type_d", {"generators": [dict(_GEN, name=5)]}),
+     "bad generator entry {'name': 5, 'idempotent': 'iota0'}: name must be a string"),
+    ("type_d to", _doc("type_d", {"generators": [_GEN], "arrows": [
+        {"from": "x", "to": None, "label": "rho12"}]}), "to must be a string"),
+    ("type_da name", _doc("type_da", {"generators": [dict(_DA_GEN, name=["x"])]}),
+     "name must be a string"),
+    ("type_da from", _doc("type_da", {"generators": [_DA_GEN], "actions": [
+        dict(_ACTION, **{"from": 1})]}), "bad action entry"),
+    ("cfk name", _edited("unknot", _set("generators", "name", ["a"])),
+     "bad generator entry {'alexander': 0, 'maslov': 0, 'name': ['a']}: "
+     "name must be a string"),
+    ("cfk alexander", _edited("unknot", _set("generators", "alexander", 0.9)),
+     "alexander must be an integer"),
+    ("cfk maslov", _edited("unknot", _set("generators", "maslov", "0")),
+     "maslov must be an integer"),
+    ("cfk maslov bool", _edited("unknot", _set("generators", "maslov", False)),
+     "maslov must be an integer"),
+    ("cfk from", _edited("trefoil_right", _set("arrows", "from", 1)),
+     "from must be a string"),
+    ("cfk u_power", _edited("trefoil_right", _set("arrows", "u_power", True)),
+     "bad arrow entry"),
+    ("cfk u_power float", _edited("trefoil_right", _set("arrows", "u_power", 1.0)),
+     "u_power must be an integer"),
+    ("cfk shift", _edited("unknot", lambda p: p.update(shift=[0, 1.5])), "bad shift"),
+    ("cfk shift string", _edited("unknot", lambda p: p.update(shift=["0", 1])),
+     "bad shift"),
+    ("script pair", _doc("script", {"pairs": [[1, 2]]}), "[from, to] lists of strings"),
+]
+
+
+@pytest.mark.parametrize("text, says", [c[1:] for c in _STRICT],
+                         ids=[c[0] for c in _STRICT])
+def test_fields_of_the_wrong_type_exit_1(tmp_path, capsys, text, says):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    load = {"cfk": ["verify"], "type_d": ["reduce"], "type_da": ["reduce"],
+            "script": ["build-h", "--script"]}[json.loads(text)["kind"]]
+    for argv in (["validate", str(path)], [*load, str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and says in err, (argv, err)
+
+
+def test_absent_tags_are_valid(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(_NO_ARROWS)
+    assert run(capsys, "validate", str(path)) == (0, "valid type_d\n", "")
+
+
+@pytest.mark.parametrize("text", [
+    (FIXTURES / "five_gen.cfk.json").read_text(encoding="utf-8"),
+    io_formats.write_typed(ktd.ktd_basefree(load_cfk("five_gen"))),
+    io_formats.write_typeda(type_da.builtin_H()),
+    _doc("script", {"pairs": [["a", "b"]]})], ids=["cfk", "type_d", "type_da", "script"])
+def test_validate_decodes_json_once(tmp_path, capsys, monkeypatch, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert (code, out.startswith("valid "), len(calls)) == (0, True, 1)
+
+
 _JUNK = [None, True, -1, 2.5, "", "x", "rho12", "iota0", [], [1, 2], {}, {"a": 1}]
 
 

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from bhf import cfk, ktd, type_d, type_da
-from bhf.algebra import AlgebraElement as A, Idempotent as I
+from bhf.algebra import (NONZERO, AlgebraElement as A, Idempotent as I, left_idem,
+                         multiply, right_idem)
 from conftest import FIXTURE_NAMES, every_change, load_cfk
 
 DArrow = type_d.DArrow
@@ -54,6 +55,89 @@ def test_validate_lists_odd_counts_in_order():
         "d^2 != 0: odd count c -> rho23 a",
         "d^2 != 0: odd count x -> rho123 a",
     ]
+
+
+def _validate_by_fields(M):
+    """validate_d as it read before the table of well-formed arrows: every
+    field of every arrow checked in turn, and d^2 from multiply."""
+    out = []
+    names = M.names()
+    if len(set(names)) != len(names):
+        return ["duplicate generator names"]
+    idems = M.idems()
+    for a in M.arrows:
+        if a.source not in idems or a.target not in idems:
+            out.append(f"arrow {a.source}->{a.target} references unknown generator")
+            continue
+        if a.label is A.ZERO:
+            out.append(f"arrow {a.source}->{a.target} labelled zero")
+            continue
+        if left_idem(a.label) is not idems[a.source]:
+            out.append(f"arrow {a.source}->{a.target}: label {a.label.value} "
+                       f"does not start at {idems[a.source].value}")
+        if right_idem(a.label) is not idems[a.target]:
+            out.append(f"arrow {a.source}->{a.target}: label {a.label.value} "
+                       f"does not end at {idems[a.target].value}")
+    if out:
+        return out
+    outs = {}
+    for a in M.arrows:
+        outs.setdefault(a.source, []).append(a)
+    counts = {}
+    for a in M.arrows:
+        for b in outs.get(a.target, ()):
+            prod = multiply(a.label, b.label)
+            if prod is not A.ZERO:
+                key = (a.source, b.target, prod)
+                counts[key] = counts.get(key, 0) ^ 1
+    odd = [key for key, parity in counts.items() if parity]
+    for src, tgt, lab in sorted(odd, key=str):
+        out.append(f"d^2 != 0: odd count {src} -> {lab.value} {tgt}")
+    return out
+
+
+def _corrupt_d(M, rng):
+    """M with 1-3 edits: an arrow to or from an unknown generator, a zero
+    label, a label with the wrong idempotents, a dropped arrow, or a second
+    generator of an existing name."""
+    gens, arrows = list(M.generators), list(M.arrows)
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.choice(("unknown", "zero", "idempotent", "drop", "duplicate"))
+        if edit == "duplicate":
+            n, i = rng.choice(gens)
+            gens.append((n, I.I1 if i is I.I0 else I.I0))
+            continue
+        if not arrows:
+            continue
+        s, t, c = arrows.pop(rng.randrange(len(arrows)))
+        if edit == "unknown":
+            arrows.append(DArrow(s, "ghost", c) if rng.random() < 0.5
+                          else DArrow("ghost", t, c))
+        elif edit == "zero":
+            arrows.append(DArrow(s, t, A.ZERO))
+        elif edit == "idempotent":
+            arrows.append(DArrow(s, t, rng.choice([d for d in NONZERO if d is not c])))
+    return type_d.make_module(gens, arrows)
+
+
+def test_validate_d_matches_field_oracle():
+    H = type_da.builtin_H()
+    bases = []
+    for name in FIXTURE_NAMES:
+        D = ktd.ktd_basefree(load_cfk(name))
+        box = type_da.box_da_d(H, D)
+        bases += [D, box, type_d.reduce_d(box)[0]]
+    kinds = ("unknown generator", "labelled zero", "does not start at",
+             "does not end at", "d^2 != 0", "duplicate generator names")
+    seen = set()
+    for seed in range(300):
+        M = _corrupt_d(bases[seed % len(bases)], random.Random(seed))
+        got = type_d.validate_d(M)
+        assert got == _validate_by_fields(M), seed
+        seen.update(k for k in kinds for e in got if k in e)
+    assert seen == set(kinds)
+    for M in bases:
+        assert type_d.validate_d(M) == _validate_by_fields(M) == []
 
 
 def test_cancel_basic():
