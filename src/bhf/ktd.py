@@ -117,32 +117,23 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     amin = min(g.alexander for g in C.generators)
     amax = max(g.alexander for g in C.generators)
 
-    def kind(s2: int) -> str:
+    def column(s2: int) -> tuple[str, int, list]:
+        """(kind, bound, members) of the iota1 column at s2 = 2s."""
         if 2 * s2 <= -n:
-            return "w"
+            m = (s2 + n - 1) // 2
+            return "w", m, [g.name for g in C.generators if g.alexander <= m]
+        m = (s2 - n + 1) // 2
         if 2 * s2 >= n:
-            return "z"
-        return "dot"
-
-    def bound(s2: int) -> int:
-        if kind(s2) == "w":
-            return (s2 + n - 1) // 2
-        return (s2 - n + 1) // 2
-
-    def members(s2: int) -> list[str]:
-        k = kind(s2)
-        if k == "dot":
-            return [None]
-        if k == "w":
-            return [g.name for g in C.generators if g.alexander <= bound(s2)]
-        return [g.name for g in C.generators if g.alexander >= bound(s2)]
+            return "z", m, [g.name for g in C.generators if g.alexander >= m]
+        return "dot", m, [None]
 
     def vname(sym: str | None, s2: int) -> str:
         return f"{'*' if sym is None else sym}|{s2}"
 
     lo = 2 * amin - n + 1
     hi = 2 * amax + n - 1
-    cols = [s2 for s2 in range(lo, hi + 1, 2) if members(s2)]
+    # the nonempty columns in order: s2 -> (kind, bound, members)
+    cols = {s2: col for s2 in range(lo, hi + 1, 2) if (col := column(s2))[2]}
 
     gens: list[tuple[str, Idempotent]] = []
     tags: dict = {META: {"algo": "basefree", "framing": n, "width": t}}
@@ -150,11 +141,11 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
         gens.append((g.name, Idempotent.I0))
         tags[g.name] = {"part": "V0", "col2": 2 * g.alexander,
                         "symbol": g.name, "level": g.alexander}
-    for s2 in cols:
-        for sym in members(s2):
+    for s2, (k, _, members) in cols.items():
+        for sym in members:
             name = vname(sym, s2)
             gens.append((name, Idempotent.I1))
-            tags[name] = {"part": "V1", "kind": kind(s2), "col2": s2,
+            tags[name] = {"part": "V1", "kind": k, "col2": s2,
                           "symbol": sym,
                           "level": None if sym is None else by[sym].alexander}
 
@@ -165,6 +156,8 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
 
     arrows: list[DArrow] = []
     present = {g for g, _ in gens}
+    w_cols = [(s2, m) for s2, (k, m, _) in cols.items() if k == "w"]
+    z_cols = [(s2, m) for s2, (k, m, _) in cols.items() if k == "z"]
 
     def put(src: str, tgt: str, lab: AlgebraElement) -> None:
         assert src in present and tgt in present, (src, tgt)
@@ -180,10 +173,7 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
         # rho123 arrows come from horizontal arrows of length one
         if r == 1:
             put(x, vname(y, 2 * by[x].alexander + n + 1), A.R123)
-        for s2 in cols:
-            if kind(s2) != "w":
-                continue
-            m = bound(s2)
+        for s2, m in w_cols:
             if by[x].alexander <= m:
                 if by[y].alexander <= m:
                     put(vname(x, s2), vname(y, s2), idem_element(Idempotent.I1))
@@ -191,19 +181,16 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
                     put(vname(x, s2), y, A.R2)
     for a in vert:
         x, y = a.source, a.target
-        for s2 in cols:
-            if kind(s2) != "z":
-                continue
-            m = bound(s2)
+        for s2, m in z_cols:
             if by[x].alexander >= m and by[y].alexander >= m:
                 put(vname(x, s2), vname(y, s2), idem_element(Idempotent.I1))
-    for s2 in cols:
+    for s2, (k1, _, members) in cols.items():
         nxt = s2 + 2
         if nxt not in cols:
             continue
-        k1, k2 = kind(s2), kind(nxt)
+        k2 = cols[nxt][0]
         if k1 == "w" and k2 == "w":
-            for sym in members(s2):
+            for sym in members:
                 put(vname(sym, s2), vname(sym, nxt), A.R23)
         elif k1 == "w" and k2 == "dot":
             for sym in sorted(f_w):
@@ -214,7 +201,7 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
             for sym in sorted(rep_z):
                 put(vname(None, s2), vname(sym, nxt), A.R23)
         else:
-            for sym in members(nxt):
+            for sym in cols[nxt][2]:
                 put(vname(sym, s2), vname(sym, nxt), A.R23)
     return make_module(gens, arrows, tags)
 
@@ -351,15 +338,18 @@ def _match_up_to_base_change(left: TypeDModule, right: TypeDModule,
                 return M, mapping
             if level == depth:
                 continue
-            # try each base change in place, freezing only the candidates
+            # apply, freeze and undo only the changes that add no arrow
             G = _graph_d(M)
             for gen, other, coeff in _near_changes(G, M.idems()):
+                if hit:
+                    break
+                if G.change_delta(gen, other, coeff) > 0:
+                    continue
                 toggled = G.base_change(gen, other, coeff)
-                if G.count <= len(M.arrows) and not hit:
-                    cand = _freeze_d(G)
-                    if cand.arrows not in seen and not (hit := len(seen) > cap):
-                        seen.add(cand.arrows)
-                        nxt.append(cand)
+                cand = _freeze_d(G)
+                if cand.arrows not in seen and not (hit := len(seen) > cap):
+                    seen.add(cand.arrows)
+                    nxt.append(cand)
                 for e in toggled:
                     G.toggle(*e)
         frontier = nxt
@@ -401,10 +391,14 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
     """Check that the complement's type D module is unchanged, up to
     homotopy, by the elliptic involution of its boundary torus.
 
-    Tensors the involution bimodule with the module built from C and
-    compares the reduction against the module built from the flipped
-    complex (see _compare_d).  A simplified basis that ``basis`` does not
-    find is reported as inconclusive.
+    Reduces the module built from C, tensors the involution bimodule with
+    it and compares the reduction against the module built from the
+    flipped complex (see _compare_d).  The box tensor with a bounded DA
+    bimodule respects homotopy equivalence (Lipshitz-Ozsvath-Thurston,
+    arXiv:1003.0598), so boxing the reduced module gives a left side
+    homotopic to boxing the module itself, from a box several times
+    smaller.  A simplified basis that ``basis`` does not find is reported
+    as inconclusive.
     """
     bad = cfk.validate(C)
     if bad:
@@ -415,6 +409,6 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
     if DL is None or DR is None:
         return VerifyResult("inconclusive", None, "simultaneous simplification "
                             f"did not converge in {cfk.SIMPLIFY_ROUNDS} rounds")
-    left, _ = reduce_d(box_da_d(builtin_H(), DL))
+    left, _ = reduce_d(box_da_d(builtin_H(), reduce_d(DL)[0]))
     right, _ = reduce_d(DR)
     return _compare_d(minimize_d(left), minimize_d(right))

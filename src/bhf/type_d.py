@@ -108,10 +108,16 @@ class _Graph:
         self.out: dict[str, set] = defaultdict(set)
         self.inc: dict[str, set] = defaultdict(set)
         self.diff: list[tuple[str, str]] = []
-        self.count = 0
         self.tags = tags
+        # the edges are distinct (make_module and make_da drop repeats), so
+        # this is what toggling each one in would build
         for s, t, label in edges:
-            self.toggle(s, t, label)
+            self.out[s].add((t, label))
+            self.inc[t].add((s, label))
+            if not label[0] and label[1] in _UNITS:
+                self.diff.append((s, t))
+        self.diff.sort()
+        self.count = sum(map(len, self.out.values()))
 
     def toggle(self, s: str, t: str, label: tuple) -> None:
         """Add the edge if absent, remove it if present (addition mod 2)."""
@@ -164,10 +170,21 @@ class _Graph:
 
         for x, (args, coeff) in [e for e in self.inc[t] if e[0] not in ends]:
             extend(coeff, args, x)
-        for g in ends:
-            toggles.update({(g, y, lab): 1 for y, lab in self.out[g]})
-            toggles.update({(x, g, lab): 1 for x, lab in self.inc[g]})
-            self.left.pop(g, None)
+        for g in {s, t}:  # no zig-zag edge touches s or t: remove them whole
+            del self.left[g]
+            for y, lab in self.out.pop(g, ()):
+                self.count -= 1
+                if y not in ends:
+                    self.inc[y].remove((g, lab))
+                if not lab[0] and lab[1] in _UNITS:
+                    del self.diff[bisect_left(self.diff, (g, y))]
+            for x, lab in self.inc.pop(g, ()):
+                if x in ends:  # counted with the edges out of x
+                    continue
+                self.count -= 1
+                self.out[x].remove((g, lab))
+                if not lab[0] and lab[1] in _UNITS:
+                    del self.diff[bisect_left(self.diff, (x, g))]
         for key, parity in toggles.items():
             if parity:
                 self.toggle(*key)
@@ -185,6 +202,23 @@ class _Graph:
         for e in more:
             self.toggle(*e)
         return done + more
+
+    def change_delta(self, gen: str, other: str, coeff: AlgebraElement) -> int:
+        """The change in count that base_change(gen, other, coeff) would
+        make, read off without editing the graph."""
+        zero = AlgebraElement.ZERO
+        odd: set = set()  # the edges base_change toggles an odd number of times
+        row = _MUL[coeff]
+        for y, (args, lab) in self.out[other]:
+            if (c := row[lab]) is not zero:
+                odd ^= {(gen, y, (args, c))}
+        # an arrow other -> gen has just toggled a loop at gen, which the
+        # second half of base_change reads among the arrows into gen
+        loops = {(gen, lab) for _, y, lab in odd if y == gen}
+        for x, (args, lab) in self.inc[gen] ^ loops if loops else self.inc[gen]:
+            if (c := _MUL[lab][coeff]) is not zero:
+                odd ^= {(x, other, (args, c))}
+        return len(odd) - 2 * sum((t, lab) in self.out[s] for s, t, lab in odd)
 
     def freeze(self) -> tuple:
         """Sorted generators and edges, and the tags of live generators."""
@@ -281,28 +315,26 @@ def _near_changes(G: _Graph, idems: dict[str, Idempotent]):
                 yield gen, other, coeff
 
 
-def minimize_d(M: TypeDModule, max_steps: int = 10000) -> TypeDModule:
+def minimize_d(M: TypeDModule) -> TypeDModule:
     """Greedily shrink the arrow set of a reduced module by base changes.
 
     Homotopy reduction can leave arrows that an invertible change of basis
     removes; repeatedly apply the first strictly-improving change until
     none exists.  The output is isomorphic to the input.  Only the changes
     of _near_changes are tried: no other lowers the arrow count, so the
-    output is that of the search over every pair.
+    output is that of the search over every pair.  Each change is scored
+    by _Graph.change_delta and only an improving one is applied; every
+    step removes an arrow, so there are at most len(M.arrows) of them.
     """
     idems = M.idems()
     G = _graph_d(M)
-    for _ in range(max_steps):
+    while True:
         for gen, other, coeff in _near_changes(G, idems):
-            before = G.count
-            toggled = G.base_change(gen, other, coeff)
-            if G.count < before:
+            if G.change_delta(gen, other, coeff) < 0:
+                G.base_change(gen, other, coeff)
                 break
-            for e in toggled:
-                G.toggle(*e)
         else:
             return _freeze_d(G)
-    raise ValueError("basis minimization did not converge")
 
 
 def isomorphic_d(M: TypeDModule, N: TypeDModule) -> dict[str, str] | None:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from bhf import cfk, io_formats, type_d
+from bhf.algebra import _UNITS
 
 ACCEPTANCE_CRITERIA = {
     1: "involution bimodule recovered from the sixfold twist tensor, "
@@ -112,6 +113,19 @@ def every_change(idems):
             if other != gen:
                 for coeff in type_d._COEFFS[idems[gen], idems[other]]:
                     yield gen, other, coeff
+
+
+def check_graph(G, removed):
+    """Assert that the in-place module graph G indexes one edge set: inc
+    mirrors out, count and diff agree with it, and no edge touches a
+    generator in removed."""
+    edges = {(s, t, lab) for s, out in G.out.items() for t, lab in out}
+    assert edges == {(s, t, lab) for t, inc in G.inc.items() for s, lab in inc}
+    assert G.count == len(edges)
+    assert G.diff == sorted((s, t) for s, t, (args, c) in edges
+                            if not args and c in _UNITS)
+    assert not any(s in removed or t in removed for s, t, _ in edges)
+    assert removed.isdisjoint(G.left)
 
 
 @pytest.fixture(params=FIXTURE_NAMES)

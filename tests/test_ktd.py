@@ -1,11 +1,12 @@
 import collections
+import hashlib
 
 import pytest
 
-from bhf import cfk, ktd, type_d, type_da
+from bhf import cfk, io_formats, ktd, type_d, type_da
 from bhf.algebra import AlgebraElement as A, Idempotent as I
 from conftest import FIXTURE_NAMES, every_change, load_cfk
-from staircase import mirror, staircase
+from staircase import mirror, staircase, torus_knot
 
 # frozen oracle for the five-generator example at n=7: column populations,
 # arrow label inventory and the distinguished homology representatives
@@ -250,3 +251,117 @@ def test_verify_torus_knot_5_6(algo):
     if algo == "basefree":
         assert len(res.witness) == 92  # generators of the reduced H box CFD
     assert ktd.verify_elliptic_invariance(mirror(T), algo).verdict == "verified"
+
+
+# sha256 of write_typed(ktd_basefree(C, n)) at the default n and at n + 3,
+# recorded before ktd_basefree computed each column once
+BASEFREE_SHA256 = {
+    "unknot@default":
+        "6c44c2b1e60c883ee97cea29d8ec6a4c35e187d4cbeea7a86c33572f976a2f71",
+    "unknot@+3":
+        "a934a38c8476a41444b4d57e07e72e77bb84499f30ed838177c67f065212975a",
+    "trefoil_right@default":
+        "6e9e9b37b7a7dd28f53a4d5273de46fd40604f863d9223bf43f1186f679f3201",
+    "trefoil_right@+3":
+        "41a534a24a15e8182506f2f5441c8063e173e4d70816c7c45c96a71ccf8e053e",
+    "trefoil_left@default":
+        "fd5ce37bd2b8903cb841f5c7867ef84a8f14655c9d89a457c5a08d12e2a92d03",
+    "trefoil_left@+3":
+        "90dc9826e36f99160e2bf5082f65ea346710b11eece02b92f5ef1a4ead061326",
+    "figure_eight@default":
+        "0064b37722941b8457c6d8e86707374a0a3137eb203d2859762b371a1096e33c",
+    "figure_eight@+3":
+        "b9a15c25fef084d6099cb6e5d891b5c07a57ab4b0af7a60a5530b19f8cc0033c",
+    "five_gen@default":
+        "2e55b7e92d0a19720de02115db6d5d9d93c4367f16f16e0f3723b4a3ae38bb6e",
+    "five_gen@+3":
+        "afbd901902b7cad9695ad116cccee938e6011fe598b7fe96c15b34265e100065",
+    "T(2,3)@default":
+        "2061c6cf337e98bfafa4003ae9c6bbae81db6d0724c4f5acea687468a319aa6c",
+    "T(2,3)@+3":
+        "15d207945c65d51e5c2881250a9fb4ef287311e5d2b97c2b51543392c341643f",
+    "T(3,4)@default":
+        "946c39c17df07ed64041d361ed338e39138cea990e2fabc5df08c5c6f0d81188",
+    "T(3,4)@+3":
+        "e088ca7fa5ce8c813cc7928b3764e9db93f0120d17fb0fb7bff752b9edbb7a04",
+    "T(4,5)@default":
+        "af4eb0971c556c2de82ac2f6a7c95a55ec6b31d590c62cf35aa6b7bd50e35bb3",
+    "T(4,5)@+3":
+        "9994c6fb69c1109ef6c213ae69b4f3550f8f776d421d2777da5684e99adac0f1",
+    "T(5,6)@default":
+        "fd9f2f57afb3ad0234cb98620ab193a03f16cfd6a2b5115757863868ed9521ae",
+    "T(5,6)@+3":
+        "56123a21e094c3a6f846fc1cd43afeaaf7d14ae11c3903ee2fdde56e4dfb83f2",
+    "T(6,7)@default":
+        "81552b8a231998fc63076ccd36673e2da997fd76763be4a31217dcbb1286a9e3",
+    "T(6,7)@+3":
+        "4fbc385f546eece592b9626e2b706ee1125ab97098be3a31afcedb7067bc3519",
+    "T(7,8)@default":
+        "73d57c57e0278315cc1fc23cfa8afa43bc3afa6eee46ade9e86fddf00ec725f9",
+    "T(7,8)@+3":
+        "1a364c7c14f32efbec7b6c85aab0047ed8570daea3a5f0cce5a87520275b2374",
+}
+
+
+def _knot(name):
+    """A fixture, T(p,q) from its staircase, or "mirror " and either."""
+    if name.startswith("mirror "):
+        return mirror(_knot(name[len("mirror "):]))
+    if name.startswith("T("):
+        return torus_knot(*map(int, name[2:-1].split(",")))
+    return load_cfk(name)
+
+
+@pytest.mark.parametrize("key", sorted(BASEFREE_SHA256))
+def test_basefree_output_is_pinned(key):
+    name, offset = key.split("@")
+    C = _knot(name)
+    D = ktd.ktd_basefree(C, None if offset == "default" else 4 * ktd._width(C) + 6)
+    digest = hashlib.sha256(io_formats.write_typed(D).encode()).hexdigest()
+    assert digest == BASEFREE_SHA256[key]
+
+
+def _old_verdict(CL, CR, algo, framing):
+    """Verdict and matched-generator count of _compare_d with the left side
+    verify_elliptic_invariance used to build: H boxed with the unreduced
+    module of CL.  CR is flip(CL) unless a control pairs other knots."""
+    DL, DR = ktd._ktd(CL, algo, framing), ktd._ktd(CR, algo, framing)
+    if DL is None or DR is None:
+        return "inconclusive", 0
+    left = type_d.reduce_d(type_da.box_da_d(type_da.builtin_H(), DL))[0]
+    res = ktd._compare_d(reduced(left), reduced(DR))
+    return res.verdict, len(res.witness or ())
+
+
+def _framing(C, algo, offset):
+    """The default framing of verify on C moved by offset; None for 0."""
+    if not offset:
+        return None
+    if algo == "basefree":
+        return 4 * ktd._width(C) + 3 + offset
+    return ktd._ktd(C, algo, None).tags[ktd.META]["framing"] + offset
+
+
+VERIFY_CASES = ([(name, algo, offset) for name in FIXTURE_NAMES
+                 for algo in ("basefree", "basis") for offset in (0, 1, 3)]
+                + [(f"{side}T({p},{p + 1})", algo, 0) for p in range(2, 6)
+                   for side in ("", "mirror ") for algo in ("basefree", "basis")])
+
+
+@pytest.mark.parametrize("name, algo, offset", VERIFY_CASES)
+def test_verify_agrees_with_boxing_the_unreduced_module(name, algo, offset):
+    C = cfk.reduce(_knot(name))
+    framing = _framing(C, algo, offset)
+    res = ktd.verify_elliptic_invariance(C, algo, framing)
+    assert (res.verdict, len(res.witness or ())) == \
+        _old_verdict(C, cfk.flip(C), algo, framing)
+
+
+def test_boxing_the_reduced_module_keeps_the_negative_control():
+    # H box CFD(trefoil_right) against CFD(trefoil_left) fails both ways
+    R, L = load_cfk("trefoil_right"), load_cfk("trefoil_left")
+    left = type_d.reduce_d(type_da.box_da_d(
+        type_da.builtin_H(), type_d.reduce_d(ktd.ktd_basefree(R))[0]))[0]
+    res = ktd._compare_d(reduced(left), reduced(ktd.ktd_basefree(L)))
+    assert res.verdict == "failed"
+    assert _old_verdict(R, L, "basefree", None) == ("failed", 0)

@@ -357,3 +357,45 @@ def test_near_changes_skip_only_changes_that_remove_no_arrow():
                         G.toggle(*e)
                     assert G.count == len(R.arrows)
                 assert type_d._freeze_d(G) == R  # every undo restored the graph
+
+
+def _check_change_delta(M):
+    """change_delta leaves the graph as it was and equals the change in
+    count made by base_change, for every (gen, other, coeff) it accepts;
+    returns the number of changes checked."""
+    G = type_d._graph_d(M)
+    changes = list(every_change(M.idems()))
+    deltas = [G.change_delta(*change) for change in changes]
+    assert type_d._freeze_d(G) == M and G.count == len(M.arrows)
+    for change, delta in zip(changes, deltas):
+        toggled = G.base_change(*change)
+        assert G.count - len(M.arrows) == delta, change
+        for e in toggled:
+            G.toggle(*e)
+    assert type_d._freeze_d(G) == M
+    return len(changes)
+
+
+def test_change_delta_matches_base_change():
+    H = type_da.builtin_H()
+    checked = 0
+    for name in FIXTURE_NAMES:
+        D = ktd.ktd_basefree(load_cfk(name))
+        for seed in range(30):
+            checked += _check_change_delta(type_d.reduce_d(D, seed)[0])
+        checked += _check_change_delta(type_d.reduce_d(type_da.box_da_d(H, D))[0])
+    assert checked > 40000
+
+
+def test_change_delta_reads_the_loop_toggled_at_gen():
+    # with an arrow other -> gen, gen -> gen + c*other first toggles a loop
+    # at gen, which base_change then reads among the arrows into gen: rho23
+    # loops at the iota1 generators and rho12 loops at the iota0 ones
+    gens = [("x", I.I1), ("y", I.I1), ("z", I.I1), ("p", I.I0), ("q", I.I0)]
+    arrows = [DArrow("y", "x", A.R23), DArrow("x", "y", A.R23),
+              DArrow("z", "x", A.R23), DArrow("q", "p", A.R12),
+              DArrow("p", "x", A.R1), DArrow("q", "y", A.R3)]
+    loops = [DArrow("x", "x", A.R23), DArrow("p", "p", A.R12)]
+    for extra in ([], loops[:1], loops[1:], loops):
+        M = type_d.make_module(gens, arrows + extra)
+        assert _check_change_delta(M) == 40
