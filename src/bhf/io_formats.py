@@ -23,7 +23,7 @@ from .type_d import DArrow, TypeDModule, make_module
 from .type_da import DAAction, TypeDAModule, make_da
 
 __all__ = [
-    "ParseError", "detect_kind", "parse_any",
+    "ParseError", "parse_any",
     "parse_cfk", "write_cfk", "parse_typed", "write_typed",
     "parse_typeda", "write_typeda", "parse_script", "write_script",
 ]
@@ -83,12 +83,6 @@ def _terse_kind(text: str) -> str:
     # terse knot complexes have "name: A=.. M=.." lines, scripts never do
     code = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     return "script" if "->" in code and ":" not in code else "cfk"
-
-
-def detect_kind(text: str) -> str:
-    if text.lstrip().startswith("{"):
-        return _open_envelope(text)[0]
-    return _terse_kind(text)
 
 
 def _parse(text: str, kind: str | None) -> tuple[str, object]:

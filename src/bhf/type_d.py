@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .algebra import (_MUL, _UNITS, NONZERO, AlgebraElement, Idempotent, idem_element,
-                      is_idempotent, left_idem, multiply, right_idem)
+                      left_idem, multiply, right_idem)
 
 __all__ = [
     "DArrow", "TypeDModule", "ReductionTrace", "make_module",
-    "validate_d", "is_reduced_d", "cancel", "reduce_d",
-    "base_change", "minimize_d", "isomorphic_d", "to_dot",
+    "validate_d", "reduce_d", "minimize_d", "isomorphic_d", "to_dot",
 ]
 
 
@@ -86,10 +85,6 @@ def validate_d(M: TypeDModule) -> list[str]:
     for src, tgt, lab in sorted(odd, key=str):
         out.append(f"d^2 != 0: odd count {src} -> {lab.value} {tgt}")
     return out
-
-
-def is_reduced_d(M: TypeDModule) -> bool:
-    return all(not is_idempotent(a.label) for a in M.arrows)
 
 
 class _Graph:
@@ -239,11 +234,6 @@ def _freeze_d(G: _Graph) -> TypeDModule:
     return TypeDModule(gens, tuple(DArrow(s, t, c) for s, t, (_, c) in edges), tags)
 
 
-def cancel(M: TypeDModule, source: str, target: str) -> TypeDModule:
-    """Cancel one idempotent-labelled arrow by homotopy reduction."""
-    return reduce_d(M, [(source, target)])[0]
-
-
 @dataclass(frozen=True)
 class ReductionTrace:
     pairs: tuple[tuple[str, str], ...]
@@ -273,21 +263,6 @@ def reduce_d(M: TypeDModule, order=None) -> tuple[TypeDModule, ReductionTrace]:
     G = _graph_d(M)
     trace = _reduce(G, order)
     return _freeze_d(G), trace
-
-
-def base_change(M: TypeDModule, gen: str, other: str,
-                coeff: AlgebraElement) -> TypeDModule:
-    """Invertible change of basis replacing gen by gen + coeff*other.
-
-    Requires gen != other, iota(gen) = left(coeff) and
-    iota(other) = right(coeff).  The result is isomorphic to the input.
-    """
-    idems = M.idems()
-    if gen == other or coeff not in _COEFFS[idems[gen], idems[other]]:
-        raise ValueError(f"invalid base change {gen} -> {gen} + {coeff.value}*{other}")
-    G = _graph_d(M)
-    G.base_change(gen, other, coeff)
-    return _freeze_d(G)
 
 
 # nonzero coefficients by (left, right) idempotent, in search order

@@ -51,9 +51,6 @@ class TypeDAModule:
     def names(self) -> list[str]:
         return [n for n, _, _ in self.generators]
 
-    def max_arity(self) -> int:
-        return max((len(a.args) for a in self.actions), default=0)
-
 
 def make_da(gens, actions, tags=None) -> TypeDAModule:
     return TypeDAModule(tuple(sorted(gens)),
@@ -214,123 +211,74 @@ def validate_da(B: TypeDAModule) -> list[str]:
     return out
 
 
-def box_da_d(B: TypeDAModule, M: TypeDModule, sep: str = "⊗") -> TypeDModule:
-    """Box tensor product of a DA bimodule with a type D module."""
-    b_idems = B.idems()
-    m_idems = M.idems()
-    gens = []
-    for (bn, (bl, br)) in sorted(b_idems.items()):
-        for (mn, mi) in sorted(m_idems.items()):
-            if br is mi:
-                gens.append((f"{bn}{sep}{mn}", bl))
-    gen_set = {n for n, _ in gens}
-    m_out: dict[str, list[DArrow]] = {}
-    for arr in M.arrows:
-        m_out.setdefault(arr.source, []).append(arr)
+_SEP = "⊗"  # product generators are named b⊗x
 
-    def paths(start: str, labels: tuple[AlgebraElement, ...]):
-        """Ends of arrow paths from start whose labels read exactly ``labels``."""
-        if not labels:
-            yield start
-            return
-        for arr in m_out.get(start, ()):
-            if arr.label is labels[0]:
-                yield from paths(arr.target, labels[1:])
 
-    toggles: dict[tuple[str, str, AlgebraElement], int] = {}
-    # differential arrows of M pass through untouched: b⊗x -> b⊗y
-    for arr in M.arrows:
-        if not is_idempotent(arr.label):
-            continue
-        for (bn, (bl, br)) in b_idems.items():
-            if br is m_idems[arr.source]:
-                key = (f"{bn}{sep}{arr.source}", f"{bn}{sep}{arr.target}",
-                       idem_element(bl))
+def _box(B: TypeDAModule, generators, edges) -> tuple[list, list]:
+    """Box tensor product of B with a right factor, read as generator tuples
+    (name, left idempotent, ...) and edges (source, inputs, output, target):
+    a type D module is a DA bimodule with no inputs.
+
+    An action of B consumes the outputs of a path of right-factor edges,
+    whose inputs become those of the product; an action without inputs
+    consumes the empty path.  A right-factor edge with an idempotent output
+    feeds no action (strict unitality: no action consumes an idempotent
+    input) and passes through each compatible generator of B.  Returns the
+    product's generator tuples (b⊗x, left idempotent of b, ...) and its
+    edges, summed mod 2.  Raises ValueError when two products share a name.
+    """
+    by_left: dict[Idempotent, list[tuple[str, tuple]]] = {}
+    for g in generators:
+        by_left.setdefault(g[1], []).append((g[0], g[2:]))
+    right: dict[str, Idempotent] = {}
+    by_right: dict[Idempotent, list[tuple[str, Idempotent]]] = {}
+    gens: dict[str, tuple] = {}  # B outer: names come nearly sorted
+    for bn, bl, br in B.generators:
+        right[bn] = br
+        by_right.setdefault(br, []).append((bn, bl))
+        for x, rest in by_left.get(br, ()):
+            name = f"{bn}{_SEP}{x}"
+            if name in gens:
+                raise ValueError(f"box product has two generators named {name!r}")
+            gens[name] = (name, bl, *rest)
+    out: dict[str, list] = {}
+    toggles: dict[tuple, int] = {}
+    for s, args, c, t in edges:
+        out.setdefault(s, []).append((args, c, t))
+        if is_idempotent(c):
+            for bn, bl in by_right.get(left_idem(c), ()):
+                key = (f"{bn}{_SEP}{s}", args, idem_element(bl), f"{bn}{_SEP}{t}")
                 toggles[key] = toggles.get(key, 0) ^ 1
     for act in B.actions:
-        for mn in m_idems:
-            if b_idems[act.source][1] is not m_idems[mn]:
-                continue
-            for end in paths(mn, act.args):
-                key = (f"{act.source}{sep}{mn}", f"{act.target}{sep}{end}",
-                       act.coeff)
+        for x, _ in by_left.get(right[act.source], ()):
+            paths = [(x, ())]  # (end, inputs) of the paths that read act.args
+            for a in act.args:
+                paths = [(t, args + more) for y, args in paths
+                         for more, c, t in out.get(y, ()) if c is a]
+            for end, args in paths:
+                key = (f"{act.source}{_SEP}{x}", args, act.coeff,
+                       f"{act.target}{_SEP}{end}")
                 toggles[key] = toggles.get(key, 0) ^ 1
-    arrows = [DArrow(*key) for key, p in toggles.items() if p]
-    for arr in arrows:
-        if arr.source not in gen_set or arr.target not in gen_set:
+    kept = [key for key, p in toggles.items() if p]
+    for s, _, _, t in kept:
+        if s not in gens or t not in gens:
             raise AssertionError("box product produced an arrow outside the "
                                  "idempotent-compatible generators")
-    return make_module(gens, arrows)
+    return list(gens.values()), kept
 
 
-def box_da_da(B: TypeDAModule, C: TypeDAModule, sep: str = "⊗") -> TypeDAModule:
-    """Box tensor product of two DA bimodules (B's inputs fed by C's outputs).
-
-    C consumes the external algebra inputs; chains of C actions produce a
-    sequence of output coefficients which a single B action consumes.  A C
-    action with an idempotent output cannot feed B: it contributes alone,
-    with B untouched, as a differential-style term (strict unitality).
-    """
-    b_idems = B.idems()
-    c_idems = C.idems()
-    gens = []
-    for (bn, (bl, br)) in sorted(b_idems.items()):
-        for (cn, (cl, cr)) in sorted(c_idems.items()):
-            if br is cl:
-                gens.append((f"{bn}{sep}{cn}", bl, cr))
-    c_by_src: dict[str, list[DAAction]] = {}
-    for act in C.actions:
-        c_by_src.setdefault(act.source, []).append(act)
-    b_by_src_args: dict[tuple[str, tuple], list[DAAction]] = {}
-    for act in B.actions:
-        b_by_src_args.setdefault((act.source, act.args), []).append(act)
-    max_chain = B.max_arity()
-
-    toggles: dict[DAAction, int] = {}
-
-    def emit(act: DAAction) -> None:
-        toggles[act] = toggles.get(act, 0) ^ 1
-
-    for (bn, (bl, br)) in b_idems.items():
-        for cn in c_idems:
-            if br is not c_idems[cn][0]:
-                continue
-            src = f"{bn}{sep}{cn}"
-            # B acts alone (no C outputs consumed)
-            for bact in b_by_src_args.get((bn, ()), ()):
-                emit(_act(src, [], bact.coeff, f"{bact.target}{sep}{cn}"))
-            # single C action with idempotent output: differential term
-            for cact in c_by_src.get(cn, ()):
-                if is_idempotent(cact.coeff):
-                    emit(_act(src, cact.args, idem_element(bl),
-                              f"{bn}{sep}{cact.target}"))
-
-            # chains of C actions with non-idempotent outputs
-            def chains(cur: str, outs: tuple, args: tuple, depth: int):
-                if outs:
-                    for bact in b_by_src_args.get((bn, outs), ()):
-                        emit(_act(src, args, bact.coeff,
-                                  f"{bact.target}{sep}{cur}"))
-                if depth == max_chain:
-                    return
-                for cact in c_by_src.get(cur, ()):
-                    if not is_idempotent(cact.coeff):
-                        chains(cact.target, outs + (cact.coeff,),
-                               args + cact.args, depth + 1)
-
-            chains(cn, (), (), 0)
-    actions = [act for act, p in toggles.items() if p]
-    return make_da(gens, actions)
+def box_da_d(B: TypeDAModule, M: TypeDModule) -> TypeDModule:
+    """Box tensor product B ⊠ M of a DA bimodule with a type D module."""
+    gens, edges = _box(B, M.generators, ((a.source, (), a.label, a.target)
+                                         for a in M.arrows))
+    return make_module(gens, [DArrow(s, t, c) for s, _, c, t in edges])
 
 
-def cancel_da(B: TypeDAModule, source: str, target: str,
-              arity_cap: int = 8) -> TypeDAModule:
-    """Cancel a differential (k=0, idempotent-coefficient) action.
-
-    Raises ValueError when a resulting action would take more than
-    ``arity_cap`` inputs.
-    """
-    return reduce_da(B, [(source, target)], arity_cap)[0]
+def box_da_da(B: TypeDAModule, C: TypeDAModule) -> TypeDAModule:
+    """Box tensor product B ⊠ C of two DA bimodules: C consumes the
+    external inputs and B the outputs of C."""
+    gens, edges = _box(B, C.generators, C.actions)
+    return make_da(gens, [DAAction(*e) for e in edges])
 
 
 def reduce_da(B: TypeDAModule, order=None, arity_cap: int = 8

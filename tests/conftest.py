@@ -104,9 +104,18 @@ def random_complex(name: str, seed: int, shift=None) -> cfk.KnotComplex:
     return m.freeze()
 
 
+def base_change(M, gen, other, coeff):
+    """M with gen replaced by gen + coeff*other, changed in place on the
+    module graph and frozen."""
+    G = type_d._graph_d(M)
+    G.base_change(gen, other, coeff)
+    return type_d._freeze_d(G)
+
+
 def every_change(idems):
-    """Every (gen, other, coeff) that type_d.base_change accepts, in search
-    order; type_d._near_changes prunes this to a subsequence."""
+    """Every (gen, other, coeff) of a valid base change (gen != other and
+    coeff from iota(gen) to iota(other)), in search order;
+    type_d._near_changes prunes this to a subsequence."""
     names = sorted(idems)
     for gen in names:
         for other in names:

@@ -184,10 +184,10 @@ def test_criterion_7_structural_invariants():
     ident = type_da.builtin_identity()
     for name in FIXTURE_NAMES:
         D = ktd.ktd_basefree(load_cfk(name))
-        E = type_da.box_da_d(ident, D, sep="")
-        renamed = type_d.make_module(
-            [(n[2:], i) for n, i in E.generators],
-            [type_d.DArrow(a.source[2:], a.target[2:], a.label)
+        E = type_da.box_da_d(ident, D)
+        renamed = type_d.make_module(  # strip the i0⊗ or i1⊗ prefix
+            [(n[3:], i) for n, i in E.generators],
+            [type_d.DArrow(a.source[3:], a.target[3:], a.label)
              for a in E.arrows])
         assert renamed == type_d.make_module(D.generators, D.arrows)
     report(7, "d^2 after every cancel on 1000 random modules; confluence "

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import bhf
-from bhf import cli, io_formats, ktd, type_da
+from bhf import cli, io_formats, ktd, type_d, type_da
+from bhf.algebra import Idempotent as I
 from conftest import FIXTURE_NAMES, FIXTURES, TERSE_TREFOIL, load_cfk
 
 
@@ -80,7 +81,7 @@ def test_flip_round_trip(tmp_path, capsys):
 def test_simplify(capsys):
     code, out, _ = run(capsys, "simplify", fx("five_gen.cfk.json"))
     assert code == 0
-    assert io_formats.detect_kind(out) == "cfk"
+    assert io_formats.parse_any(out)[0] == "cfk"
 
 
 def test_cfd_unknot_framing_zero(capsys):
@@ -101,7 +102,7 @@ def test_cfd_basefree_then_reduce(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "reduce", str(mod))
     assert code == 0
-    assert io_formats.detect_kind(out) == "type_d"
+    assert io_formats.parse_any(out)[0] == "type_d"
 
 
 def test_tensor_with_builtin(tmp_path, capsys):
@@ -110,7 +111,29 @@ def test_tensor_with_builtin(tmp_path, capsys):
         "--algo", "basefree")
     code, out, _ = run(capsys, "tensor", "--bimodule", "builtin:H", str(mod))
     assert code == 0
-    assert io_formats.detect_kind(out) == "type_d"
+    assert io_formats.parse_any(out)[0] == "type_d"
+
+
+# a⊗(b⊗c) and (a⊗b)⊗c are both named a⊗b⊗c
+CLASHING_BIMODULE = type_da.make_da([("a", I.I0, I.I0), ("a⊗b", I.I0, I.I0)], [])
+CLASHING_MODULE = type_d.make_module([("b⊗c", I.I0), ("c", I.I0)], [])
+
+
+def test_tensor_rejects_duplicate_product_names(tmp_path, capsys):
+    bim, mod = tmp_path / "b.damod.json", tmp_path / "m.dmod.json"
+    bim.write_text(io_formats.write_typeda(CLASHING_BIMODULE), encoding="utf-8")
+    mod.write_text(io_formats.write_typed(CLASHING_MODULE), encoding="utf-8")
+    for path in (bim, mod):
+        assert run(capsys, "validate", str(path))[0] == 0
+    code, out, err = run(capsys, "tensor", "--bimodule", str(bim), str(mod))
+    assert (code, out) == (1, "")
+    assert err == "error: box product has two generators named 'a⊗b⊗c'\n"
+
+
+def test_box_da_da_rejects_duplicate_product_names():
+    C = type_da.make_da([(n, i, i) for n, i in CLASHING_MODULE.generators], [])
+    with pytest.raises(ValueError, match="two generators named 'a⊗b⊗c'"):
+        type_da.box_da_da(CLASHING_BIMODULE, C)
 
 
 def test_build_h_matches_builtin(tmp_path, capsys):

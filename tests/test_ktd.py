@@ -5,7 +5,7 @@ import pytest
 
 from bhf import cfk, io_formats, ktd, type_d, type_da
 from bhf.algebra import AlgebraElement as A, Idempotent as I
-from conftest import FIXTURE_NAMES, every_change, load_cfk
+from conftest import FIXTURE_NAMES, base_change, every_change, load_cfk
 from staircase import mirror, staircase, torus_knot
 
 # frozen oracle for the five-generator example at n=7: column populations,
@@ -181,9 +181,9 @@ def five_gen_modules():
     one base change apart, whose arrow label multisets differ; and T, of 16
     arrows, which minimize_d reaches from R after two base changes."""
     R = reduced(ktd.ktd_basefree(load_cfk("five_gen")))
-    S = type_d.base_change(R, "b|8", "a|8", A.I1)
-    T = type_d.minimize_d(type_d.base_change(
-        type_d.base_change(R, "*|-2", "*|0", A.R23), "b|8", "a|8", A.I1))
+    S = base_change(R, "b|8", "a|8", A.I1)
+    T = type_d.minimize_d(base_change(
+        base_change(R, "*|-2", "*|0", A.R23), "b|8", "a|8", A.I1))
     assert (len(R.arrows), len(S.arrows), len(T.arrows)) == (17, 17, 16)
     assert (collections.Counter(a.label for a in R.arrows)
             != collections.Counter(a.label for a in S.arrows))
@@ -205,7 +205,7 @@ def test_compare_never_fails_on_isomorphic_modules():
 
 def test_match_reports_the_cap_only_when_a_candidate_is_dropped():
     R, _, T = five_gen_modules()
-    candidates = {type_d.base_change(R, *t).arrows for t in every_change(R.idems())}
+    candidates = {base_change(R, *t).arrows for t in every_change(R.idems())}
     n = len({c for c in candidates if len(c) <= len(R.arrows)} - {R.arrows})
     assert n == 2
     assert ktd._match_up_to_base_change(R, T, depth=1, cap=n) == (None, False)

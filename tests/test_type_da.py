@@ -3,10 +3,14 @@ import random
 
 import pytest
 
-from bhf import io_formats, ktd, type_d, type_da
-from bhf.algebra import (CHORDS, NONZERO, AlgebraElement as A, Idempotent as I,
-                         left_idem, multiply, right_idem)
-from conftest import FIXTURES, load_cfk
+from bhf import cfk, io_formats, ktd, type_d, type_da
+from bhf.algebra import (CHORDS, NONZERO, AlgebraElement, AlgebraElement as A,
+                         Idempotent as I, idem_element, is_idempotent, left_idem,
+                         multiply, right_idem)
+from bhf.type_d import DArrow, TypeDModule, make_module
+from bhf.type_da import DAAction, TypeDAModule, _act, make_da
+from conftest import FIXTURE_NAMES, FIXTURES, load_cfk
+from staircase import mirror, torus_knot
 
 BUILTINS = (type_da.builtin_tau_mu, type_da.builtin_tau_lambda,
             type_da.builtin_identity, type_da.builtin_H)
@@ -41,7 +45,8 @@ def _relation_failures_by_sequences(B):
     idems = B.idems()
     for x in B.names():
         level = [((), idems[x][1])]
-        for n in range(2 * B.max_arity() + 2):
+        max_arity = max((len(a.args) for a in B.actions), default=0)
+        for n in range(2 * max_arity + 2):
             for seq, _end in level:
                 counts = {}
                 for i in range(n + 1):
@@ -218,11 +223,11 @@ def test_box_da_d_validates(any_complex):
 
 def test_identity_unit_law(any_complex):
     D = ktd.ktd_basefree(any_complex)
-    E = type_da.box_da_d(type_da.builtin_identity(), D, sep="")
-    # identity generators are named i0/i1; strip them for comparison
+    E = type_da.box_da_d(type_da.builtin_identity(), D)
+    # identity generators are named i0/i1; strip the i0⊗/i1⊗ prefix
     renamed = type_d.make_module(
-        [(n[2:], i) for n, i in E.generators],
-        [type_d.DArrow(a.source[2:], a.target[2:], a.label) for a in E.arrows])
+        [(n[3:], i) for n, i in E.generators],
+        [type_d.DArrow(a.source[3:], a.target[3:], a.label) for a in E.arrows])
     assert renamed == type_d.make_module(D.generators, D.arrows)
 
 
@@ -280,10 +285,176 @@ def test_cancel_da_arity_cap_on_pass_through():
          type_da.DAAction("s", (A.R23,), A.R12, "t"),
          type_da.DAAction("s", (), A.R3, "y")])
     with pytest.raises(ValueError, match="arity cap 1"):
-        type_da.cancel_da(B, "s", "t", arity_cap=1)
-    R = type_da.cancel_da(B, "s", "t", arity_cap=2)
+        type_da.reduce_da(B, [("s", "t")], 1)
+    R = type_da.reduce_da(B, [("s", "t")], 2)[0]
     assert R.actions == (type_da.DAAction("x", (A.R1,), A.R3, "y"),
                          type_da.DAAction("x", (A.R1, A.R23), A.R123, "y"))
+
+
+# the two box algorithms that the one box core replaced, as the reference
+def oracle_box_da_d(B: TypeDAModule, M: TypeDModule, sep: str = "⊗") -> TypeDModule:
+    """Box tensor product of a DA bimodule with a type D module."""
+    b_idems = B.idems()
+    m_idems = M.idems()
+    gens = []
+    for (bn, (bl, br)) in sorted(b_idems.items()):
+        for (mn, mi) in sorted(m_idems.items()):
+            if br is mi:
+                gens.append((f"{bn}{sep}{mn}", bl))
+    gen_set = {n for n, _ in gens}
+    m_out: dict[str, list[DArrow]] = {}
+    for arr in M.arrows:
+        m_out.setdefault(arr.source, []).append(arr)
+
+    def paths(start: str, labels: tuple[AlgebraElement, ...]):
+        """Ends of arrow paths from start whose labels read exactly ``labels``."""
+        if not labels:
+            yield start
+            return
+        for arr in m_out.get(start, ()):
+            if arr.label is labels[0]:
+                yield from paths(arr.target, labels[1:])
+
+    toggles: dict[tuple[str, str, AlgebraElement], int] = {}
+    # differential arrows of M pass through untouched: b⊗x -> b⊗y
+    for arr in M.arrows:
+        if not is_idempotent(arr.label):
+            continue
+        for (bn, (bl, br)) in b_idems.items():
+            if br is m_idems[arr.source]:
+                key = (f"{bn}{sep}{arr.source}", f"{bn}{sep}{arr.target}",
+                       idem_element(bl))
+                toggles[key] = toggles.get(key, 0) ^ 1
+    for act in B.actions:
+        for mn in m_idems:
+            if b_idems[act.source][1] is not m_idems[mn]:
+                continue
+            for end in paths(mn, act.args):
+                key = (f"{act.source}{sep}{mn}", f"{act.target}{sep}{end}",
+                       act.coeff)
+                toggles[key] = toggles.get(key, 0) ^ 1
+    arrows = [DArrow(*key) for key, p in toggles.items() if p]
+    for arr in arrows:
+        if arr.source not in gen_set or arr.target not in gen_set:
+            raise AssertionError("box product produced an arrow outside the "
+                                 "idempotent-compatible generators")
+    return make_module(gens, arrows)
+
+
+def oracle_box_da_da(B: TypeDAModule, C: TypeDAModule, sep: str = "⊗") -> TypeDAModule:
+    """Box tensor product of two DA bimodules (B's inputs fed by C's outputs).
+
+    C consumes the external algebra inputs; chains of C actions produce a
+    sequence of output coefficients which a single B action consumes.  A C
+    action with an idempotent output cannot feed B: it contributes alone,
+    with B untouched, as a differential-style term (strict unitality).
+    """
+    b_idems = B.idems()
+    c_idems = C.idems()
+    gens = []
+    for (bn, (bl, br)) in sorted(b_idems.items()):
+        for (cn, (cl, cr)) in sorted(c_idems.items()):
+            if br is cl:
+                gens.append((f"{bn}{sep}{cn}", bl, cr))
+    c_by_src: dict[str, list[DAAction]] = {}
+    for act in C.actions:
+        c_by_src.setdefault(act.source, []).append(act)
+    b_by_src_args: dict[tuple[str, tuple], list[DAAction]] = {}
+    for act in B.actions:
+        b_by_src_args.setdefault((act.source, act.args), []).append(act)
+    max_chain = max((len(a.args) for a in B.actions), default=0)
+
+    toggles: dict[DAAction, int] = {}
+
+    def emit(act: DAAction) -> None:
+        toggles[act] = toggles.get(act, 0) ^ 1
+
+    for (bn, (bl, br)) in b_idems.items():
+        for cn in c_idems:
+            if br is not c_idems[cn][0]:
+                continue
+            src = f"{bn}{sep}{cn}"
+            # B acts alone (no C outputs consumed)
+            for bact in b_by_src_args.get((bn, ()), ()):
+                emit(_act(src, [], bact.coeff, f"{bact.target}{sep}{cn}"))
+            # single C action with idempotent output: differential term
+            for cact in c_by_src.get(cn, ()):
+                if is_idempotent(cact.coeff):
+                    emit(_act(src, cact.args, idem_element(bl),
+                              f"{bn}{sep}{cact.target}"))
+
+            # chains of C actions with non-idempotent outputs
+            def chains(cur: str, outs: tuple, args: tuple, depth: int):
+                if outs:
+                    for bact in b_by_src_args.get((bn, outs), ()):
+                        emit(_act(src, args, bact.coeff,
+                                  f"{bact.target}{sep}{cur}"))
+                if depth == max_chain:
+                    return
+                for cact in c_by_src.get(cur, ()):
+                    if not is_idempotent(cact.coeff):
+                        chains(cact.target, outs + (cact.coeff,),
+                               args + cact.args, depth + 1)
+
+            chains(cn, (), (), 0)
+    actions = [act for act, p in toggles.items() if p]
+    return make_da(gens, actions)
+
+
+def _oracle_bimodules():
+    H = type_da.builtin_H()
+    reduced = type_da.reduce_da(type_da.box_da_da(H, type_da.builtin_tau_mu()))[0]
+    return [build() for build in BUILTINS] + [reduced]
+
+
+def _oracle_modules():
+    """ktd_basefree and ktd_basis of the fixtures, T(2,3), ..., T(6,7) and
+    their mirrors."""
+    complexes = [load_cfk(name) for name in FIXTURE_NAMES]
+    for p in range(2, 7):
+        complexes += [torus_knot(p, p + 1), mirror(torus_knot(p, p + 1))]
+    for C in complexes:
+        yield ktd.ktd_basefree(C)
+        yield ktd.ktd_basis(cfk.simultaneous_simplify(C))
+
+
+def _random_module(seed):
+    """Up to 12 generators and 30 well-formed arrows, idempotent or not;
+    d^2 need not vanish, so paths of every label sequence occur."""
+    rng = random.Random(seed)
+    gens = [(f"g{i}", rng.choice(list(I))) for i in range(rng.randint(1, 12))]
+    arrows = []
+    for _ in range(rng.randint(0, 30)):
+        (s, i), (t, j) = rng.choice(gens), rng.choice(gens)
+        labels = [c for c in NONZERO if left_idem(c) is i and right_idem(c) is j]
+        arrows.append(type_d.DArrow(s, t, rng.choice(labels)))
+    return type_d.make_module(gens, arrows)
+
+
+def test_box_da_d_matches_oracle():
+    modules = list(_oracle_modules())
+    modules += [_random_module(seed) for seed in range(50)]
+    boxed = 0
+    for B in _oracle_bimodules():
+        for M in modules:
+            assert (io_formats.write_typed(type_da.box_da_d(B, M))
+                    == io_formats.write_typed(oracle_box_da_d(B, M)))
+            boxed += 1
+    assert boxed == 5 * (2 * 15 + 50)
+
+
+def test_box_da_da_matches_oracle():
+    bimodules = _oracle_bimodules()
+    for B in bimodules:
+        for C in bimodules:
+            assert (io_formats.write_typeda(type_da.box_da_da(B, C))
+                    == io_formats.write_typeda(oracle_box_da_da(B, C)))
+    B, L = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
+    prod = ref = B
+    for factor in (L, B, L, B, L):
+        prod, ref = type_da.box_da_da(prod, factor), oracle_box_da_da(ref, factor)
+        assert io_formats.write_typeda(prod) == io_formats.write_typeda(ref)
+    assert prod == twist_product(6)
 
 
 def test_isomorphic_da_detects_difference():
