@@ -284,46 +284,51 @@ def tau(C: KnotComplex) -> int:
 
 
 def _family_matrix(C: KnotComplex, family: str):
-    """Generator order, index and the F2 matrix (as column bitmasks) of one
-    arrow family: "dw" horizontal arrows, "dz" vertical arrows."""
+    """Generator order and the F2 matrix (column j is the bitmask of d(e_j))
+    of one arrow family: "dw" horizontal arrows, "dz" vertical arrows."""
     order = sorted(g.name for g in C.generators)
     index = {n: i for i, n in enumerate(order)}
     fam = C.is_horizontal if family == "dw" else C.is_vertical
-    cols: dict[int, int] = {}
+    cols = [0] * len(order)
     for a in C.arrows:
         if fam(a):
-            cols[index[a.source]] = cols.get(index[a.source], 0) ^ (1 << index[a.target])
-    return order, index, cols
+            cols[index[a.source]] ^= 1 << index[a.target]
+    return order, cols
 
 
 def homology_support(C: KnotComplex, family: str) -> frozenset[str]:
     """Canonical cycle generating the rank-one homology of one arrow family.
 
-    family "dw" uses horizontal arrows, "dz" vertical arrows.  Deterministic:
-    kernel vectors are reduced modulo the image and the smallest survivor in
-    the generator order is returned.
+    family "dw" uses horizontal arrows, "dz" vertical arrows.  One reduced
+    echelon form of the rows d(e_j) | e_j << n gives the image (the image
+    parts of the rows with image bits) and the kernel (the domain parts of
+    the rows without).  The cycle is a kernel vector reduced modulo the
+    image; every cycle outside the image reduces to the same one.
     """
-    order, index, cols = _family_matrix(C, family)
-    ker = _linalg.kernel_basis(cols, len(order))
-    img = _linalg.rref([v for v in cols.values() if v])
-    reduced = sorted({v for v in (_linalg.reduce_mod(k, img) for k in ker) if v})
-    if len(reduced) != 1:
+    order, cols = _family_matrix(C, family)
+    n = len(order)
+    rows = _linalg.rref([c | 1 << (n + j) for j, c in enumerate(cols)])
+    image_bits = (1 << n) - 1
+    img = [r & image_bits for r in rows if r & image_bits]
+    ker = [r >> n for r in rows if not r & image_bits]
+    if len(ker) - len(img) != 1:
         raise ValueError(
-            f"{family} homology has rank {len(reduced)}, expected 1")
-    mask = reduced[0]
-    return frozenset(n for n in order if mask & (1 << index[n]))
+            f"{family} homology has rank {len(ker) - len(img)}, expected 1")
+    cycle = next(v for v in (_linalg.reduce_mod(k, img) for k in ker) if v)
+    return frozenset(g for i, g in enumerate(order) if cycle >> i & 1)
 
 
 def cohomology_support(C: KnotComplex, family: str) -> frozenset[str]:
     """Canonical functional vanishing on boundaries and pairing 1 with the
     canonical homology cycle of the family; free coordinates are zero."""
-    order, index, cols = _family_matrix(C, family)
+    order, cols = _family_matrix(C, family)
+    n = len(order)
     rep = homology_support(C, family)
-    rep_mask = 0
-    for n in rep:
-        rep_mask |= 1 << index[n]
-    eqs = [(v, 0) for v in cols.values() if v] + [(rep_mask, 1)]
-    f = _linalg.solve(eqs, len(order))
-    if f is None:
+    rep_mask = sum(1 << i for i, g in enumerate(order) if g in rep)
+    # the equations f.d(e_j) = 0 and f.rep = 1, each parity in bit n: a row
+    # 1 << n reads 0 = 1
+    rows = _linalg.rref(cols + [rep_mask | 1 << n])
+    if 1 << n in rows:
         raise ValueError("no chain functional found")
-    return frozenset(n for n in order if f & (1 << index[n]))
+    f = sum(r & -r for r in rows if r >> n)  # a free coordinate is zero
+    return frozenset(g for i, g in enumerate(order) if f >> i & 1)

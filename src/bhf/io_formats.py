@@ -41,6 +41,8 @@ def _open_envelope(text: str, kind: str | None = None) -> tuple[str, dict]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("document is not a JSON object")
     extra = set(doc) - {"format_version", "kind", "payload"}

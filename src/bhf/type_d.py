@@ -75,16 +75,31 @@ def validate_d(M: TypeDModule) -> list[str]:
                        f"does not end at {idems[a.target].value}")
     if out:
         return out
-    outs: dict[str, list[tuple[str, AlgebraElement]]] = defaultdict(list)
-    for s, t, c in M.arrows:
-        outs[s].append((t, c))
-    zero = AlgebraElement.ZERO
-    counts = Counter((s, u, p) for s, t, c in M.arrows for u, d in outs.get(t, ())
-                     if (p := _MUL[c][d]) is not zero)
-    odd = [key for key, n in counts.items() if n & 1]
+    odd = [(s, t, c) for s, _, c, t in _odd_terms([(s, (), c, t) for s, t, c in M.arrows])]
     for src, tgt, lab in sorted(odd, key=str):
         out.append(f"d^2 != 0: odd count {src} -> {lab.value} {tgt}")
     return out
+
+
+def _odd_terms(edges, splits=None) -> list[tuple]:
+    """The terms of the structure equations that occur an odd number of
+    times, as (source, inputs, coefficient, target) in no set order.
+
+    An edge is (source, inputs, coefficient, target); a type D arrow is one
+    without inputs.  The terms are the composable pairs of edges, inputs
+    joined and coefficients multiplied, and, given ``splits`` (each chord's
+    two-chord factorisations), each edge with one input split in two.
+    """
+    outs: dict[str, list[tuple]] = defaultdict(list)
+    for e in edges:
+        outs[e[0]].append(e)
+    zero = AlgebraElement.ZERO
+    counts = Counter((s, a + b, p, u) for s, a, c, t in edges for _, b, d, u in outs.get(t, ())
+                     if (p := _MUL[c][d]) is not zero)
+    if splits:
+        counts.update((s, a[:i] + split + a[i + 1:], c, t) for s, a, c, t in edges
+                      for i, x in enumerate(a) for split in splits[x])
+    return [key for key, n in counts.items() if n & 1]
 
 
 class _Graph:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .algebra import (AlgebraElement, CHORDS, Idempotent, idem_element,
                       is_idempotent, left_idem, multiply, right_idem)
 from .type_d import (DArrow, ReductionTrace, TypeDModule, _Graph, _isomorphic,
-                     _reduce, make_module)
+                     _odd_terms, _reduce, make_module)
 
 __all__ = [
     "DAAction", "TypeDAModule", "make_da",
@@ -188,26 +188,12 @@ def validate_da(B: TypeDAModule) -> list[str]:
                        f"{act.coeff.value} mismatches left idempotents")
     if out:
         return out
-    by_source: dict[str, list[DAAction]] = {}
-    for act in B.actions:
-        by_source.setdefault(act.source, []).append(act)
-    terms: dict[tuple[str, tuple], dict[tuple[str, AlgebraElement], int]] = {}
-    for act in B.actions:
-        found = [(act.args + nxt.args, nxt.target, multiply(act.coeff, nxt.coeff))
-                 for nxt in by_source.get(act.target, ())]
-        found += [(act.args[:i] + split + act.args[i + 1:], act.target, act.coeff)
-                  for i, a in enumerate(act.args) for split in _SPLITS[a]]
-        for seq, tgt, c in found:
-            if c is not A.ZERO:
-                counts = terms.setdefault((act.source, seq), {})
-                counts[tgt, c] = counts.get((tgt, c), 0) ^ 1
     rank = {x: i for i, x in enumerate(names)}
-    for x, seq in sorted(terms, key=lambda k: (rank[k[0]], len(k[1]),
-                                                [CHORDS.index(c) for c in k[1]])):
-        for (tgt, c), parity in sorted(terms[x, seq].items(), key=str):
-            if parity:
-                out.append(f"A-infinity relation fails at ({x}, "
-                           f"{[a.value for a in seq]}): odd term {c.value} {tgt}")
+    odd = sorted(_odd_terms(B.actions, _SPLITS), key=lambda k: (
+        rank[k[0]], len(k[1]), [CHORDS.index(c) for c in k[1]], str((k[3], k[2]))))
+    for x, seq, c, tgt in odd:
+        out.append(f"A-infinity relation fails at ({x}, "
+                   f"{[a.value for a in seq]}): odd term {c.value} {tgt}")
     return out
 
 

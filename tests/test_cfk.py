@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from bhf import cfk
 from bhf._linalg import rref
 from conftest import FIXTURE_NAMES, load_cfk, random_base_change, random_complex
+from staircase import mirror, torus_knot
 
 G = cfk.KnotGenerator
 Ar = cfk.KnotArrow
@@ -166,3 +168,183 @@ def test_random_base_changes_keep_validity():
                 assert cfk.validate(B) == []
                 assert maslov_homology_ranks(B) == want
     assert applied >= 50
+
+
+# the four elimination loops that one rref replaced, and the supports read
+# through them, as the reference
+def oracle_rref(vectors: list[int]) -> list[int]:
+    """Reduced basis of the span; deterministic, pivots on lowest set bit."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            low = b & -b
+            if v & low:
+                v ^= b
+        if v:
+            basis.append(v)
+            # keep basis reduced
+            low = v & -v
+            basis = [b ^ v if (b is not v and b & low) else b for b in basis]
+    basis.sort(key=lambda b: b & -b)
+    return basis
+
+
+def oracle_reduce_mod(v: int, basis: list[int]) -> int:
+    for b in basis:
+        if v & (b & -b):
+            v ^= b
+    return v
+
+
+def oracle_kernel_basis(columns: dict[int, int], nbits: int) -> list[int]:
+    """Kernel of the map sending unit vector e_j to columns[j] (missing -> 0).
+
+    Returns masks over the domain index space [0, nbits).
+    """
+    rows: list[tuple[int, int]] = []  # (image vector, domain mask)
+    for j in range(nbits):
+        rows.append((columns.get(j, 0), 1 << j))
+    basis: list[tuple[int, int]] = []
+    ker: list[int] = []
+    for img, dom in rows:
+        for bimg, bdom in basis:
+            low = bimg & -bimg
+            if img & low:
+                img ^= bimg
+                dom ^= bdom
+        if img:
+            basis.append((img, dom))
+        else:
+            ker.append(dom)
+    return ker
+
+
+def oracle_solve(equations: list[tuple[int, int]], nbits: int) -> int | None:
+    """Solve f . v_i = r_i over GF(2) for an unknown mask f of width nbits.
+
+    ``equations`` is a list of (vector mask, parity).  Returns the solution
+    with all free variables set to zero (deterministic), or None.
+    """
+    # Gaussian elimination on the system; variables are bits of f.
+    rows = [(v, r) for v, r in equations]
+    pivots: list[tuple[int, int, int]] = []  # (pivot bit, vector, rhs)
+    for v, r in rows:
+        for pb, pv, pr in pivots:
+            if v & pb:
+                v ^= pv
+                r ^= pr
+        if v:
+            pb = v & -v
+            # reduce earlier pivots
+            pivots = [(b, (vv ^ v if vv & pb else vv), (rr ^ r if vv & pb else rr))
+                      for b, vv, rr in pivots]
+            pivots.append((pb, v, r))
+        elif r:
+            return None
+    f = 0
+    for pb, pv, pr in pivots:
+        if pr:
+            f |= pb
+    return f
+
+
+def _oracle_matrix(C, family):
+    order = sorted(g.name for g in C.generators)
+    index = {n: i for i, n in enumerate(order)}
+    fam = C.is_horizontal if family == "dw" else C.is_vertical
+    cols: dict[int, int] = {}
+    for a in C.arrows:
+        if fam(a):
+            cols[index[a.source]] = cols.get(index[a.source], 0) ^ (1 << index[a.target])
+    return order, index, cols
+
+
+def oracle_homology_support(C, family):
+    order, index, cols = _oracle_matrix(C, family)
+    ker = oracle_kernel_basis(cols, len(order))
+    img = oracle_rref([v for v in cols.values() if v])
+    reduced = sorted({v for v in (oracle_reduce_mod(k, img) for k in ker) if v})
+    if len(reduced) != 1:
+        raise ValueError(
+            f"{family} homology has rank {len(reduced)}, expected 1")
+    mask = reduced[0]
+    return frozenset(n for n in order if mask & (1 << index[n]))
+
+
+def oracle_cohomology_support(C, family):
+    order, index, cols = _oracle_matrix(C, family)
+    rep = oracle_homology_support(C, family)
+    rep_mask = 0
+    for n in rep:
+        rep_mask |= 1 << index[n]
+    eqs = [(v, 0) for v in cols.values() if v] + [(rep_mask, 1)]
+    f = oracle_solve(eqs, len(order))
+    if f is None:
+        raise ValueError("no chain functional found")
+    return frozenset(n for n in order if f & (1 << index[n]))
+
+
+def _oracle_rank(C, family) -> int:
+    """Rank of the family's homology: dim ker - dim im."""
+    order, _, cols = _oracle_matrix(C, family)
+    return (len(oracle_kernel_basis(cols, len(order)))
+            - len(oracle_rref([v for v in cols.values() if v])))
+
+
+@pytest.fixture(scope="module")
+def support_corpus() -> list[cfk.KnotComplex]:
+    """Every fixture reduced after random_complex seeds 0-299, the
+    staircases of T(2,3)...T(11,12) with their mirrors, and one acyclic
+    pair, whose homology has rank 0 in both families."""
+    corpus = [cfk.reduce(random_complex(name, seed))
+              for name in FIXTURE_NAMES for seed in range(300)]
+    for p in range(2, 12):
+        corpus += [torus_knot(p, p + 1), mirror(torus_knot(p, p + 1))]
+    return corpus + [cfk.make_complex([G("x", 0, 0), G("y", 0, -1)], [Ar("x", "y", 0)])]
+
+
+@pytest.mark.parametrize("support, oracle", [
+    (cfk.homology_support, oracle_homology_support),
+    (cfk.cohomology_support, oracle_cohomology_support)])
+def test_supports_match_elimination_oracle(support_corpus, support, oracle):
+    seen = Counter()
+    for C in support_corpus:
+        for family in ("dw", "dz"):
+            try:
+                want = oracle(C, family)
+            except ValueError as e:
+                # the oracle names the count of distinct reduced cycles
+                says = f"{family} homology has rank {_oracle_rank(C, family)}, expected 1"
+                with pytest.raises(ValueError) as got:
+                    support(C, family)
+                assert str(got.value) == says
+                seen["raised", str(e) == says] += 1
+            else:
+                assert support(C, family) == want
+                seen["equal"] += 1
+    assert seen["equal"] and seen["raised", True] and seen["raised", False]
+
+
+def _rref_solve(equations: list[tuple[int, int]], nbits: int) -> int | None:
+    """cohomology_support's reading of one echelon form: the parity sits in
+    bit nbits, a row 1 << nbits reads 0 = 1, and the pivots of the rows with
+    parity 1 are the solution's bits."""
+    rows = rref([v | r << nbits for v, r in equations])
+    if 1 << nbits in rows:
+        return None
+    return sum(r & -r for r in rows if r >> nbits)
+
+
+def test_rref_matches_elimination_oracle():
+    rng = random.Random(11)
+    solved = Counter()
+    for _ in range(500):
+        nbits = rng.randint(1, 12)
+        eqs = [(rng.getrandbits(nbits), rng.getrandbits(1))
+               for _ in range(rng.randint(0, nbits + 4))]
+        vectors = [v for v, _ in eqs]
+        assert rref(vectors) == oracle_rref(vectors)
+        want = oracle_solve(eqs, nbits)
+        assert _rref_solve(eqs, nbits) == want
+        solved[want is not None] += 1
+    assert solved[True] >= 100 and solved[False] >= 100

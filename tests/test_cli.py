@@ -297,6 +297,11 @@ _MALFORMED = [
     (["build-h", "--script", "{}"], "a -> b -> c\n", "expected 'from -> to'"),
     (["reduce", "{ok}", "--script", "{}"], "a -> b -> c\n", "expected 'from -> to'"),
     (["tau", "{}"], "x: A=0 M=0\ny: A=0 M=0\n", "vertical homology has rank 2"),
+    # three horizontal cycles, one boundary: rank 3 - 1, whatever the cycles reduce to
+    (["cfd", "{}", "--algo", "basefree"],
+     "a: A=0 M=-1\nb: A=0 M=-1\nc: A=0 M=-1\nd: A=-1 M=-2\n"
+     "d -> U^1 a\nd -> U^1 b\nd -> U^1 c\n", "dw homology has rank 2, expected 1"),
+    (["validate", "{}"], '{"a":' * 5000 + "1" + "}" * 5000, "nested too deeply"),
     (["flip", "{}", "-o", "{nodir}"], TERSE_TREFOIL, "cannot write"),
     (["build-h", "--script", "{}"], _doc("script", {"pairs": ["ab"]}), "pairs must be"),
     (["build-h", "--script", "{}"], _doc("script", {"pairs": [{"x": 1, "y": 2}]}),
