@@ -94,7 +94,15 @@ def _parse(text: str, kind: str | None) -> tuple[str, object]:
         kind, payload = _open_envelope(text, kind)
         return kind, _PAYLOAD_READERS[kind](payload)
     kind = kind or _terse_kind(text)
-    return kind, _LINE_READERS[kind](text)
+    try:
+        return kind, _LINE_READERS[kind](text)
+    except ParseError as e:
+        bad = e
+    try:  # a JSON array, string or number is neither an envelope nor lines
+        json.loads(text)
+    except (json.JSONDecodeError, RecursionError):
+        raise bad from None
+    raise ParseError("document is not a JSON object")
 
 
 def parse_any(text: str, kind: str | None = None) -> tuple[str, object]:
@@ -122,6 +130,11 @@ _GEN_RE = re.compile(r"^(\S+)\s*:\s*A=(-?\d+)\s+M=(-?\d+)$")
 _ARROW_RE = re.compile(r"^(\S+)\s*->\s*(?:U\^(\d+)\s+)?(\S+)$")
 
 
+def _shown(line: str) -> str:
+    """The line quoted for an error message, cut after 80 characters."""
+    return repr(line if len(line) <= 80 else line[:80] + "…")
+
+
 def _cfk_lines(text: str) -> KnotComplex:
     gens: list[KnotGenerator] = []
     arrows: list[KnotArrow] = []
@@ -138,7 +151,7 @@ def _cfk_lines(text: str) -> KnotComplex:
             arrows.append(KnotArrow(m.group(1), m.group(3),
                                     int(m.group(2) or 0)))
             continue
-        raise ParseError(f"line {lineno}: cannot parse {line!r}")
+        raise ParseError(f"line {lineno}: cannot parse {_shown(line)}")
     return make_complex(gens, arrows)
 
 
@@ -231,7 +244,7 @@ def _script_lines(text: str) -> list[tuple[str, str]]:
             continue
         parts = [p.strip() for p in line.split("->")]
         if len(parts) != 2 or not all(parts):
-            raise ParseError(f"line {lineno}: expected 'from -> to', got {line!r}")
+            raise ParseError(f"line {lineno}: expected 'from -> to', got {_shown(line)}")
         pairs.append((parts[0], parts[1]))
     return pairs
 

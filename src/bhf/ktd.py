@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import cfk
 from .algebra import AlgebraElement, Idempotent, idem_element, is_idempotent
-from .type_d import (DArrow, TypeDModule, _freeze_d, _graph_d, _near_changes,
+from .type_d import (DArrow, TypeDModule, _freeze_d, _graph_d, _scored_changes,
                      isomorphic_d, make_module, minimize_d, reduce_d)
 from .type_da import box_da_d, builtin_H, builtin_tau_mu
 
@@ -323,7 +323,8 @@ def _match_up_to_base_change(left: TypeDModule, right: TypeDModule,
     Minimal modules are unique up to isomorphism but not up to
     permutation; explore arrow-count-preserving base changes of the left
     side (breadth-first, bounded) until the generator graphs coincide.
-    No change outside type_d._near_changes gives a new candidate.  Returns
+    Only the changes that type_d._scored_changes scores give a new
+    candidate, since every other one adds an arrow or none.  Returns
     the module matched and its mapping onto right, or None and whether a
     new candidate was dropped because ``cap`` of them were already kept.
     """
@@ -340,10 +341,12 @@ def _match_up_to_base_change(left: TypeDModule, right: TypeDModule,
                 continue
             # apply, freeze and undo only the changes that add no arrow
             G = _graph_d(M)
-            for gen, other, coeff in _near_changes(G, M.idems()):
+            idems = M.idems()
+            for gen, other, coeff, delta in ((gen, *change) for gen in sorted(idems)
+                                             for change in _scored_changes(G, idems, gen)):
                 if hit:
                     break
-                if G.change_delta(gen, other, coeff) > 0:
+                if delta > 0:
                     continue
                 toggled = G.base_change(gen, other, coeff)
                 cand = _freeze_d(G)

@@ -286,43 +286,93 @@ _COEFFS = {(l, r): [c for c in sorted(NONZERO, key=lambda e: e.value)
            for l in Idempotent for r in Idempotent}
 
 
-def _near_changes(G: _Graph, idems: dict[str, Idempotent]):
-    """The (gen, other, coeff) of base_change that can remove an arrow of G.
+# _LEFT_FACTOR[l][m] = c with c*l = m, _RIGHT_FACTOR[l][m] = c with l*c = m:
+# chord intervals concatenate, so at most one c does either
+_LEFT_FACTOR = {l: {_MUL[c][l]: c for c in NONZERO if _MUL[c][l] is not AlgebraElement.ZERO}
+                for l in AlgebraElement}
+_RIGHT_FACTOR = {l: {_MUL[l][c]: c for c in NONZERO if _MUL[l][c] is not AlgebraElement.ZERO}
+                 for l in AlgebraElement}
 
-    gen -> gen + coeff*other toggles only arrows gen -> y from other -> y
-    and x -> other from x -> gen: unless other is adjacent to gen or shares
-    an out- or in-neighbour with it, each toggle adds an arrow or undoes
-    one just added.  In search order; the caller edits G between yields
-    and restores it, so each neighbourhood is read before its triples.
+
+def _scored_changes(G: _Graph, idems: dict[str, Idempotent], gen: str) -> list:
+    """The (other, coeff, delta) of each base change gen -> gen + coeff*other
+    that can remove an arrow of G, in search order; delta is change_delta's.
+
+    The change toggles A = {gen -> y: coeff*l} over the arrows other -> y: l
+    and B = {x -> other: l*coeff} over the arrows x -> gen: l.  A hit is a
+    toggled arrow that is present: gen -> y: coeff*l beside other -> y: l,
+    or x -> other: l*coeff beside x -> gen: l, found in one pass over gen's
+    two-step neighbourhood.  Then delta = |A| + |B| - 2*hits, and a change
+    without hits toggles only absent arrows, adding them or none, and is
+    left out.  Two cases are scored by change_delta instead: an arrow
+    other -> gen: l puts a loop at gen into A that B then reads, and loops
+    at both gen and other put gen -> other into both.  There a change
+    without hits is left out too unless coeff is an idempotent, since the
+    loop adds to B only gen -> other: coeff*l*coeff, which is zero for a
+    chord.  The list is built before it is returned, so the caller may
+    edit G between items if it restores it.
     """
-    for gen in sorted(idems):
-        outs = {y for y, _ in G.out[gen]}
-        ins = {x for x, _ in G.inc[gen]}
-        near = (outs | ins | {o for y in outs for o, _ in G.inc[y]}
-                | {o for x in ins for o, _ in G.out[x]})
-        for other in sorted(near - {gen}):
-            for coeff in _COEFFS[idems[gen], idems[other]]:
-                yield gen, other, coeff
+    zero = AlgebraElement.ZERO
+    hits: dict[tuple, int] = {}
+    for y, (args, m) in G.out[gen]:
+        for o, (a, l) in G.inc[y]:
+            if o != gen and a == args and (c := _LEFT_FACTOR[l].get(m)):
+                hits[o, c] = hits.get((o, c), 0) + 1
+    inc = G.inc[gen]
+    for x, (args, l) in inc:
+        for o, (a, m) in G.out[x]:
+            if o != gen and a == args and (c := _RIGHT_FACTOR[l].get(m)):
+                hits[o, c] = hits.get((o, c), 0) + 1
+    into = {x for x, _ in inc}
+    looped = gen in into
+    scored = []
+    for other in sorted((into | {o for o, _ in hits}) - {gen}):
+        exact = other in into or looped and any(y == other for y, _ in G.out[other])
+        for c in _COEFFS[idems[gen], idems[other]]:
+            k = hits.get((other, c), 0)
+            if exact and (k or c in _UNITS):
+                scored.append((other, c, G.change_delta(gen, other, c)))
+            elif k:
+                size_a = sum(_MUL[c][lab] is not zero for _, (_, lab) in G.out[other])
+                size_b = sum(_MUL[lab][c] is not zero for _, (_, lab) in inc)
+                scored.append((other, c, size_a + size_b - 2 * k))
+    return scored
 
 
 def minimize_d(M: TypeDModule) -> TypeDModule:
     """Greedily shrink the arrow set of a reduced module by base changes.
 
     Homotopy reduction can leave arrows that an invertible change of basis
-    removes; repeatedly apply the first strictly-improving change until
-    none exists.  The output is isomorphic to the input.  Only the changes
-    of _near_changes are tried: no other lowers the arrow count, so the
-    output is that of the search over every pair.  Each change is scored
-    by _Graph.change_delta and only an improving one is applied; every
-    step removes an arrow, so there are at most len(M.arrows) of them.
+    removes; repeatedly apply the first strictly-improving change, in the
+    order of generators and then of _scored_changes, until none exists.
+    The output is isomorphic to the input.  No change that _scored_changes
+    leaves out lowers the arrow count, so the output is that of the search
+    over every pair; every step removes an arrow, so there are at most
+    len(M.arrows) of them.  A generator with no improving change stays
+    clean, and is not scored again, until a change toggles an arrow with an
+    end within two steps of it: only then can one of its scores, or whether
+    a change is scored, differ.  The graphs before and after the change
+    differ only in arrows between those ends, so the generators two steps
+    from them are the same in both.
     """
     idems = M.idems()
     G = _graph_d(M)
+    names = sorted(idems)
+    clean: set = set()
     while True:
-        for gen, other, coeff in _near_changes(G, idems):
-            if G.change_delta(gen, other, coeff) < 0:
-                G.base_change(gen, other, coeff)
-                break
+        for gen in names:
+            if gen in clean:
+                continue
+            best = next(((other, c) for other, c, delta in _scored_changes(G, idems, gen)
+                         if delta < 0), None)
+            if best is None:
+                clean.add(gen)
+                continue
+            near = {v for s, t, _ in G.base_change(gen, *best) for v in (s, t)}
+            for _ in range(2):  # the generators two arrows away, either way round
+                near |= {v for u in near for v, _ in (*G.out[u], *G.inc[u])}
+            clean -= near
+            break
         else:
             return _freeze_d(G)
 

@@ -114,8 +114,8 @@ def base_change(M, gen, other, coeff):
 
 def every_change(idems):
     """Every (gen, other, coeff) of a valid base change (gen != other and
-    coeff from iota(gen) to iota(other)), in search order;
-    type_d._near_changes prunes this to a subsequence."""
+    coeff from iota(gen) to iota(other)), in search order; type_d's
+    _scored_changes, generator by generator, keeps a subsequence of it."""
     names = sorted(idems)
     for gen in names:
         for other in names:

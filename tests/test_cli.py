@@ -302,6 +302,9 @@ _MALFORMED = [
      "a: A=0 M=-1\nb: A=0 M=-1\nc: A=0 M=-1\nd: A=-1 M=-2\n"
      "d -> U^1 a\nd -> U^1 b\nd -> U^1 c\n", "dw homology has rank 2, expected 1"),
     (["validate", "{}"], '{"a":' * 5000 + "1" + "}" * 5000, "nested too deeply"),
+    (["validate", "{}"], "[1,2]", "document is not a JSON object"),
+    # too deep to decode as JSON, read as terse lines: the line is cut short
+    (["validate", "{}"], "[" * 5000 + "]" * 5000, "cannot parse '" + "[" * 80 + "…'"),
     (["flip", "{}", "-o", "{nodir}"], TERSE_TREFOIL, "cannot write"),
     (["build-h", "--script", "{}"], _doc("script", {"pairs": ["ab"]}), "pairs must be"),
     (["build-h", "--script", "{}"], _doc("script", {"pairs": [{"x": 1, "y": 2}]}),

@@ -1,12 +1,15 @@
 import collections
+import functools
+import itertools
 import random
 
 import pytest
 
-from bhf import cfk, ktd, type_d, type_da
+from bhf import cfk, io_formats, ktd, type_d, type_da
 from bhf.algebra import (NONZERO, AlgebraElement as A, Idempotent as I, left_idem,
                          multiply, right_idem)
 from conftest import FIXTURE_NAMES, base_change, every_change, load_cfk
+from staircase import mirror, torus_knot
 
 DArrow = type_d.DArrow
 
@@ -334,29 +337,151 @@ def test_to_dot(boxed):
     assert dot == type_d.to_dot(R)
 
 
-def test_near_changes_skip_only_changes_that_remove_no_arrow():
+def _check_scored_changes(M):
+    """_scored_changes, over every generator of M, leaves the graph as it
+    was and gives an in-order subsequence of every_change whose deltas are
+    change_delta's and the change in count that base_change makes; each
+    change it leaves out toggles only absent edges an odd number of times,
+    so it adds arrows or changes nothing."""
+    G = type_d._graph_d(M)
+    idems = M.idems()
+    scored = [(gen, *change) for gen in sorted(idems)
+              for change in type_d._scored_changes(G, idems, gen)]
+    assert type_d._freeze_d(G) == M and G.count == len(M.arrows)
+    oracle = list(every_change(idems))
+    rest = iter(oracle)
+    assert all(t[:3] in rest for t in scored)  # an in-order subsequence
+    deltas = {t[:3]: t[3] for t in scored}
+    for change in oracle:
+        delta = deltas.get(change)
+        if delta is not None:
+            assert G.change_delta(*change) == delta, change
+        toggled = G.base_change(*change)
+        if delta is not None:
+            assert G.count - len(M.arrows) == delta, change
+        else:
+            odd = [e for e, k in collections.Counter(toggled).items() if k % 2]
+            assert G.count - len(M.arrows) == len(odd), change
+        for e in toggled:
+            G.toggle(*e)
+    assert type_d._freeze_d(G) == M  # every undo restored the graph
+
+
+@functools.lru_cache(maxsize=None)
+def scrambled():
+    """(R, M) pairs: R a reduced base-free module of a fixture or of T(2,3),
+    T(3,4), T(4,5) or a mirror, M it after 1-12 random base changes drawn by
+    random.Random(seed), seeds 0-29.  The changes leave rho23 and rho12
+    loops, which no reduction of a fixture has."""
+    complexes = [load_cfk(name) for name in FIXTURE_NAMES] + [
+        f(torus_knot(p, p + 1)) for p in (2, 3, 4) for f in (lambda C: C, mirror)]
+    pairs = []
+    for C in complexes:
+        R = type_d.reduce_d(ktd.ktd_basefree(C))[0]
+        idems = R.idems()
+        names = sorted(idems)
+        for seed in range(30):
+            rng = random.Random(seed)
+            G = type_d._graph_d(R)
+            for _ in range(rng.randint(1, 12)):
+                gen, other = rng.sample(names, 2)
+                G.base_change(gen, other, rng.choice(type_d._COEFFS[idems[gen], idems[other]]))
+            pairs.append((R, type_d._freeze_d(G)))
+    return pairs
+
+
+def test_scored_changes_skip_only_changes_that_remove_no_arrow():
     H = type_da.builtin_H()
     for name in FIXTURE_NAMES:
         D = ktd.ktd_basefree(load_cfk(name))
         for M in (type_da.box_da_d(H, D), D):
             for order in [None, *range(20)]:
-                R = type_d.reduce_d(M, order)[0]
-                G = type_d._graph_d(R)
-                oracle = list(every_change(R.idems()))
-                near = list(type_d._near_changes(G, R.idems()))
-                rest = iter(oracle)
-                assert all(t in rest for t in near), (name, order)  # subsequence
-                kept = set(near)
-                for gen, other, coeff in [t for t in oracle if t not in kept]:
-                    toggled = G.base_change(gen, other, coeff)
-                    # the arrow set changed iff some edge was toggled an odd
-                    # number of times
-                    odd = [e for e, k in collections.Counter(toggled).items() if k % 2]
-                    assert not odd or G.count > len(R.arrows), (name, order, gen, other)
-                    for e in toggled:
-                        G.toggle(*e)
-                    assert G.count == len(R.arrows)
-                assert type_d._freeze_d(G) == R  # every undo restored the graph
+                _check_scored_changes(type_d.reduce_d(M, order)[0])
+    looped = 0
+    for _, M in scrambled():
+        _check_scored_changes(M)
+        looped += any(a.source == a.target for a in M.arrows)
+    assert looped > 100
+
+
+# The greedy search and the base-change match as they were before
+# _scored_changes, scoring each change of _near_changes by change_delta: the
+# oracle that the scorer and the clean set of minimize_d change nothing.
+def _near_changes(G, idems):
+    for gen in sorted(idems):
+        outs = {y for y, _ in G.out[gen]}
+        ins = {x for x, _ in G.inc[gen]}
+        near = (outs | ins | {o for y in outs for o, _ in G.inc[y]}
+                | {o for x in ins for o, _ in G.out[x]})
+        for other in sorted(near - {gen}):
+            for coeff in type_d._COEFFS[idems[gen], idems[other]]:
+                yield gen, other, coeff
+
+
+def _minimize_by_scan(M):
+    idems = M.idems()
+    G = type_d._graph_d(M)
+    while True:
+        for gen, other, coeff in _near_changes(G, idems):
+            if G.change_delta(gen, other, coeff) < 0:
+                G.base_change(gen, other, coeff)
+                break
+        else:
+            return type_d._freeze_d(G)
+
+
+def _match_by_scan(left, right, depth=ktd.MATCH_DEPTH, cap=ktd.MATCH_CAP):
+    seen = {left.arrows}
+    frontier = [left]
+    hit = False
+    for level in range(depth + 1):
+        nxt = []
+        for M in frontier:
+            mapping = type_d.isomorphic_d(M, right)
+            if mapping is not None:
+                return M, mapping
+            if level == depth:
+                continue
+            G = type_d._graph_d(M)
+            for gen, other, coeff in _near_changes(G, M.idems()):
+                if hit:
+                    break
+                if G.change_delta(gen, other, coeff) > 0:
+                    continue
+                toggled = G.base_change(gen, other, coeff)
+                cand = type_d._freeze_d(G)
+                if cand.arrows not in seen and not (hit := len(seen) > cap):
+                    seen.add(cand.arrows)
+                    nxt.append(cand)
+                for e in toggled:
+                    G.toggle(*e)
+        frontier = nxt
+    return None, hit
+
+
+
+
+
+
+
+
+def test_greedy_and_match_agree_with_the_scan_of_every_near_change():
+    # the match on every fourth module, with a cap that some searches hit
+    minimal = {}
+    removed, flags = 0, collections.Counter()
+    for i, (R, M) in enumerate(scrambled()):
+        out = type_d.minimize_d(M)
+        assert io_formats.write_typed(out) == io_formats.write_typed(_minimize_by_scan(M)), i
+        removed += len(M.arrows) - len(out.arrows)
+        if i % 4:
+            continue
+        if R not in minimal:
+            minimal[R] = type_d.minimize_d(R)
+        found = ktd._match_up_to_base_change(out, minimal[R], cap=20)
+        assert found == _match_by_scan(out, minimal[R], cap=20), i
+        flags[found[1] if found[0] is None else "matched"] += 1
+    assert flags[True] and flags[False] and flags["matched"]
+    assert removed > 1000
 
 
 def _check_change_delta(M):
@@ -390,12 +515,17 @@ def test_change_delta_matches_base_change():
 def test_change_delta_reads_the_loop_toggled_at_gen():
     # with an arrow other -> gen, gen -> gen + c*other first toggles a loop
     # at gen, which base_change then reads among the arrows into gen: rho23
-    # loops at the iota1 generators and rho12 loops at the iota0 ones
+    # loops at the iota1 generators and rho12 loops at the iota0 ones; with
+    # loops at both gen and other, it toggles gen -> other twice, as for
+    # z -> z + x and q -> q + p, which share no arrow other -> gen
     gens = [("x", I.I1), ("y", I.I1), ("z", I.I1), ("p", I.I0), ("q", I.I0)]
     arrows = [DArrow("y", "x", A.R23), DArrow("x", "y", A.R23),
               DArrow("z", "x", A.R23), DArrow("q", "p", A.R12),
               DArrow("p", "x", A.R1), DArrow("q", "y", A.R3)]
-    loops = [DArrow("x", "x", A.R23), DArrow("p", "p", A.R12)]
-    for extra in ([], loops[:1], loops[1:], loops):
-        M = type_d.make_module(gens, arrows + extra)
-        assert _check_change_delta(M) == 40
+    loops = [DArrow("x", "x", A.R23), DArrow("p", "p", A.R12),
+             DArrow("z", "z", A.R23), DArrow("q", "q", A.R12)]
+    for k in range(len(loops) + 1):
+        for extra in itertools.combinations(loops, k):
+            M = type_d.make_module(gens, arrows + list(extra))
+            assert _check_change_delta(M) == 40
+            _check_scored_changes(M)
