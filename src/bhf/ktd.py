@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from . import cfk
 from .algebra import AlgebraElement, Idempotent, idem_element, is_idempotent
-from .type_d import (DArrow, TypeDModule, _freeze_d, _graph_d, _scored_changes,
-                     isomorphic_d, make_module, minimize_d, reduce_d)
+from .type_d import (DArrow, TypeDModule, _freeze_d, _graph_d, _index, _isomorphic,
+                     _scored_changes, make_module, minimize_d, reduce_d)
 from .type_da import box_da_d, builtin_H, builtin_tau_mu
 
 __all__ = [
@@ -331,10 +331,11 @@ def _match_up_to_base_change(left: TypeDModule, right: TypeDModule,
     seen = {left.arrows}
     frontier = [left]
     hit = False
+    index = _index(right.generators, right.arrows)  # right is fixed: index it once
     for level in range(depth + 1):
         nxt = []
         for M in frontier:
-            mapping = isomorphic_d(M, right)
+            mapping = _isomorphic(M.generators, M.arrows, right.generators, right.arrows, index)
             if mapping is not None:
                 return M, mapping
             if level == depth:

@@ -13,6 +13,7 @@ import random
 from bisect import bisect_left, insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import product
 from typing import NamedTuple
 
 from .algebra import (_MUL, _UNITS, NONZERO, AlgebraElement, Idempotent, idem_element,
@@ -382,55 +383,76 @@ def isomorphic_d(M: TypeDModule, N: TypeDModule) -> dict[str, str] | None:
 
     Returns the mapping M -> N, or None when no permutation-level
     isomorphism exists (base-change isomorphisms are not attempted).
+    Equal modules match by the identity; see _isomorphic.
     """
-    def form(X: TypeDModule) -> tuple:
-        return ({n: (i.value,) for n, i in X.generators},
-                [(a.source, a.target, a.label.value) for a in X.arrows])
-
-    return _isomorphic(*form(M), *form(N))
+    return _isomorphic(M.generators, M.arrows, N.generators, N.arrows)
 
 
-def _isomorphic(gens_m: dict, edges_m: list, gens_n: dict,
-                edges_n: list) -> dict[str, str] | None:
-    """Backtracking bijection search shared by isomorphic_d and isomorphic_da.
+# a small int per algebra element and per generator's idempotents, one or
+# two of them: signatures sort in C
+_CODE = {x: i for i, x in enumerate((*AlgebraElement, *product(Idempotent, repeat=1),
+                                     *product(Idempotent, repeat=2)))}
 
-    ``gens`` maps each generator name to its idempotents and ``edges`` are
-    distinct (source, target, label) triples, all keyed on value strings.
-    Generators are tried most-constrained first (rarest signature, then
-    name), each against its candidates in name order.
+
+def _index(gens, edges) -> tuple:
+    """Adjacency (neighbour, code of the label), signatures and signature
+    classes of a module, read from its generator tuples (name, *idempotents)
+    and its DArrows, or its DAActions with the codes of the inputs and the
+    coeff as the label.  A signature codes a generator's idempotents and the
+    (label, idempotents) of its arrows out and in; codes are injective, as
+    equality needs."""
+    if edges and len(edges[0]) == 4:
+        edges = [(s, t, (*map(_CODE.get, args), _CODE[c])) for s, args, c, t in edges]
+    else:
+        edges = [(s, t, _CODE[c]) for s, t, c in edges]
+    idems = {g[0]: _CODE[g[1:]] for g in gens}
+    out: dict[str, set] = {n: set() for n in idems}
+    inc: dict[str, set] = {n: set() for n in idems}
+    for s, t, c in edges:
+        out[s].add((t, c))
+        inc[t].add((s, c))
+    sig = {n: (i, tuple(sorted([(c, idems[t]) for t, c in out[n]])),
+               tuple(sorted([(c, idems[s]) for s, c in inc[n]])))
+           for n, i in idems.items()}
+    by_sig: dict[tuple, list] = defaultdict(list)
+    for n in sorted(sig):
+        by_sig[sig[n]].append(n)
+    return out, inc, sig, by_sig
+
+
+def _isomorphic(gens_m: tuple, edges_m: tuple, gens_n: tuple, edges_n: tuple,
+                index_n: tuple | None = None) -> dict[str, str] | None:
+    """Backtracking bijection search shared by isomorphic_d and isomorphic_da
+    on sorted generator and edge tuples; ``index_n`` is _index(gens_n, edges_n)
+    when given.  Equal modules match by the identity, the mapping the search
+    finds first.  Generators are placed rarest signature, then name, first,
+    and then breadth-first along the arrows.  One reached from a placed
+    generator (its anchor) is tried against the images of that arrow at the
+    anchor's image with its signature, in name order: any other candidate
+    fails kept.  A generator that starts a component is tried against its
+    whole signature class.
     """
+    if gens_m == gens_n and edges_m == edges_n:
+        return {g[0]: g[0] for g in gens_m}
     if len(gens_m) != len(gens_n) or len(edges_m) != len(edges_n):
         return None
-
-    def index(gens, edges):
-        out: dict[str, set] = {n: set() for n in gens}
-        inc: dict[str, set] = {n: set() for n in gens}
-        for s, t, lab in edges:
-            out[s].add((t, lab))
-            inc[t].add((s, lab))
-        sig = {n: (gens[n], tuple(sorted((lab, gens[t]) for t, lab in out[n])),
-                   tuple(sorted((lab, gens[s]) for s, lab in inc[n])))
-               for n in gens}
-        return out, inc, sig
-
-    out_m, inc_m, sig_m = index(gens_m, edges_m)
-    out_n, inc_n, sig_n = index(gens_n, edges_n)
-    freq = Counter(sig_m.values())
-    if freq != Counter(sig_n.values()):
+    out_m, inc_m, sig_m, by_sig_m = _index(gens_m, edges_m)
+    out_n, inc_n, sig_n, by_sig = index_n or _index(gens_n, edges_n)
+    freq = {s: len(ns) for s, ns in by_sig_m.items()}
+    if freq != {s: len(ns) for s, ns in by_sig.items()}:
         return None
-    # breadth-first along the arrows, so that each generator but the first
-    # of its component meets an image already fixed and kept prunes at once
-    placed: dict[str, None] = {}  # an insertion-ordered set
-    for root in sorted(sig_m, key=lambda n: (freq[sig_m[n]], n)):
-        queue = [root]
-        for n in queue:
+    # breadth-first along the arrows, each generator with the arrow from a
+    # placed generator that first reached it
+    placed: dict[str, tuple | None] = {}  # insertion-ordered
+    for _, root in sorted((freq[s], n) for n, s in sig_m.items()):
+        queue = [(root, None)]
+        for n, via in queue:
             if n not in placed:
-                placed[n] = None
-                queue += sorted({t for t, _ in out_m[n]} | {s for s, _ in inc_m[n]})
-    order = list(placed)
-    by_sig = defaultdict(list)
-    for k in sorted(sig_n):
-        by_sig[sig_n[k]].append(k)
+                placed[n] = via
+                near = {s: (n, inc_n, c) for s, c in inc_m[n]}
+                near.update((t, (n, out_n, c)) for t, c in out_m[n])
+                queue += sorted(near.items())
+    order = list(placed.items())
     mapping: dict[str, str] = {}
     inv: dict[str, str] = {}
 
@@ -449,8 +471,11 @@ def _isomorphic(gens_m: dict, edges_m: list, gens_n: dict,
     def search(i: int) -> bool:
         if i == len(order):
             return True
-        n = order[i]
-        for k in by_sig[sig_m[n]]:
+        n, via = order[i]  # via: (anchor, N's edges at the anchor's image, code)
+        sig = sig_m[n]
+        candidates = by_sig[sig] if via is None else sorted(
+            k for k, c in via[1][mapping[via[0]]] if c == via[2] and sig_n[k] == sig)
+        for k in candidates:
             if (k in inv or not kept(n, k, out_m, inc_m, out_n, inc_n, mapping)
                     or not kept(k, n, out_n, inc_n, out_m, inc_m, inv)):
                 continue

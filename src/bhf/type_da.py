@@ -283,10 +283,7 @@ def reduce_da(B: TypeDAModule, order=None, arity_cap: int = 8
 
 
 def isomorphic_da(B: TypeDAModule, C: TypeDAModule) -> dict[str, str] | None:
-    """Permutation-level isomorphism search for DA bimodules."""
-    def form(X: TypeDAModule) -> tuple:
-        return ({n: (l.value, r.value) for n, l, r in X.generators},
-                [(a.source, a.target, (tuple(x.value for x in a.args), a.coeff.value))
-                 for a in X.actions])
-
-    return _isomorphic(*form(B), *form(C))
+    """Permutation-level isomorphism search for DA bimodules: the search of
+    isomorphic_d, with an action's inputs and output as its label.  Equal
+    bimodules match by the identity."""
+    return _isomorphic(B.generators, B.actions, C.generators, C.actions)
