@@ -36,7 +36,7 @@ class ParseError(ValueError):
     pass
 
 
-def _open_envelope(text: str, kind: str | None = None) -> tuple[str, dict]:
+def _open_envelope(text: str, kind: str | None) -> tuple[str, dict]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -87,9 +87,9 @@ def _terse_kind(text: str) -> str:
     return "script" if "->" in code and ":" not in code else "cfk"
 
 
-def _parse(text: str, kind: str | None) -> tuple[str, object]:
-    """Decode text once and read it as a document of kind, or of the kind
-    its envelope names or its terse lines show."""
+def parse_any(text: str, kind: str | None = None) -> tuple[str, object]:
+    """The (kind, object) of a document of kind if given, or else of the
+    kind its envelope names or its terse lines show; text is decoded once."""
     if text.lstrip().startswith("{") or kind in ("type_d", "type_da"):
         kind, payload = _open_envelope(text, kind)
         return kind, _PAYLOAD_READERS[kind](payload)
@@ -105,25 +105,20 @@ def _parse(text: str, kind: str | None) -> tuple[str, object]:
     raise ParseError("document is not a JSON object")
 
 
-def parse_any(text: str, kind: str | None = None) -> tuple[str, object]:
-    """The (kind, object) of a document of any kind, or of kind if given."""
-    return _parse(text, kind)
-
-
 def parse_cfk(text: str) -> KnotComplex:
-    return _parse(text, "cfk")[1]
+    return parse_any(text, "cfk")[1]
 
 
 def parse_typed(text: str) -> TypeDModule:
-    return _parse(text, "type_d")[1]
+    return parse_any(text, "type_d")[1]
 
 
 def parse_typeda(text: str) -> TypeDAModule:
-    return _parse(text, "type_da")[1]
+    return parse_any(text, "type_da")[1]
 
 
 def parse_script(text: str) -> list[tuple[str, str]]:
-    return _parse(text, "script")[1]
+    return parse_any(text, "script")[1]
 
 
 _GEN_RE = re.compile(r"^(\S+)\s*:\s*A=(-?\d+)\s+M=(-?\d+)$")

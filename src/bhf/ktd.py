@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from . import cfk
 from .algebra import AlgebraElement, Idempotent, idem_element, is_idempotent
-from .type_d import (DArrow, TypeDModule, _freeze_d, _graph_d, _index, _isomorphic,
-                     _scored_changes, make_module, minimize_d, reduce_d)
+from .type_d import (MATCH_CAP, MATCH_DEPTH, DArrow, TypeDModule, _match_up_to_base_change,
+                     make_module, minimize_d, reduce_d)
 from .type_da import box_da_d, builtin_H, builtin_tau_mu
 
 __all__ = [
@@ -42,31 +42,31 @@ def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
     cfk._require_model(C)
     if not (cfk.is_vertically_simplified(C) and cfk.is_horizontally_simplified(C)):
         raise ValueError("complex must be simultaneously simplified")
-    gens: list[tuple[str, Idempotent]] = []
+    gens: list[tuple[str, Idempotent]] = [(g.name, Idempotent.I0) for g in C.generators]
     arrows: list[DArrow] = []
+
+    def chain(prefix: str, length: int, head: str, first: A, tail: str, last: A,
+              down: bool) -> None:
+        """iota1 generators prefix.1 ... prefix.length joined by rho23
+        arrows, which point toward prefix.1 when down; head -first-> the
+        first, and tail -last-> the last when down, else the last -last-> tail."""
+        ks = [f"{prefix}.{i}" for i in range(1, length + 1)]
+        gens.extend((k, Idempotent.I1) for k in ks)
+        arrows.append(DArrow(head, ks[0], first))
+        arrows.extend(DArrow(y, x, A.R23) if down else DArrow(x, y, A.R23)
+                      for x, y in zip(ks, ks[1:]))
+        arrows.append(DArrow(tail, ks[-1], last) if down else DArrow(ks[-1], tail, last))
+
     v_touched: set[str] = set()
     h_touched: set[str] = set()
-    for g in C.generators:
-        gens.append((g.name, Idempotent.I0))
     for a in C.arrows:
         if C.is_vertical(a):
             v_touched |= {a.source, a.target}
-            length = C.alexander_drop(a)
-            ks = [f"v.{a.source}.{a.target}.{i}" for i in range(1, length + 1)]
-            gens += [(k, Idempotent.I1) for k in ks]
-            arrows.append(DArrow(a.source, ks[0], A.R1))
-            for i in range(length - 1):
-                arrows.append(DArrow(ks[i + 1], ks[i], A.R23))
-            arrows.append(DArrow(a.target, ks[-1], A.R123))
+            chain(f"v.{a.source}.{a.target}", C.alexander_drop(a),
+                  a.source, A.R1, a.target, A.R123, True)
         if C.is_horizontal(a):
             h_touched |= {a.source, a.target}
-            length = a.u_power
-            ls = [f"h.{a.source}.{a.target}.{i}" for i in range(1, length + 1)]
-            gens += [(l, Idempotent.I1) for l in ls]
-            arrows.append(DArrow(a.source, ls[0], A.R3))
-            for i in range(length - 1):
-                arrows.append(DArrow(ls[i], ls[i + 1], A.R23))
-            arrows.append(DArrow(ls[-1], a.target, A.R2))
+            chain(f"h.{a.source}.{a.target}", a.u_power, a.source, A.R3, a.target, A.R2, False)
     xi_v = [g.name for g in C.generators if g.name not in v_touched]
     xi_h = [g.name for g in C.generators if g.name not in h_touched]
     if len(xi_v) != 1 or len(xi_h) != 1:
@@ -80,34 +80,25 @@ def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
     two_tau = by[xv].alexander - by[xh].alexander
     n = two_tau - 3 if framing is None else framing
     if n < two_tau:
-        m = two_tau - n
-        mus = [f"u.{i}" for i in range(1, m + 1)]
-        gens += [(mu, Idempotent.I1) for mu in mus]
-        arrows.append(DArrow(xv, mus[0], A.R1))
-        for i in range(m - 1):
-            arrows.append(DArrow(mus[i + 1], mus[i], A.R23))
-        arrows.append(DArrow(xh, mus[-1], A.R3))
+        chain("u", two_tau - n, xv, A.R1, xh, A.R3, True)
     elif n == two_tau:
         arrows.append(DArrow(xv, xh, A.R12))
     else:
-        m = n - two_tau
-        mus = [f"u.{i}" for i in range(1, m + 1)]
-        gens += [(mu, Idempotent.I1) for mu in mus]
-        arrows.append(DArrow(xv, mus[0], A.R123))
-        for i in range(m - 1):
-            arrows.append(DArrow(mus[i], mus[i + 1], A.R23))
-        arrows.append(DArrow(mus[-1], xh, A.R2))
+        chain("u", n - two_tau, xv, A.R123, xh, A.R2, False)
     tags = {META: {"algo": "basis", "framing": n}}
     return make_module(gens, arrows, tags)
 
 
 def _width(C: cfk.KnotComplex) -> int:
-    return max(max(abs(g.alexander) for g in C.generators), 0)
+    return max(abs(g.alexander) for g in C.generators)
 
 
 def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     """Base-free type D module; describes the complement with framing -n."""
     cfk._require_model(C)
+    # read first: the homologies have rank one, so C has a generator
+    f_w = cfk.cohomology_support(C, "dw")
+    rep_z = cfk.homology_support(C, "dz")
     t = _width(C)
     if n is None:
         n = 4 * t + 3
@@ -151,8 +142,6 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
 
     horiz = [a for a in C.arrows if C.is_horizontal(a)]
     vert = [a for a in C.arrows if C.is_vertical(a)]
-    f_w = cfk.cohomology_support(C, "dw")
-    rep_z = cfk.homology_support(C, "dz")
 
     arrows: list[DArrow] = []
     present = {g for g, _ in gens}
@@ -311,53 +300,6 @@ def _ktd(C: cfk.KnotComplex, algo: str, framing: int | None) -> TypeDModule | No
     if algo == "basefree":
         return ktd_basefree(C, framing)
     raise ValueError(f"unknown algorithm {algo!r}")
-
-
-MATCH_DEPTH, MATCH_CAP = 2, 4000  # base changes deep, candidate modules kept
-
-
-def _match_up_to_base_change(left: TypeDModule, right: TypeDModule,
-                             depth: int = MATCH_DEPTH, cap: int = MATCH_CAP):
-    """Permutation isomorphism search, allowing a few changes of basis.
-
-    Minimal modules are unique up to isomorphism but not up to
-    permutation; explore arrow-count-preserving base changes of the left
-    side (breadth-first, bounded) until the generator graphs coincide.
-    Only the changes that type_d._scored_changes scores give a new
-    candidate, since every other one adds an arrow or none.  Returns
-    the module matched and its mapping onto right, or None and whether a
-    new candidate was dropped because ``cap`` of them were already kept.
-    """
-    seen = {left.arrows}
-    frontier = [left]
-    hit = False
-    index = _index(right.generators, right.arrows)  # right is fixed: index it once
-    for level in range(depth + 1):
-        nxt = []
-        for M in frontier:
-            mapping = _isomorphic(M.generators, M.arrows, right.generators, right.arrows, index)
-            if mapping is not None:
-                return M, mapping
-            if level == depth:
-                continue
-            # apply, freeze and undo only the changes that add no arrow
-            G = _graph_d(M)
-            idems = M.idems()
-            for gen, other, coeff, delta in ((gen, *change) for gen in sorted(idems)
-                                             for change in _scored_changes(G, idems, gen)):
-                if hit:
-                    break
-                if delta > 0:
-                    continue
-                toggled = G.base_change(gen, other, coeff)
-                cand = _freeze_d(G)
-                if cand.arrows not in seen and not (hit := len(seen) > cap):
-                    seen.add(cand.arrows)
-                    nxt.append(cand)
-                for e in toggled:
-                    G.toggle(*e)
-        frontier = nxt
-    return None, hit
 
 
 def _carries(mapping: dict[str, str], M: TypeDModule, N: TypeDModule) -> bool:

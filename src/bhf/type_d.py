@@ -103,6 +103,9 @@ def _odd_terms(edges, splits=None) -> list[tuple]:
     return [key for key, n in counts.items() if n & 1]
 
 
+ARITY_CAP = 8  # inputs a cancellation may give one action
+
+
 class _Graph:
     """Mutable module indexed by adjacency, edited in place and frozen once.
 
@@ -128,7 +131,6 @@ class _Graph:
             if not label[0] and label[1] in _UNITS:
                 self.diff.append((s, t))
         self.diff.sort()
-        self.count = sum(map(len, self.out.values()))
 
     def toggle(self, s: str, t: str, label: tuple) -> None:
         """Add the edge if absent, remove it if present (addition mod 2)."""
@@ -137,17 +139,15 @@ class _Graph:
         if (t, label) in out:
             out.remove((t, label))
             self.inc[t].remove((s, label))
-            self.count -= 1
             if differential:
                 del self.diff[bisect_left(self.diff, (s, t))]
         else:
             out.add((t, label))
             self.inc[t].add((s, label))
-            self.count += 1
             if differential:
                 insort(self.diff, (s, t))
 
-    def cancel(self, s: str, t: str, arity_cap: int = 8) -> None:
+    def cancel(self, s: str, t: str) -> None:
         """Cancel the differential edge s -> t (the cancellation lemma).
 
         Every zig-zag x -> t <- s -> y becomes an edge x -> y, possibly
@@ -171,8 +171,8 @@ class _Graph:
                 c = multiply(coeff, lab)
                 if c is AlgebraElement.ZERO:
                     continue
-                if len(args) + len(more) > arity_cap:
-                    raise ValueError(f"cancellation exceeds arity cap {arity_cap}")
+                if len(args) + len(more) > ARITY_CAP:
+                    raise ValueError(f"cancellation exceeds arity cap {ARITY_CAP}")
                 if y is None:  # pass through a mid, back to s
                     extend(c, args + more, x)
                 else:
@@ -184,15 +184,13 @@ class _Graph:
         for g in {s, t}:  # no zig-zag edge touches s or t: remove them whole
             del self.left[g]
             for y, lab in self.out.pop(g, ()):
-                self.count -= 1
                 if y not in ends:
                     self.inc[y].remove((g, lab))
                 if not lab[0] and lab[1] in _UNITS:
                     del self.diff[bisect_left(self.diff, (g, y))]
             for x, lab in self.inc.pop(g, ()):
-                if x in ends:  # counted with the edges out of x
+                if x in ends:  # removed with the edges out of x
                     continue
-                self.count -= 1
                 self.out[x].remove((g, lab))
                 if not lab[0] and lab[1] in _UNITS:
                     del self.diff[bisect_left(self.diff, (x, g))]
@@ -215,8 +213,8 @@ class _Graph:
         return done + more
 
     def change_delta(self, gen: str, other: str, coeff: AlgebraElement) -> int:
-        """The change in count that base_change(gen, other, coeff) would
-        make, read off without editing the graph."""
+        """The change in the number of edges that base_change(gen, other,
+        coeff) would make, read off without editing the graph."""
         zero = AlgebraElement.ZERO
         odd: set = set()  # the edges base_change toggles an odd number of times
         row = _MUL[coeff]
@@ -255,17 +253,17 @@ class ReductionTrace:
     pairs: tuple[tuple[str, str], ...]
 
 
-def _reduce(G: _Graph, order, arity_cap: int = 8) -> ReductionTrace:
+def _reduce(G: _Graph, order) -> ReductionTrace:
     """Cancel in place until no differential edge remains (see reduce_d)."""
     if isinstance(order, (list, tuple)):
         for (s, t) in order:
-            G.cancel(s, t, arity_cap)
+            G.cancel(s, t)
         return ReductionTrace(tuple((s, t) for s, t in order))
     rng = random.Random(order) if isinstance(order, int) else None
     trace: list[tuple[str, str]] = []
     while G.diff:
         s, t = rng.choice(G.diff) if rng else G.diff[0]
-        G.cancel(s, t, arity_cap)
+        G.cancel(s, t)
         trace.append((s, t))
     return ReductionTrace(tuple(trace))
 
@@ -295,7 +293,7 @@ _RIGHT_FACTOR = {l: {_MUL[l][c]: c for c in NONZERO if _MUL[l][c] is not Algebra
                  for l in AlgebraElement}
 
 
-def _scored_changes(G: _Graph, idems: dict[str, Idempotent], gen: str) -> list:
+def _scored_changes(G: _Graph, gen: str) -> list:
     """The (other, coeff, delta) of each base change gen -> gen + coeff*other
     that can remove an arrow of G, in search order; delta is change_delta's.
 
@@ -329,7 +327,7 @@ def _scored_changes(G: _Graph, idems: dict[str, Idempotent], gen: str) -> list:
     scored = []
     for other in sorted((into | {o for o, _ in hits}) - {gen}):
         exact = other in into or looped and any(y == other for y, _ in G.out[other])
-        for c in _COEFFS[idems[gen], idems[other]]:
+        for c in _COEFFS[G.left[gen], G.left[other]]:
             k = hits.get((other, c), 0)
             if exact and (k or c in _UNITS):
                 scored.append((other, c, G.change_delta(gen, other, c)))
@@ -356,15 +354,14 @@ def minimize_d(M: TypeDModule) -> TypeDModule:
     differ only in arrows between those ends, so the generators two steps
     from them are the same in both.
     """
-    idems = M.idems()
     G = _graph_d(M)
-    names = sorted(idems)
+    names = sorted(G.left)
     clean: set = set()
     while True:
         for gen in names:
             if gen in clean:
                 continue
-            best = next(((other, c) for other, c, delta in _scored_changes(G, idems, gen)
+            best = next(((other, c) for other, c, delta in _scored_changes(G, gen)
                          if delta < 0), None)
             if best is None:
                 clean.add(gen)
@@ -376,6 +373,51 @@ def minimize_d(M: TypeDModule) -> TypeDModule:
             break
         else:
             return _freeze_d(G)
+
+
+MATCH_DEPTH, MATCH_CAP = 2, 4000  # base changes deep, candidate modules kept
+
+
+def _match_up_to_base_change(left: TypeDModule, right: TypeDModule):
+    """Permutation isomorphism search, allowing a few changes of basis.
+
+    Minimal modules are unique up to isomorphism but not up to
+    permutation; explore arrow-count-preserving base changes of the left
+    side (breadth-first, MATCH_DEPTH deep) until the generator graphs
+    coincide.  Only the changes that _scored_changes scores give a new
+    candidate, since every other one adds an arrow or none.  Returns the
+    module matched and its mapping onto right, or None and whether a new
+    candidate was dropped because MATCH_CAP of them were already kept.
+    """
+    seen = {left.arrows}
+    frontier = [left]
+    hit = False
+    index = _index(right.generators, right.arrows)  # right is fixed: index it once
+    for level in range(MATCH_DEPTH + 1):
+        nxt = []
+        for M in frontier:
+            mapping = _isomorphic(M.generators, M.arrows, right.generators, right.arrows, index)
+            if mapping is not None:
+                return M, mapping
+            if level == MATCH_DEPTH:
+                continue
+            # apply, freeze and undo only the changes that add no arrow
+            G = _graph_d(M)
+            for gen, other, coeff, delta in ((gen, *change) for gen in sorted(G.left)
+                                             for change in _scored_changes(G, gen)):
+                if hit:
+                    break
+                if delta > 0:
+                    continue
+                toggled = G.base_change(gen, other, coeff)
+                cand = _freeze_d(G)
+                if cand.arrows not in seen and not (hit := len(seen) > MATCH_CAP):
+                    seen.add(cand.arrows)
+                    nxt.append(cand)
+                for e in toggled:
+                    G.toggle(*e)
+        frontier = nxt
+    return None, hit
 
 
 def isomorphic_d(M: TypeDModule, N: TypeDModule) -> dict[str, str] | None:

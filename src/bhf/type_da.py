@@ -14,7 +14,7 @@ strictly unital convention: no action consumes an idempotent input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import (AlgebraElement, CHORDS, Idempotent, idem_element,
@@ -43,7 +43,6 @@ class DAAction(NamedTuple):  # a tuple, as DArrow
 class TypeDAModule:
     generators: tuple[tuple[str, Idempotent, Idempotent], ...]
     actions: tuple[DAAction, ...]
-    tags: dict = field(default_factory=dict, compare=False)
 
     def idems(self) -> dict[str, tuple[Idempotent, Idempotent]]:
         return {n: (l, r) for n, l, r in self.generators}
@@ -52,10 +51,9 @@ class TypeDAModule:
         return [n for n, _, _ in self.generators]
 
 
-def make_da(gens, actions, tags=None) -> TypeDAModule:
+def make_da(gens, actions) -> TypeDAModule:
     return TypeDAModule(tuple(sorted(gens)),
-                        tuple(sorted(dict.fromkeys(actions))),  # see make_module
-                        dict(tags or {}))
+                        tuple(sorted(dict.fromkeys(actions))))  # see make_module
 
 
 def _act(src, args, coeff, tgt) -> DAAction:
@@ -267,19 +265,17 @@ def box_da_da(B: TypeDAModule, C: TypeDAModule) -> TypeDAModule:
     return make_da(gens, [DAAction(*e) for e in edges])
 
 
-def reduce_da(B: TypeDAModule, order=None, arity_cap: int = 8
-              ) -> tuple[TypeDAModule, ReductionTrace]:
+def reduce_da(B: TypeDAModule, order=None) -> tuple[TypeDAModule, ReductionTrace]:
     """Cancel differential actions with idempotent coefficients.
 
     order: None (lexicographic), an int seed, or a replay list of
     (source, target) pairs.
     """
     G = _Graph(B.generators, ((a.source, a.target, (a.args, a.coeff))
-                              for a in B.actions), B.tags)
-    trace = _reduce(G, order, arity_cap)
-    gens, edges, tags = G.freeze()
-    return make_da(gens, [DAAction(s, args, c, t)
-                          for s, t, (args, c) in edges], tags), trace
+                              for a in B.actions), {})
+    trace = _reduce(G, order)
+    gens, edges, _ = G.freeze()
+    return make_da(gens, [DAAction(s, args, c, t) for s, t, (args, c) in edges]), trace
 
 
 def isomorphic_da(B: TypeDAModule, C: TypeDAModule) -> dict[str, str] | None:

@@ -126,11 +126,10 @@ def every_change(idems):
 
 def check_graph(G, removed):
     """Assert that the in-place module graph G indexes one edge set: inc
-    mirrors out, count and diff agree with it, and no edge touches a
-    generator in removed."""
+    mirrors out, diff agrees with it, and no edge touches a generator in
+    removed."""
     edges = {(s, t, lab) for s, out in G.out.items() for t, lab in out}
     assert edges == {(s, t, lab) for t, inc in G.inc.items() for s, lab in inc}
-    assert G.count == len(edges)
     assert G.diff == sorted((s, t) for s, t, (args, c) in edges
                             if not args and c in _UNITS)
     assert not any(s in removed or t in removed for s, t, _ in edges)

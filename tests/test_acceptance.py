@@ -101,7 +101,7 @@ def test_criterion_4_basis_verification_and_framings():
         for k in (3, 5):  # framings two_tau and two_tau + 2
             adj = ktd.minimize_d(ktd.adjust_framing(D, k))
             direct, _ = type_d.reduce_d(ktd.ktd_basis(S, base + k))
-            assert ktd._match_up_to_base_change(
+            assert type_d._match_up_to_base_change(
                 adj, ktd.minimize_d(direct))[0] is not None, (name, k)
     report(4, "basis-path verification at default framing, and twist "
               "adjustment matches direct construction at higher framings")
@@ -168,7 +168,7 @@ def test_criterion_7_structural_invariants():
         base = type_d.minimize_d(type_d.reduce_d(box)[0])
         for seed in range(100):
             R = type_d.minimize_d(type_d.reduce_d(box, seed)[0])
-            assert ktd._match_up_to_base_change(base, R)[0] is not None, \
+            assert type_d._match_up_to_base_change(base, R)[0] is not None, \
                 (name, seed)
     # algebra associativity over all 512 nonzero triples
     elems = [e for e in A if e is not A.ZERO]

@@ -61,6 +61,11 @@ def test_validate_rejects_negative_nz():
     assert cfk.validate(C)
 
 
+def test_validate_rejects_negative_u_power():
+    C = cfk.make_complex([G("x", 0, 0), G("y", -1, -3)], [Ar("x", "y", -1)])
+    assert cfk.validate(C) == ["arrow x->y has negative U power"]
+
+
 def test_validate_rejects_d_squared():
     C = cfk.make_complex(
         [G("x", 2, 2), G("y", 1, 1), G("z", 0, 0)],

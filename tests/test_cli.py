@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import os
 import pathlib
@@ -10,9 +11,9 @@ import sys
 import pytest
 
 import bhf
-from bhf import cli, io_formats, ktd, type_d, type_da
+from bhf import cfk, cli, io_formats, ktd, type_d, type_da
 from bhf.algebra import Idempotent as I
-from conftest import FIXTURE_NAMES, FIXTURES, TERSE_TREFOIL, load_cfk
+from conftest import FIXTURE_NAMES, FIXTURES, TERSE_TREFOIL, load_cfk, random_complex
 
 
 def fx(name):
@@ -84,6 +85,19 @@ def test_simplify(capsys):
     assert io_formats.parse_any(out)[0] == "cfk"
 
 
+@pytest.mark.parametrize("mode, simplified", [("v", cfk.is_vertically_simplified),
+                                              ("h", cfk.is_horizontally_simplified)])
+def test_simplify_one_family(tmp_path, capsys, mode, simplified):
+    C = random_complex("five_gen", 0)  # simplified in neither family
+    assert not simplified(C)
+    path = tmp_path / "scrambled.cfk.json"
+    path.write_text(io_formats.write_cfk(C), encoding="utf-8")
+    code, out, _ = run(capsys, "simplify", str(path), "--mode", mode)
+    assert code == 0
+    S = io_formats.parse_cfk(out)
+    assert cfk.validate(S) == [] and simplified(S)
+
+
 def test_cfd_unknot_framing_zero(capsys):
     code, out, _ = run(capsys, "cfd", fx("unknot.cfk.json"),
                        "--framing", "0", "--algo", "basis")
@@ -145,6 +159,22 @@ def test_build_h_matches_builtin(tmp_path, capsys):
     code, out, _ = run(capsys, "iso", str(built), "builtin:H")
     assert code == 0
     assert "->" in out
+
+
+def test_reduce_of_a_bimodule_replays_a_script(tmp_path, capsys, monkeypatch):
+    # the sixfold twist product, reduced along the recorded cancellations,
+    # then matched against H from stdin
+    B, L = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
+    prod = type_da.box_da_da(B, L)
+    for factor in (B, L, B, L):
+        prod = type_da.box_da_da(prod, factor)
+    path = tmp_path / "sixfold.damod.json"
+    path.write_text(io_formats.write_typeda(prod), encoding="utf-8")
+    code, out, _ = run(capsys, "reduce", str(path), "--script", fx("h_cancellations.script"))
+    assert code == 0 and io_formats.parse_any(out)[0] == "type_da"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    code, out, err = run(capsys, "iso", "-", "builtin:H")
+    assert (code, err) == (0, "") and "->" in out
 
 
 def test_iso_mismatch_is_inconclusive(capsys):
@@ -276,6 +306,8 @@ _BAD_DA = _doc("type_da", {"generators": [{"name": "x", "left": "iota0",
 _NO_ARROWS = _doc("type_d", {"generators": [{"name": "x", "idempotent": "iota0"}]})
 
 
+_EMPTY_CFK = _doc("cfk", {"generators": [], "arrows": []})
+
 _MALFORMED = [
     (["validate", "{}"], _doc("type_d", {"generators": ["x"]}), "generators must be"),
     (["reduce", "{}"], _doc("type_d", {"generators": ["x"]}), "generators must be"),
@@ -301,6 +333,10 @@ _MALFORMED = [
     (["cfd", "{}", "--algo", "basefree"],
      "a: A=0 M=-1\nb: A=0 M=-1\nc: A=0 M=-1\nd: A=-1 M=-2\n"
      "d -> U^1 a\nd -> U^1 b\nd -> U^1 c\n", "dw homology has rank 2, expected 1"),
+    # an empty complex has no homology, and no Alexander range is read
+    (["cfd", "{}", "--algo", "basefree"], _EMPTY_CFK, "dw homology has rank 0, expected 1"),
+    (["verify", "{}"], _EMPTY_CFK, "dw homology has rank 0, expected 1"),
+    (["iso", "{}", "builtin:H"], _NO_ARROWS, "cannot compare a type_d with a type_da"),
     (["validate", "{}"], '{"a":' * 5000 + "1" + "}" * 5000, "nested too deeply"),
     (["validate", "{}"], "[1,2]", "document is not a JSON object"),
     # too deep to decode as JSON, read as terse lines: the line is cut short

@@ -109,6 +109,12 @@ def test_envelope_errors():
         io_formats.parse_cfk("{not json")
 
 
+def test_unknown_payload_field_rejected():
+    with pytest.raises(io_formats.ParseError, match=r"unknown type_d fields: \['extra'\]"):
+        io_formats.parse_typed(json.dumps(
+            {"format_version": "1", "kind": "type_d", "payload": {"extra": []}}))
+
+
 def test_bad_entries_rejected():
     with pytest.raises(io_formats.ParseError, match="generator"):
         io_formats.parse_cfk(json.dumps(

@@ -133,7 +133,7 @@ def test_adjust_framing_matches_direct_construction(any_complex):
         adj = ktd.minimize_d(ktd.adjust_framing(D, k))
         direct, _ = type_d.reduce_d(ktd.ktd_basis(S, base + k))
         direct = ktd.minimize_d(direct)
-        assert ktd._match_up_to_base_change(adj, direct)[0] is not None
+        assert type_d._match_up_to_base_change(adj, direct)[0] is not None
 
 
 def test_algorithms_agree(any_complex):
@@ -143,7 +143,7 @@ def test_algorithms_agree(any_complex):
     n = 4 * t + 3
     bf = ktd.minimize_d(type_d.reduce_d(ktd.ktd_basefree(C, n))[0])
     bs = ktd.minimize_d(type_d.reduce_d(ktd.ktd_basis(S, -n))[0])
-    assert ktd._match_up_to_base_change(bf, bs)[0] is not None
+    assert type_d._match_up_to_base_change(bf, bs)[0] is not None
 
 
 def test_verify_basefree(any_complex):
@@ -203,15 +203,20 @@ def test_compare_never_fails_on_isomorphic_modules():
     assert res.detail.endswith("within 2 base changes (cap of 4000 modules not hit)")
 
 
-def test_match_reports_the_cap_only_when_a_candidate_is_dropped():
+def test_match_reports_the_cap_only_when_a_candidate_is_dropped(monkeypatch):
     R, _, T = five_gen_modules()
     candidates = {base_change(R, *t).arrows for t in every_change(R.idems())}
     n = len({c for c in candidates if len(c) <= len(R.arrows)} - {R.arrows})
     assert n == 2
-    assert ktd._match_up_to_base_change(R, T, depth=1, cap=n) == (None, False)
-    assert ktd._match_up_to_base_change(R, T, depth=1, cap=n - 1) == (None, True)
+    monkeypatch.setattr(type_d, "MATCH_DEPTH", 1)
+    monkeypatch.setattr(type_d, "MATCH_CAP", n)
+    assert type_d._match_up_to_base_change(R, T) == (None, False)
+    monkeypatch.setattr(type_d, "MATCH_CAP", n - 1)
+    assert type_d._match_up_to_base_change(R, T) == (None, True)
     # the last level's base changes are never tried, so never dropped
-    assert ktd._match_up_to_base_change(R, T, depth=0, cap=0) == (None, False)
+    monkeypatch.setattr(type_d, "MATCH_DEPTH", 0)
+    monkeypatch.setattr(type_d, "MATCH_CAP", 0)
+    assert type_d._match_up_to_base_change(R, T) == (None, False)
 
 
 def test_carries_rejects_a_wrong_mapping():
@@ -319,6 +324,135 @@ def test_basefree_output_is_pinned(key):
     D = ktd.ktd_basefree(C, None if offset == "default" else 4 * ktd._width(C) + 6)
     digest = hashlib.sha256(io_formats.write_typed(D).encode()).hexdigest()
     assert digest == BASEFREE_SHA256[key]
+
+
+# sha256 of write_typed(ktd_basis(S, 2*tau + offset)), S the simultaneously
+# simplified complex, recorded before ktd_basis built its chains with one helper
+BASIS_SHA256 = {
+    "unknot@-3":
+        "001faa0ec9b22df9289b970f5fb03ab7f9be3c4621218572370719254d950843",
+    "unknot@+0":
+        "0345ea1d4a7754076a0e894fddebc29882f2babdc93194abe331a01d147efe28",
+    "unknot@+3":
+        "7bd16efc358b5316bf573485d03695d7ffdb4ed188d227fc66058ffcac6b59d9",
+    "trefoil_right@-3":
+        "7dcdade4b7eb1cad1b53fdb9c664bee929c2583181a3c59ccc230a4e8d893953",
+    "trefoil_right@+0":
+        "22c63a8e89d7e2e4484e6823036f194e349a061381bee3694fe0c6f2152f0d51",
+    "trefoil_right@+3":
+        "961aee8e3cdd4523140c3b8190757c348a8bab0b6826b1e5acc0131adc2c503b",
+    "trefoil_left@-3":
+        "0ea4bee08927cde1c98e1ad46226177b3f9aa0a596ceabd5acff94ec3fcab5da",
+    "trefoil_left@+0":
+        "b98146518daceee9c25acadcb7e8b3badc499e6003acc3d7b6a5b09b84a7850f",
+    "trefoil_left@+3":
+        "c2c1e8df2a6fa2d85fae423c580f8b65582d6690fda74ac271d816a1c4b6b32b",
+    "figure_eight@-3":
+        "4922af42888216471c99e2dd3a3b41d494c5babc15b6d2c2900c8025cd6e9d9d",
+    "figure_eight@+0":
+        "fc54622f8c5a6f35b1b824cae1eafe9b4ca1d0b9026662fb4797bc58f7950294",
+    "figure_eight@+3":
+        "f199d350267be978583013bee00195a9ab118f69481d442eebbd259d9f12f3ce",
+    "five_gen@-3":
+        "b46277a312ef1c6fa3d1db3ac4a4162fc02630ff228044bc82ed23bd532c6f5d",
+    "five_gen@+0":
+        "bb51bff4187b3a7908a6266e8c292bd94217c6dc27ae6a64f116fd258ccb58b1",
+    "five_gen@+3":
+        "60f3feed6971ba6a090fa7e9d2de0165d6fdd5719e42b5bd0d648995678b8cdd",
+    "T(2,3)@-3":
+        "fdab0f93e35b843b112050ecefb042505978e98420a191b2b4c11bd043f8e981",
+    "T(2,3)@+0":
+        "441a9f7e82a58c012edf34a2e12676354fd23d3859d36394e29b9c25bf97f8b2",
+    "T(2,3)@+3":
+        "00e70efdb29dbbfd8e2079200b1a937b8548c40851327d279d0a170770827825",
+    "mirror T(2,3)@-3":
+        "439b24d272fcb01d8a688e2f800244df87e1ad502e68c86343d1ea6c34529ed1",
+    "mirror T(2,3)@+0":
+        "9179c7ae86d764aa0df3bffc15ae7ba0517ceead89373ff7b87479b47178e853",
+    "mirror T(2,3)@+3":
+        "627ba1ace8aeaf12a7dce51f2d581604c7f0f6426a647efa4df33d163d3227b7",
+    "T(3,4)@-3":
+        "6245e163a0ce3131765fe6f4b844050b3f949c81fa1fc6f7e9426d51471ad9a3",
+    "T(3,4)@+0":
+        "5b5dfefe0ab428337ada799d1be121699b1a46d93da5cc7726487f60a0ab16db",
+    "T(3,4)@+3":
+        "b7ce815e92d78afce608ea9a91a07f3a04fcfd6b8ca184a32d378cadf1c6f3d2",
+    "mirror T(3,4)@-3":
+        "5682833a4d16fb417656d09093c63cb1347c52144928e7e0fd16a91cc87dabdd",
+    "mirror T(3,4)@+0":
+        "b949fd840679f627b78b10a77fd1f541c3af97783c7b620787dbf2af576fbd62",
+    "mirror T(3,4)@+3":
+        "5f43bd5d67ca0f247c85fd42e882155b3adb48ce03a001eea0ac8f104728434d",
+    "T(4,5)@-3":
+        "ecfd5a86e34328b12abf113a3a40edb5c8f90c9c8a387e988173839bdb495ca1",
+    "T(4,5)@+0":
+        "33d20eb71ddbc2f97724f562a07addeefe6f58aa23039c3b5783e0b2df06e463",
+    "T(4,5)@+3":
+        "388be4fd2427803f71b953fd988dcbb67219437ec3b980eda486ca0a97352dfe",
+    "mirror T(4,5)@-3":
+        "d0b5d0f1a6d42766e446a174d54851c424ac7ad08aef08cb0767ec5c1b895adc",
+    "mirror T(4,5)@+0":
+        "f9e588422d44881931f875bdc13683c916e77545f72d20465fc78864334f1d54",
+    "mirror T(4,5)@+3":
+        "42b85b91ae5bd9793b364cbc91611a621ed223ada6dd0e66bfd01910abaee1bd",
+    "T(5,6)@-3":
+        "f690c3ecd4a4ce96cd155a324f5cb163fa2126aac2303e37e5ab3112a1d36dad",
+    "T(5,6)@+0":
+        "96d380ea9c8ed65b2622baf07ecd97bdc9b1f1e64bacb59030c44f58f2fd1f52",
+    "T(5,6)@+3":
+        "0f9af9f82cfbc6a38ec0f45c82c3c53528aae9a2b9b85eb82465aef018a5bb71",
+    "mirror T(5,6)@-3":
+        "3cee1d4065009060791ff06dffdc657ea7530b20266189d4502b662ce9720778",
+    "mirror T(5,6)@+0":
+        "9fd21e42b25c30c017099a1678db0673bd977379e44c208f79f5bae5564d92d5",
+    "mirror T(5,6)@+3":
+        "527c4768b704069eb783ff36eddeaa0ed99c348f6426ec509cc4057ad3a0bbec",
+    "T(6,7)@-3":
+        "71cfbd4eef2661d7c3b0420ee41dc5d3402b434c36fb962e571ef16b391f726f",
+    "T(6,7)@+0":
+        "34ae33ddbf202cf91986dc96e060725da1779d08d080c6fd00d3e8198af3e872",
+    "T(6,7)@+3":
+        "c25a1ef196b56a3bca647a39d85d35b22e905ec702a18f61798562b01f02bd8f",
+    "mirror T(6,7)@-3":
+        "2a9c8f1d503aa753fcc6f9c2d311f47091803f3892fc0e8a60c96187aafd9b4e",
+    "mirror T(6,7)@+0":
+        "5213e795dadfed5f449e6034626d1d2ff11eeb5eb0183f66f8a40cfdc0897a89",
+    "mirror T(6,7)@+3":
+        "b0d4abaf19cacf2b85610b111b9e83c65508868f2a406bbf969613c121aac0e1",
+    "T(7,8)@-3":
+        "24f0ba99e2360bd73fd24aca8625011a3f15665c7f5f1c627bf1efb87c52fd43",
+    "T(7,8)@+0":
+        "535440df5cab06f2c5a8d9b4f74ac6a6ef95b7dfabea451a78057f136cb6b97a",
+    "T(7,8)@+3":
+        "b49a09b0d9c7885fa331f9853a438cd8ddb88c58700dd959571a7143a7ddfd47",
+    "mirror T(7,8)@-3":
+        "ebdb20c070357acf045b061a08a587b4c0d301bfe911e854b0beed9a90334291",
+    "mirror T(7,8)@+0":
+        "7e64d229e196d96dec3f3cc3acb6c6ab91ad63beeae1150a3d4c6a8a7a60b6c2",
+    "mirror T(7,8)@+3":
+        "2dd4c7bca72ac1bcea5b2487eac62bf8635811c77f7e8abed4a4270c3a388f66",
+    "T(8,9)@-3":
+        "8b279d6fd4860e86714c6d4c03df2cec0e81787eb940ff8571789823d3ddbf5f",
+    "T(8,9)@+0":
+        "9e154c74dc64641adec0149fc396d0d4ec0c340faabaedfb3e3fc9ebe6bbadb1",
+    "T(8,9)@+3":
+        "74655ae06e591d2c5368863038e185a9f1b74180c41c49aa17e3a17891079096",
+    "mirror T(8,9)@-3":
+        "0ccefbd5a69688ac7777db67fbe284339aa80444485e32c322d18ea6ef9b0655",
+    "mirror T(8,9)@+0":
+        "79472cb1566fe3539ab54eca1b00f686ec5fa8a42ef96ab730d2e04a974a8439",
+    "mirror T(8,9)@+3":
+        "9f336c43c25281a7daece45fe4fdd6e415243cc5373f36d8285de72cee8d2edf",
+}
+
+
+@pytest.mark.parametrize("key", sorted(BASIS_SHA256))
+def test_basis_output_is_pinned(key):
+    name, offset = key.split("@")
+    S = cfk.simultaneous_simplify(cfk.reduce(_knot(name)))
+    D = ktd.ktd_basis(S, 2 * cfk.tau(S) + int(offset))
+    digest = hashlib.sha256(io_formats.write_typed(D).encode()).hexdigest()
+    assert digest == BASIS_SHA256[key]
 
 
 def _old_verdict(CL, CR, algo, framing):

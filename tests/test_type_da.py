@@ -187,6 +187,13 @@ def test_validate_catches_broken_structure():
     assert type_da.validate_da(broken)
 
 
+def test_validate_reports_a_zero_coefficient():
+    H = type_da.builtin_H()
+    zero = type_da.DAAction("x2", (), A.ZERO, "x1")
+    assert type_da.validate_da(type_da.make_da(H.generators, H.actions + (zero,))) == [
+        "action x2->x1: zero coefficient"]
+
+
 def test_box_da_da_two_twists():
     prod = type_da.box_da_da(type_da.builtin_tau_mu(),
                              type_da.builtin_tau_lambda())
@@ -241,7 +248,7 @@ def test_box_associativity_with_modules():
         two, _ = type_d.reduce_d(type_da.box_da_d(HT, D))
         one = ktd.minimize_d(one)
         two = ktd.minimize_d(two)
-        assert ktd._match_up_to_base_change(one, two)[0] is not None
+        assert type_d._match_up_to_base_change(one, two)[0] is not None
 
 
 def test_involution_commutes_with_twist():
@@ -250,7 +257,7 @@ def test_involution_commutes_with_twist():
     D = ktd.ktd_basefree(load_cfk("trefoil_right"))
     lhs, _ = type_d.reduce_d(type_da.box_da_d(H, type_da.box_da_d(tau, D)))
     rhs, _ = type_d.reduce_d(type_da.box_da_d(tau, type_da.box_da_d(H, D)))
-    assert ktd._match_up_to_base_change(
+    assert type_d._match_up_to_base_change(
         ktd.minimize_d(lhs), ktd.minimize_d(rhs))[0] is not None
 
 
@@ -268,13 +275,14 @@ def test_string_reversal_loops():
         assert type_d.isomorphic_d(L, rev) is not None
 
 
-def test_cancel_da_arity_cap():
+def test_cancel_da_arity_cap(monkeypatch):
     prod = twist_product(6)
+    monkeypatch.setattr(type_d, "ARITY_CAP", 0)
     with pytest.raises(ValueError):
-        type_da.reduce_da(prod, arity_cap=0)
+        type_da.reduce_da(prod)
 
 
-def test_cancel_da_arity_cap_on_pass_through():
+def test_cancel_da_arity_cap_on_pass_through(monkeypatch):
     # x -[rho1]-> t <- s -> y exits within a cap of one input; passing
     # through the second action s -[rho23]-> t first needs two
     B = type_da.make_da(
@@ -284,9 +292,11 @@ def test_cancel_da_arity_cap_on_pass_through():
          type_da.DAAction("x", (A.R1,), A.I0, "t"),
          type_da.DAAction("s", (A.R23,), A.R12, "t"),
          type_da.DAAction("s", (), A.R3, "y")])
+    monkeypatch.setattr(type_d, "ARITY_CAP", 1)
     with pytest.raises(ValueError, match="arity cap 1"):
-        type_da.reduce_da(B, [("s", "t")], 1)
-    R = type_da.reduce_da(B, [("s", "t")], 2)[0]
+        type_da.reduce_da(B, [("s", "t")])
+    monkeypatch.setattr(type_d, "ARITY_CAP", 2)
+    R = type_da.reduce_da(B, [("s", "t")])[0]
     assert R.actions == (type_da.DAAction("x", (A.R1,), A.R3, "y"),
                          type_da.DAAction("x", (A.R1, A.R23), A.R123, "y"))
 
