@@ -14,7 +14,6 @@ vertical arrows dz; both square to zero on their own.
 """
 from __future__ import annotations
 
-import heapq
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -209,30 +208,21 @@ def reduce(C: KnotComplex, seed: int | None = None) -> KnotComplex:
 
 
 def vertical_simplify(C: KnotComplex) -> KnotComplex:
-    """Base-change until vertical arrows form a disjoint matching: take the
-    shortest vertical arrow x -> y between unmatched generators (ties by
-    name), clear the other vertical arrows into y and out of x, then match
-    x with y."""
+    """Base-change until vertical arrows form a disjoint matching: each
+    round takes the least (Alexander drop, source, target) vertical arrow
+    x -> y between unmatched generators, clears the other vertical arrows
+    into y and out of x, then matches x with y."""
     if not is_reduced(C):
         raise ValueError("complex must be reduced before simplification")
     m = _Mut(C)
-    heap: list[tuple[int, str, str]] = []  # may hold arrows gone since
-
-    def push(arrows):
-        for s, t, r in arrows:
-            if r == 0:
-                heapq.heappush(heap, (m.drop(s, t), s, t))
-
-    push((a.source, a.target, a.u_power) for a in C.arrows)
     live = set(m.gens)
-    while heap:
-        _, x, y = heapq.heappop(heap)
-        if x not in live or y not in live or (y, 0) not in m.out[x]:
-            continue
+    while vertical := [(m.drop(x, y), x, y) for x in live
+                       for y, r in m.out[x] if r == 0 and y in live]:
+        _, x, y = min(vertical)
         for s in sorted(s for s, r in m.inc[y] if r == 0 and s != x):
-            push(m.add_to(x, s, 0))
+            m.add_to(x, s, 0)
         for t in sorted(t for t, r in m.out[x] if r == 0 and t != y):
-            push(m.add_to(t, y, 0))
+            m.add_to(t, y, 0)
         live -= {x, y}
     return m.freeze()
 

@@ -177,21 +177,18 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
         nxt = s2 + 2
         if nxt not in cols:
             continue
-        k2 = cols[nxt][0]
-        if k1 == "w" and k2 == "w":
-            for sym in members:
-                put(vname(sym, s2), vname(sym, nxt), A.R23)
-        elif k1 == "w" and k2 == "dot":
+        k2, _, later = cols[nxt]
+        if k1 == "w" and k2 == "dot":
             for sym in sorted(f_w):
                 put(vname(sym, s2), vname(None, nxt), A.R23)
-        elif k1 == "dot" and k2 == "dot":
-            put(vname(None, s2), vname(None, nxt), A.R23)
         elif k1 == "dot" and k2 == "z":
             for sym in sorted(rep_z):
                 put(vname(None, s2), vname(sym, nxt), A.R23)
-        else:
-            for sym in cols[nxt][2]:
-                put(vname(sym, s2), vname(sym, nxt), A.R23)
+        else:  # w -> w, dot -> dot and z -> z join each symbol in both
+            both = set(later)
+            for sym in members:
+                if sym in both:
+                    put(vname(sym, s2), vname(sym, nxt), A.R23)
     return make_module(gens, arrows, tags)
 
 

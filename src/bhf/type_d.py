@@ -297,44 +297,33 @@ def _scored_changes(G: _Graph, gen: str) -> list:
     """The (other, coeff, delta) of each base change gen -> gen + coeff*other
     that can remove an arrow of G, in search order; delta is change_delta's.
 
-    The change toggles A = {gen -> y: coeff*l} over the arrows other -> y: l
-    and B = {x -> other: l*coeff} over the arrows x -> gen: l.  A hit is a
-    toggled arrow that is present: gen -> y: coeff*l beside other -> y: l,
-    or x -> other: l*coeff beside x -> gen: l, found in one pass over gen's
-    two-step neighbourhood.  Then delta = |A| + |B| - 2*hits, and a change
-    without hits toggles only absent arrows, adding them or none, and is
-    left out.  Two cases are scored by change_delta instead: an arrow
-    other -> gen: l puts a loop at gen into A that B then reads, and loops
-    at both gen and other put gen -> other into both.  There a change
-    without hits is left out too unless coeff is an idempotent, since the
-    loop adds to B only gen -> other: coeff*l*coeff, which is zero for a
-    chord.  The list is built before it is returned, so the caller may
-    edit G between items if it restores it.
+    A change can remove an arrow only through a hit: a toggled arrow that
+    is present, gen -> y: coeff*l beside other -> y: l, or x -> other:
+    l*coeff beside x -> gen: l, found in one pass over gen's two-step
+    neighbourhood.  A change without hits toggles only absent arrows, and
+    is left out, but for one exception: given an arrow other -> gen, or
+    loops at both gen and other, an idempotent coeff can also toggle a
+    present arrow through a loop.  The list is built before it is
+    returned, so the caller may edit G between items if it restores it.
     """
-    zero = AlgebraElement.ZERO
-    hits: dict[tuple, int] = {}
+    hits: set = set()
     for y, (args, m) in G.out[gen]:
         for o, (a, l) in G.inc[y]:
             if o != gen and a == args and (c := _LEFT_FACTOR[l].get(m)):
-                hits[o, c] = hits.get((o, c), 0) + 1
+                hits.add((o, c))
     inc = G.inc[gen]
     for x, (args, l) in inc:
         for o, (a, m) in G.out[x]:
             if o != gen and a == args and (c := _RIGHT_FACTOR[l].get(m)):
-                hits[o, c] = hits.get((o, c), 0) + 1
+                hits.add((o, c))
     into = {x for x, _ in inc}
     looped = gen in into
     scored = []
     for other in sorted((into | {o for o, _ in hits}) - {gen}):
-        exact = other in into or looped and any(y == other for y, _ in G.out[other])
-        for c in _COEFFS[G.left[gen], G.left[other]]:
-            k = hits.get((other, c), 0)
-            if exact and (k or c in _UNITS):
-                scored.append((other, c, G.change_delta(gen, other, c)))
-            elif k:
-                size_a = sum(_MUL[c][lab] is not zero for _, (_, lab) in G.out[other])
-                size_b = sum(_MUL[lab][c] is not zero for _, (_, lab) in inc)
-                scored.append((other, c, size_a + size_b - 2 * k))
+        looping = other in into or looped and any(y == other for y, _ in G.out[other])
+        scored += [(other, c, G.change_delta(gen, other, c))
+                   for c in _COEFFS[G.left[gen], G.left[other]]
+                   if (other, c) in hits or looping and c in _UNITS]
     return scored
 
 
@@ -347,32 +336,16 @@ def minimize_d(M: TypeDModule) -> TypeDModule:
     The output is isomorphic to the input.  No change that _scored_changes
     leaves out lowers the arrow count, so the output is that of the search
     over every pair; every step removes an arrow, so there are at most
-    len(M.arrows) of them.  A generator with no improving change stays
-    clean, and is not scored again, until a change toggles an arrow with an
-    end within two steps of it: only then can one of its scores, or whether
-    a change is scored, differ.  The graphs before and after the change
-    differ only in arrows between those ends, so the generators two steps
-    from them are the same in both.
+    len(M.arrows) of them.
     """
     G = _graph_d(M)
     names = sorted(G.left)
-    clean: set = set()
     while True:
-        for gen in names:
-            if gen in clean:
-                continue
-            best = next(((other, c) for other, c, delta in _scored_changes(G, gen)
-                         if delta < 0), None)
-            if best is None:
-                clean.add(gen)
-                continue
-            near = {v for s, t, _ in G.base_change(gen, *best) for v in (s, t)}
-            for _ in range(2):  # the generators two arrows away, either way round
-                near |= {v for u in near for v, _ in (*G.out[u], *G.inc[u])}
-            clean -= near
-            break
-        else:
+        best = next(((gen, other, c) for gen in names
+                     for other, c, delta in _scored_changes(G, gen) if delta < 0), None)
+        if best is None:
             return _freeze_d(G)
+        G.base_change(*best)
 
 
 MATCH_DEPTH, MATCH_CAP = 2, 4000  # base changes deep, candidate modules kept
@@ -472,7 +445,10 @@ def _isomorphic(gens_m: tuple, edges_m: tuple, gens_n: tuple, edges_n: tuple,
     generator (its anchor) is tried against the images of that arrow at the
     anchor's image with its signature, in name order: any other candidate
     fails kept.  A generator that starts a component is tried against its
-    whole signature class.
+    whole signature class.  The search runs depth-first in a loop, with one
+    candidate iterator per generator being placed and a step back when one
+    runs out, so a module may have more generators than Python's recursion
+    limit.
     """
     if gens_m == gens_n and edges_m == edges_n:
         return {g[0]: g[0] for g in gens_m}
@@ -510,25 +486,25 @@ def _isomorphic(gens_m: tuple, edges_m: tuple, gens_n: tuple, edges_n: tuple,
                 return False
         return True
 
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        n, via = order[i]  # via: (anchor, N's edges at the anchor's image, code)
-        sig = sig_m[n]
-        candidates = by_sig[sig] if via is None else sorted(
-            k for k, c in via[1][mapping[via[0]]] if c == via[2] and sig_n[k] == sig)
-        for k in candidates:
-            if (k in inv or not kept(n, k, out_m, inc_m, out_n, inc_n, mapping)
-                    or not kept(k, n, out_n, inc_n, out_m, inc_m, inv)):
-                continue
-            mapping[n] = k
-            inv[k] = n
-            if search(i + 1):
-                return True
-            del mapping[n], inv[k]
-        return False
-
-    return mapping if search(0) else None
+    trials: list = []  # the candidates left for each generator being placed
+    while len(mapping) < len(order):
+        n, via = order[len(mapping)]  # via: (anchor, N's edges at the anchor's image, code)
+        if len(trials) == len(mapping):
+            sig = sig_m[n]
+            trials.append(iter(by_sig[sig] if via is None else sorted(
+                k for k, c in via[1][mapping[via[0]]] if c == via[2] and sig_n[k] == sig)))
+        for k in trials[-1]:
+            if (k not in inv and kept(n, k, out_m, inc_m, out_n, inc_n, mapping)
+                    and kept(k, n, out_n, inc_n, out_m, inc_m, inv)):
+                mapping[n] = k
+                inv[k] = n
+                break
+        else:  # no candidate left: unplace the generator placed last
+            trials.pop()
+            if not trials:
+                return None
+            del inv[mapping.popitem()[1]]
+    return mapping
 
 
 def to_dot(M: TypeDModule) -> str:

@@ -196,6 +196,14 @@ def test_verify_basis_path(capsys):
     assert out.startswith("verified")
 
 
+@pytest.mark.parametrize("name, algo", [("unknot", "basis"), ("trefoil_right", "basefree")])
+def test_verify_at_framing_1000(capsys, name, algo):
+    # about a thousand generators, one framing-chain step each
+    code, out, err = run(capsys, "verify", fx(f"{name}.cfk.json"), "--algo", algo,
+                         "--framing", "1000")
+    assert (code, err) == (0, "") and out.startswith("verified")
+
+
 # trefoil_left plus an acyclic box; its alternating simplification cycles,
 # while the base-free path verifies it
 UNSIMPLIFIABLE = ("a: A=1 M=2\nb: A=0 M=1\nc: A=-1 M=0\npa: A=-1 M=-1\n"
@@ -339,6 +347,8 @@ _MALFORMED = [
     (["iso", "{}", "builtin:H"], _NO_ARROWS, "cannot compare a type_d with a type_da"),
     (["validate", "{}"], '{"a":' * 5000 + "1" + "}" * 5000, "nested too deeply"),
     (["validate", "{}"], "[1,2]", "document is not a JSON object"),
+    # one kind expected: the envelope reader meets the array itself
+    (["dot", "{}"], "[1,2]", "document is not a JSON object"),
     # too deep to decode as JSON, read as terse lines: the line is cut short
     (["validate", "{}"], "[" * 5000 + "]" * 5000, "cannot parse '" + "[" * 80 + "…'"),
     (["flip", "{}", "-o", "{nodir}"], TERSE_TREFOIL, "cannot write"),

@@ -125,6 +125,12 @@ def test_adjust_framing_zero_is_identity(trefoil):
     assert ktd.adjust_framing(D, 0) == D
 
 
+def test_adjust_framing_rejects_a_negative_count(trefoil):
+    D = ktd.ktd_basis(cfk.simultaneous_simplify(trefoil))
+    with pytest.raises(ValueError, match="only nonnegative twist counts"):
+        ktd.adjust_framing(D, -1)
+
+
 def test_adjust_framing_matches_direct_construction(any_complex):
     S = cfk.simultaneous_simplify(any_complex)
     D = ktd.ktd_basis(S)
@@ -155,6 +161,11 @@ def test_verify_basefree(any_complex):
 def test_verify_basis(any_complex):
     res = ktd.verify_elliptic_invariance(any_complex, "basis")
     assert res.verdict == "verified"
+
+
+def test_verify_rejects_an_unknown_algorithm(trefoil):
+    with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
+        ktd.verify_elliptic_invariance(trefoil, "nope")
 
 
 # exponents of the Alexander polynomial of T(5,6), highest first

@@ -211,6 +211,14 @@ def test_isomorphic_relabelled():
     assert mapping == {f"s{i}": f"t{i}" for i in range(4)}
 
 
+def test_isomorphic_places_a_long_chain():
+    # the search places one generator per step: 1,500 steps go deeper than
+    # Python's recursion limit would let a recursive search go
+    M = chain(1500)
+    ren, N = _renamed(M, 0)
+    assert type_d.isomorphic_d(M, N) == ren
+
+
 def test_isomorphic_distinguishes_direction():
     M = type_d.make_module(
         [("x", I.I0), ("y", I.I1), ("z", I.I1)],
@@ -424,7 +432,7 @@ def test_scored_changes_skip_only_changes_that_remove_no_arrow():
 
 # The greedy search and the base-change match as they were before
 # _scored_changes, scoring each change of _near_changes by change_delta: the
-# oracle that the scorer and the clean set of minimize_d change nothing.
+# oracle that the candidates _scored_changes picks change nothing.
 def _near_changes(G, idems):
     for gen in sorted(idems):
         outs = {y for y, _ in G.out[gen]}
