@@ -68,6 +68,19 @@ def _entries(payload: dict, key: str) -> list[dict]:
     return items
 
 
+def _each(payload: dict, key: str, what: str, read) -> list:
+    """read(entry) for each entry of the list payload[key], in order; the
+    KeyError, TypeError or ValueError of an entry becomes the one ParseError
+    "bad <what> entry <entry>: <error>"."""
+    out = []
+    for entry in _entries(payload, key):
+        try:
+            out.append(read(entry))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"bad {what} entry {entry!r}: {e}") from None
+    return out
+
+
 def _no_extra(payload: dict, kind: str, allowed: set) -> None:
     extra = set(payload) - allowed
     if extra:
@@ -152,21 +165,10 @@ def _cfk_lines(text: str) -> KnotComplex:
 
 def _cfk_payload(payload: dict) -> KnotComplex:
     _no_extra(payload, "cfk", {"generators", "arrows", "shift"})
-    gens = []
-    for g in _entries(payload, "generators"):
-        try:
-            gens.append(KnotGenerator(_field(g, "name", str),
-                                      _field(g, "alexander", int),
-                                      _field(g, "maslov", int)))
-        except (KeyError, TypeError) as e:
-            raise ParseError(f"bad generator entry {g!r}: {e}") from None
-    arrows = []
-    for a in _entries(payload, "arrows"):
-        try:
-            arrows.append(KnotArrow(_field(a, "from", str), _field(a, "to", str),
-                                    _field(a, "u_power", int, 0)))
-        except (KeyError, TypeError) as e:
-            raise ParseError(f"bad arrow entry {a!r}: {e}") from None
+    gens = _each(payload, "generators", "generator", lambda g: KnotGenerator(
+        _field(g, "name", str), _field(g, "alexander", int), _field(g, "maslov", int)))
+    arrows = _each(payload, "arrows", "arrow", lambda a: KnotArrow(
+        _field(a, "from", str), _field(a, "to", str), _field(a, "u_power", int, 0)))
     shift = payload.get("shift")
     if shift is not None:
         if not (isinstance(shift, list) and len(shift) == 2
@@ -178,47 +180,29 @@ def _cfk_payload(payload: dict) -> KnotComplex:
 
 def _typed_payload(payload: dict) -> TypeDModule:
     _no_extra(payload, "type_d", {"generators", "arrows", "tags"})
-    gens = []
-    for g in _entries(payload, "generators"):
-        try:
-            gens.append((_field(g, "name", str), idem_from_name(g["idempotent"])))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"bad generator entry {g!r}: {e}") from None
-    arrows = []
-    for a in _entries(payload, "arrows"):
-        try:
-            arrows.append(DArrow(_field(a, "from", str), _field(a, "to", str),
-                                 element_from_name(a["label"])))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"bad arrow entry {a!r}: {e}") from None
+    gens = _each(payload, "generators", "generator", lambda g: (
+        _field(g, "name", str), idem_from_name(g["idempotent"])))
+    arrows = _each(payload, "arrows", "arrow", lambda a: DArrow(
+        _field(a, "from", str), _field(a, "to", str), element_from_name(a["label"])))
     tags = payload.get("tags", {})
     if not isinstance(tags, dict):
         raise ParseError("tags must be an object")
     return make_module(gens, arrows, tags)
 
 
+def _action(a: dict) -> DAAction:
+    inputs = a.get("inputs", [])
+    if not isinstance(inputs, list):
+        raise TypeError("inputs must be a list")
+    return DAAction(_field(a, "from", str), tuple(element_from_name(x) for x in inputs),
+                    element_from_name(a["output"]), _field(a, "to", str))
+
+
 def _typeda_payload(payload: dict) -> TypeDAModule:
     _no_extra(payload, "type_da", {"generators", "actions"})
-    gens = []
-    for g in _entries(payload, "generators"):
-        try:
-            gens.append((_field(g, "name", str), idem_from_name(g["left"]),
-                         idem_from_name(g["right"])))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"bad generator entry {g!r}: {e}") from None
-    actions = []
-    for a in _entries(payload, "actions"):
-        try:
-            inputs = a.get("inputs", [])
-            if not isinstance(inputs, list):
-                raise TypeError("inputs must be a list")
-            actions.append(DAAction(_field(a, "from", str),
-                                    tuple(element_from_name(x) for x in inputs),
-                                    element_from_name(a["output"]),
-                                    _field(a, "to", str)))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"bad action entry {a!r}: {e}") from None
-    return make_da(gens, actions)
+    gens = _each(payload, "generators", "generator", lambda g: (
+        _field(g, "name", str), idem_from_name(g["left"]), idem_from_name(g["right"])))
+    return make_da(gens, _each(payload, "actions", "action", _action))
 
 
 def _script_payload(payload: dict) -> list[tuple[str, str]]:

@@ -198,35 +198,36 @@ class _Graph:
             if parity:
                 self.toggle(*key)
 
-    def base_change(self, gen: str, other: str, coeff: AlgebraElement) -> list:
-        """Replace gen by gen + coeff*other; returns the edges toggled."""
-        # arrows out of other now also leave gen ...
-        done = [(gen, y, (args, c)) for y, (args, lab) in self.out[other]
-                if (c := multiply(coeff, lab)) is not AlgebraElement.ZERO]
-        for e in done:
-            self.toggle(*e)
-        # ... and the old gen equals (new gen) + coeff*other
-        more = [(x, other, (args, c)) for x, (args, lab) in self.inc[gen]
-                if (c := multiply(lab, coeff)) is not AlgebraElement.ZERO]
-        for e in more:
-            self.toggle(*e)
-        return done + more
-
-    def change_delta(self, gen: str, other: str, coeff: AlgebraElement) -> int:
-        """The change in the number of edges that base_change(gen, other,
-        coeff) would make, read off without editing the graph."""
+    def toggled(self, gen: str, other: str, coeff: AlgebraElement) -> set:
+        """The edges that replacing gen by gen + coeff*other toggles an odd
+        number of times, read off without editing the graph."""
         zero = AlgebraElement.ZERO
-        odd: set = set()  # the edges base_change toggles an odd number of times
+        odd: set = set()
         row = _MUL[coeff]
+        # arrows out of other now also leave gen ...
         for y, (args, lab) in self.out[other]:
             if (c := row[lab]) is not zero:
                 odd ^= {(gen, y, (args, c))}
-        # an arrow other -> gen has just toggled a loop at gen, which the
-        # second half of base_change reads among the arrows into gen
+        # ... and the old gen is (new gen) + coeff*other: arrows into gen, a
+        # loop at gen toggled above by an arrow other -> gen among them
         loops = {(gen, lab) for _, y, lab in odd if y == gen}
         for x, (args, lab) in self.inc[gen] ^ loops if loops else self.inc[gen]:
             if (c := _MUL[lab][coeff]) is not zero:
                 odd ^= {(x, other, (args, c))}
+        return odd
+
+    def base_change(self, gen: str, other: str, coeff: AlgebraElement) -> set:
+        """Replace gen by gen + coeff*other: toggle the edges of toggled(gen,
+        other, coeff) and return them, so toggling them again undoes it."""
+        odd = self.toggled(gen, other, coeff)
+        for e in odd:
+            self.toggle(*e)
+        return odd
+
+    def change_delta(self, gen: str, other: str, coeff: AlgebraElement) -> int:
+        """The change in the number of edges that base_change(gen, other,
+        coeff) would make: each toggled edge present goes, each absent comes."""
+        odd = self.toggled(gen, other, coeff)
         return len(odd) - 2 * sum((t, lab) in self.out[s] for s, t, lab in odd)
 
     def freeze(self) -> tuple:

@@ -177,6 +177,36 @@ def test_reduce_of_a_bimodule_replays_a_script(tmp_path, capsys, monkeypatch):
     assert (code, err) == (0, "") and "->" in out
 
 
+@pytest.mark.parametrize("argv", [["cfd", "-"], ["verify", "-", "--algo", "basis"]])
+def test_basis_of_an_unsimplifiable_complex_exits_1(capsys, monkeypatch, argv):
+    # two generators, no arrow: the homologies have rank two
+    monkeypatch.setattr(sys, "stdin", io.StringIO("x: A=0 M=0\ny: A=0 M=0\n"))
+    assert run(capsys, *argv) == (
+        1, "", "error: complex is not simplified with rank-one homologies\n")
+
+
+@pytest.mark.parametrize("module", ["basefree", "builtin:H"])
+def test_reduce_script_with_an_unknown_arrow_exits_1(tmp_path, capsys, module):
+    if module == "basefree":
+        module = str(tmp_path / "five.json")
+        assert run(capsys, "cfd", fx("five_gen.cfk.json"), "--algo", "basefree",
+                   "-o", module)[0] == 0
+    script = tmp_path / "bad.script"
+    script.write_text("nope -> a\n")
+    assert run(capsys, "reduce", module, "--script", str(script)) == (
+        1, "", "error: no idempotent arrow nope -> a\n")
+
+
+def test_broken_pipe_on_stdout_exits_1_quietly(capsys, monkeypatch):
+    class BrokenStdout(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    assert cli.main(["validate", fx("five_gen.cfk.json")]) == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_iso_mismatch_is_inconclusive(capsys):
     code, _, err = run(capsys, "iso", "builtin:tau-mu", "builtin:tau-lambda")
     assert code == 3

@@ -168,6 +168,29 @@ def test_verify_rejects_an_unknown_algorithm(trefoil):
         ktd.verify_elliptic_invariance(trefoil, "nope")
 
 
+# a -> b with U^0 at one Alexander grading: valid, but not reduced
+UNREDUCED = cfk.make_complex([cfk.KnotGenerator("a", 0, 0), cfk.KnotGenerator("b", 0, -1),
+                              cfk.KnotGenerator("c", 0, 0)], [cfk.KnotArrow("a", "b", 0)])
+DANGLING = cfk.make_complex([cfk.KnotGenerator("a", 0, 0)], [cfk.KnotArrow("a", "z", 0)])
+
+
+@pytest.mark.parametrize("f, C, says", [
+    (ktd.ktd_basefree, UNREDUCED, "complex must be reduced"),
+    (ktd.ktd_basis, UNREDUCED, "complex must be reduced"),
+    (cfk.tau, UNREDUCED, "complex must be reduced"),
+    (cfk.vertical_simplify, UNREDUCED, "complex must be reduced before simplification"),
+    (cfk.simultaneous_simplify, UNREDUCED, "complex must be reduced before simplification"),
+    (ktd.ktd_basefree, DANGLING, "invalid complex: arrow a->z references unknown generator"),
+    (cfk.tau, DANGLING, "invalid complex: arrow a->z references unknown generator"),
+    (ktd.verify_elliptic_invariance, DANGLING,
+     "invalid complex: arrow a->z references unknown generator"),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_library_rejects_a_complex_it_cannot_take(f, C, says):
+    with pytest.raises(ValueError) as got:
+        f(C)
+    assert str(got.value) == says
+
+
 # exponents of the Alexander polynomial of T(5,6), highest first
 T56 = [10, 9, 5, 3, 0, -3, -5, -9, -10]
 

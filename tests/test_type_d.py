@@ -363,6 +363,10 @@ def edge_count(G):
     return sum(map(len, G.out.values()))
 
 
+def edge_set(G):
+    return {(s, t, lab) for s, out in G.out.items() for t, lab in out}
+
+
 def _check_scored_changes(M):
     """_scored_changes, over every generator of M, leaves the graph as it
     was and gives an in-order subsequence of every_change whose deltas are
@@ -505,17 +509,39 @@ def test_greedy_and_match_agree_with_the_scan_of_every_near_change(monkeypatch):
     assert removed > 1000
 
 
+def _sequential_base_change(G, gen, other, coeff):
+    """base_change as it was before _Graph.toggled: toggle coeff times each
+    arrow out of other as an arrow out of gen, then reread the arrows into
+    gen, a loop just toggled among them, and toggle a copy of each into
+    other; returns the edges toggled, in order."""
+    done = [(gen, y, (args, c)) for y, (args, lab) in G.out[other]
+            if (c := multiply(coeff, lab)) is not A.ZERO]
+    for e in done:
+        G.toggle(*e)
+    more = [(x, other, (args, c)) for x, (args, lab) in G.inc[gen]
+            if (c := multiply(lab, coeff)) is not A.ZERO]
+    for e in more:
+        G.toggle(*e)
+    return done + more
+
+
 def _check_change_delta(M):
     """change_delta leaves the graph as it was and equals the change in
-    count made by base_change, for every (gen, other, coeff) it accepts;
+    count made by base_change, for every (gen, other, coeff) it accepts,
+    and base_change leaves the graph that _sequential_base_change does;
     returns the number of changes checked."""
     G = type_d._graph_d(M)
     changes = list(every_change(M.idems()))
     deltas = [G.change_delta(*change) for change in changes]
     assert type_d._freeze_d(G) == M and edge_count(G) == len(M.arrows)
     for change, delta in zip(changes, deltas):
+        toggled = _sequential_base_change(G, *change)
+        oracle = edge_set(G)
+        for e in reversed(toggled):
+            G.toggle(*e)
         toggled = G.base_change(*change)
         assert edge_count(G) - len(M.arrows) == delta, change
+        assert edge_set(G) == oracle, change
         for e in toggled:
             G.toggle(*e)
     assert type_d._freeze_d(G) == M
