@@ -360,6 +360,90 @@ def test_basefree_output_is_pinned(key):
     assert digest == BASEFREE_SHA256[key]
 
 
+# sha256 of write_typed(flip_ktd_direct(ktd_basefree(C, n), C)) at the keys of
+# BASEFREE_SHA256 and the mirrors of its torus knots, recorded before
+# flip_ktd_direct read its module's tags in one pass
+FLIP_SHA256 = {
+    "T(2,3)@+3":
+        "71eab35773272c73660a8b45f2f42f2d39f807f8e058a54eb9cb83258351201d",
+    "T(2,3)@default":
+        "3a0b18df309bd49b6390733cbd966c580d2d0d65850d5ee88b55a0d88a595d85",
+    "T(3,4)@+3":
+        "fd61dc252789af63a033ed3152913074eb0ef913a5bee27c98a9ddc3f4e97201",
+    "T(3,4)@default":
+        "c8f28fd5d85d4e6743b6f4d89c26b81392c44377d8233e4cb5f4045b93d4aa19",
+    "T(4,5)@+3":
+        "aaabd870dfc28c34926bdcf16a6e6fdfe3e475782a86bb9a06861e071c242361",
+    "T(4,5)@default":
+        "f7e6de82a105450cf93a0f435bf4b416a5971f1f9590afd7b6e3b5bfc87ba597",
+    "T(5,6)@+3":
+        "1a09bc20847704d55df440e043f7c660f6d04606904fe21dc62aa63e5cf7e1c0",
+    "T(5,6)@default":
+        "df796413b1289d6ebae4edbe3a745de688543cff2e737d907a22f42b846e1e0c",
+    "T(6,7)@+3":
+        "b0ac6ca9409d437f64a1024bf0fddeda5a672db0088e2fff797668355bc132da",
+    "T(6,7)@default":
+        "16a9858e466f3372e7d58c8013268d82c4d21c06b9db14b02399d151abc59667",
+    "T(7,8)@+3":
+        "75cb01d44f1bff6127196d5b747811eb637cb299bae610f8a56c7e671c93b8d3",
+    "T(7,8)@default":
+        "004268b9c6c8f621f59f254df9949c9d6cee900170d4e8327e45b0184ce4fa6d",
+    "figure_eight@+3":
+        "687a85aa1550b0290ff8ca6644b86fbc9344cb1409271a5ca52642e115ba6bea",
+    "figure_eight@default":
+        "1e88f273b2e21758c49353e4d95db60f4e21460c317c0f0428d3a8333afb3b74",
+    "five_gen@+3":
+        "6b5ccce3cedfcfe498a0396c2a8f3f43013799c11348adc352c09019387e3a2f",
+    "five_gen@default":
+        "62243902e93bff2f30288b73fa509edf3edf4dd9a882b9085e3d6778e0a6c71a",
+    "mirror T(2,3)@+3":
+        "1e2d049ba3a8539f0975b6ca55a069b6fedc12ece38ca66c4e94e935c6022390",
+    "mirror T(2,3)@default":
+        "a27c3a8426388d107551b78de15f2ad4c83cbba8b652453bba706e69c433a8dc",
+    "mirror T(3,4)@+3":
+        "7ec6ef73eb25581dc1079de297f1a9d6160f093bcbdc734c3e4943f2e469de9b",
+    "mirror T(3,4)@default":
+        "fb15e15987841e19c5d835002e9b7efbe514eb315f96e7c4d70f2af3e864a1d9",
+    "mirror T(4,5)@+3":
+        "52f25345aa886e5032170f39a6e42a9d219711ae286ec5c806b0643f64f99e42",
+    "mirror T(4,5)@default":
+        "5134ba8482bbfccc74a1e556d5267a9feebda94691ae7bce860dcac729854827",
+    "mirror T(5,6)@+3":
+        "88c95726b0accb3a003e0a244a095d1a9972e5d155653fec9a90d8dfd53ae4c5",
+    "mirror T(5,6)@default":
+        "9b1a91f6cc087070eedeeddf74ae68b4ebb58262b0fb8e8d1378d0d79bea8122",
+    "mirror T(6,7)@+3":
+        "d8579f084731dde2eb96c63e7f942aa7c3b3a521506e9eeba8a5c172e2aebe94",
+    "mirror T(6,7)@default":
+        "79748d4b33e28386242d2704985a60701ac0d4ef564b45b71a7c98ef4c1172bf",
+    "mirror T(7,8)@+3":
+        "eb03199b79960b272b632dc739f52101ca1673e4c979c269b0d239afc210a9f6",
+    "mirror T(7,8)@default":
+        "e936877235cadfef04308ad2f9bd40d279ba521a058dac064e0ead45d0f4bf0c",
+    "trefoil_left@+3":
+        "9310f1774898d1c306c4622959e0fd8d7cd69a61cdc321b43524d9eda0787282",
+    "trefoil_left@default":
+        "12b3795f8675466308c2b5fbcaa79582ec302707bd0ccb5a5b60b650085ca981",
+    "trefoil_right@+3":
+        "69fe33d3d6227aea9efbf251cbe54f242635f1ec96f6c1f61dc872241ac527a7",
+    "trefoil_right@default":
+        "fff561684d6c4fad2dc4e868bcabfca29f0971671dc201f17ef282b044c46abe",
+    "unknot@+3":
+        "37e2b8af63e0f72bda6dc5a39bf16185e8c4fb4c6ec17da629d14c3ce59ca1da",
+    "unknot@default":
+        "a8c8dbece5622940142c0426bfbf81d3f2ff7a89ab1f2e2ae7b70d6bff7de31e",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FLIP_SHA256))
+def test_flip_direct_output_is_pinned(key):
+    name, offset = key.split("@")
+    C = _knot(name)
+    D = ktd.ktd_basefree(C, None if offset == "default" else 4 * ktd._width(C) + 6)
+    digest = hashlib.sha256(io_formats.write_typed(ktd.flip_ktd_direct(D, C)).encode()).hexdigest()
+    assert digest == FLIP_SHA256[key]
+
+
 # sha256 of write_typed(ktd_basis(S, 2*tau + offset)), S the simultaneously
 # simplified complex, recorded before ktd_basis built its chains with one helper
 BASIS_SHA256 = {
