@@ -61,24 +61,30 @@ def _open_envelope(text: str, kind: str | None) -> tuple[str, dict]:
     return k, payload
 
 
-def _entries(payload: dict, key: str) -> list[dict]:
-    items = payload.get(key, [])
-    if not isinstance(items, list) or not set(map(type, items)) <= {dict}:
-        raise ParseError(f"{key} must be a list of objects")
-    return items
-
-
 def _each(payload: dict, key: str, what: str, read) -> list:
-    """read(entry) for each entry of the list payload[key], in order; the
-    KeyError, TypeError or ValueError of an entry becomes the one ParseError
-    "bad <what> entry <entry>: <error>"."""
+    """read(entry) for each entry of the list of objects payload[key], in
+    order; the KeyError, TypeError or ValueError of an entry becomes the one
+    ParseError "bad <what> entry <entry>: <error>"."""
+    entries = payload.get(key, [])
+    if not isinstance(entries, list) or not set(map(type, entries)) <= {dict}:
+        raise ParseError(f"{key} must be a list of objects")
     out = []
-    for entry in _entries(payload, key):
+    for entry in entries:
         try:
             out.append(read(entry))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"bad {what} entry {entry!r}: {e}") from None
     return out
+
+
+def _once(built, field: str, values: list, where: list, say: str = "repeated {} entry {!r}"):
+    """built, or a ParseError at the first repeat its field merged: over F2 it would cancel."""
+    if len(getattr(built, field)) != len(values):
+        first: dict = {}
+        for i, value in enumerate(values):
+            if first.setdefault(value, i) != i:
+                raise ParseError(say.format(field[:-1], where[i]))
+    return built
 
 
 def _no_extra(payload: dict, kind: str, allowed: set) -> None:
@@ -146,6 +152,7 @@ def _shown(line: str) -> str:
 def _cfk_lines(text: str) -> KnotComplex:
     gens: list[KnotGenerator] = []
     arrows: list[KnotArrow] = []
+    at: list[int] = []  # the line of each arrow
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,9 +165,10 @@ def _cfk_lines(text: str) -> KnotComplex:
         if m:
             arrows.append(KnotArrow(m.group(1), m.group(3),
                                     int(m.group(2) or 0)))
+            at.append(lineno)
             continue
         raise ParseError(f"line {lineno}: cannot parse {_shown(line)}")
-    return make_complex(gens, arrows)
+    return _once(make_complex(gens, arrows), "arrows", arrows, at, "line {1}: repeated {0}")
 
 
 def _cfk_payload(payload: dict) -> KnotComplex:
@@ -175,7 +183,7 @@ def _cfk_payload(payload: dict) -> KnotComplex:
                 and all(type(x) is int for x in shift)):
             raise ParseError(f"bad shift {shift!r}: expected two integers")
         shift = tuple(shift)
-    return make_complex(gens, arrows, shift)
+    return _once(make_complex(gens, arrows, shift), "arrows", arrows, payload.get("arrows"))
 
 
 def _typed_payload(payload: dict) -> TypeDModule:
@@ -187,7 +195,7 @@ def _typed_payload(payload: dict) -> TypeDModule:
     tags = payload.get("tags", {})
     if not isinstance(tags, dict):
         raise ParseError("tags must be an object")
-    return make_module(gens, arrows, tags)
+    return _once(make_module(gens, arrows, tags), "arrows", arrows, payload.get("arrows"))
 
 
 def _action(a: dict) -> DAAction:
@@ -202,7 +210,8 @@ def _typeda_payload(payload: dict) -> TypeDAModule:
     _no_extra(payload, "type_da", {"generators", "actions"})
     gens = _each(payload, "generators", "generator", lambda g: (
         _field(g, "name", str), idem_from_name(g["left"]), idem_from_name(g["right"])))
-    return make_da(gens, _each(payload, "actions", "action", _action))
+    actions = _each(payload, "actions", "action", _action)
+    return _once(make_da(gens, actions), "actions", actions, payload.get("actions"))
 
 
 def _script_payload(payload: dict) -> list[tuple[str, str]]:

@@ -205,70 +205,41 @@ def flip_ktd_direct(D: TypeDModule, C: cfk.KnotComplex) -> TypeDModule:
     n = D.tags[META]["framing"]
     cfk._require_model(C)
     by = C.by_name()
-    tagof = D.tags
-
-    def part(name: str) -> str:
-        return tagof[name]["part"]
-
-    def knd(name: str) -> str:
-        return tagof[name].get("kind", "")
-
     new_tags: dict = {META: dict(D.tags[META])}
+    part, kind = {}, {}  # generator -> its part and its column kind, read once
+    cols: dict[str, set[int]] = {"w": set(), "z": set()}  # col2 of the old w and z columns
     for name, tg in D.tags.items():
         if name == META:
             continue
-        ntg = dict(tg)
-        ntg["col2"] = -tg["col2"]
+        part[name], kind[name] = tg["part"], tg.get("kind", "")
+        ntg = new_tags[name] = dict(tg, col2=-tg["col2"])
         if tg.get("level") is not None:
             ntg["level"] = -tg["level"]
-        if tg.get("kind") == "w":
-            ntg["kind"] = "z"
-        elif tg.get("kind") == "z":
-            ntg["kind"] = "w"
-        new_tags[name] = ntg
-
+        if kind[name] in ("w", "z"):
+            ntg["kind"] = {"w": "z", "z": "w"}[kind[name]]
+            if part[name] == "V1":
+                cols[kind[name]].add(tg["col2"])
     arrows: list[DArrow] = []
-    old_w_cols = sorted({tg["col2"] for nm, tg in tagof.items()
-                         if nm != META and tg["part"] == "V1"
-                         and tg.get("kind") == "w"})
-    old_z_cols = sorted({tg["col2"] for nm, tg in tagof.items()
-                         if nm != META and tg["part"] == "V1"
-                         and tg.get("kind") == "z"})
     for a in D.arrows:
         if is_idempotent(a.label):
             arrows.append(a)
         elif a.label is A.R23:
-            ks, kt = knd(a.source), knd(a.target)
-            if ks == "w" and kt == "dot":
-                continue
-            if ks == "dot" and kt == "z":
-                continue
-            arrows.append(DArrow(a.target, a.source, A.R23))
-        elif a.label is A.R1 and part(a.source) == "V0":
-            arrows.append(DArrow(a.source, a.target, A.R3))
-        elif a.label is A.R3 and part(a.source) == "V0":
-            arrows.append(DArrow(a.source, a.target, A.R1))
+            if (kind[a.source], kind[a.target]) not in (("w", "dot"), ("dot", "z")):
+                arrows.append(DArrow(a.target, a.source, A.R23))
+        elif a.label in (A.R1, A.R3) and part[a.source] == "V0":
+            arrows.append(DArrow(a.source, a.target, A.R3 if a.label is A.R1 else A.R1))
         # rho2 and rho123 arrows are discarded and rebuilt below
-
-    rep_w = cfk.homology_support(C, "dw")
-    f_z = cfk.cohomology_support(C, "dz")
-    lw = max(old_w_cols)
-    rz = min(old_z_cols)
-    for sym in sorted(rep_w):
-        arrows.append(DArrow(f"*|{lw + 2}", f"{sym}|{lw}", A.R23))
-    for sym in sorted(f_z):
-        arrows.append(DArrow(f"{sym}|{rz}", f"*|{rz - 2}", A.R23))
-
-    vert = [a for a in C.arrows if C.is_vertical(a)]
-    for s2 in old_z_cols:
-        m = (s2 - n + 1) // 2
-        for a in vert:
-            if by[a.source].alexander >= m and by[a.target].alexander == m - 1:
-                arrows.append(DArrow(f"{a.source}|{s2}", a.target, A.R2))
-    for a in vert:
-        if C.alexander_drop(a) == 1:
-            col = 2 * by[a.source].alexander - n - 1
-            arrows.append(DArrow(a.source, f"{a.target}|{col}", A.R123))
+    rep_w, f_z = cfk.homology_support(C, "dw"), cfk.cohomology_support(C, "dz")
+    lw, rz = max(cols["w"]), min(cols["z"])
+    arrows.extend(DArrow(f"*|{lw + 2}", f"{sym}|{lw}", A.R23) for sym in rep_w)
+    arrows.extend(DArrow(f"{sym}|{rz}", f"*|{rz - 2}", A.R23) for sym in f_z)
+    for a in filter(C.is_vertical, C.arrows):  # one pass builds rho2 and rho123
+        top, bottom = by[a.source].alexander, by[a.target].alexander
+        # rho2 from each z column s2 holding the source whose bound sits just above the target
+        arrows.extend(DArrow(f"{a.source}|{s2}", a.target, A.R2) for s2 in cols["z"]
+                      if bottom + 1 == (s2 - n + 1) // 2 <= top)
+        if top - bottom == 1:
+            arrows.append(DArrow(a.source, f"{a.target}|{2 * top - n - 1}", A.R123))
     return make_module(D.generators, arrows, new_tags)
 
 

@@ -226,6 +226,14 @@ def test_verify_basis_path(capsys):
     assert out.startswith("verified")
 
 
+def test_verify_exits_1_on_a_failed_verdict(capsys, monkeypatch):
+    # no knot is known to fail, so the verdict is stubbed
+    monkeypatch.setattr(ktd, "verify_elliptic_invariance", lambda C, algo, framing:
+                        ktd.VerifyResult("failed", None, "generators per idempotent differ"))
+    assert run(capsys, "verify", fx("trefoil_right.cfk.json")) == (
+        1, "failed: generators per idempotent differ\n", "")
+
+
 @pytest.mark.parametrize("name, algo", [("unknot", "basis"), ("trefoil_right", "basefree")])
 def test_verify_at_framing_1000(capsys, name, algo):
     # about a thousand generators, one framing-chain step each
@@ -382,6 +390,22 @@ _MALFORMED = [
     # too deep to decode as JSON, read as terse lines: the line is cut short
     (["validate", "{}"], "[" * 5000 + "]" * 5000, "cannot parse '" + "[" * 80 + "…'"),
     (["flip", "{}", "-o", "{nodir}"], TERSE_TREFOIL, "cannot write"),
+    # a repeated entry would cancel its twin over F2: no list merges it silently
+    (["validate", "{}"], _doc("type_d", {
+        "generators": [{"name": "x", "idempotent": "iota0"}, {"name": "y", "idempotent": "iota1"}],
+        "arrows": [{"from": "x", "to": "y", "label": "rho1"}] * 2}),
+     "repeated arrow entry {'from': 'x', 'to': 'y', 'label': 'rho1'}"),
+    (["validate", "{}"], _doc("type_da", {
+        "generators": [{"name": "x", "left": "iota0", "right": "iota0"}],
+        "actions": [{"from": "x", "to": "x", "inputs": [], "output": "iota0"}] * 2}),
+     "repeated action entry {'from': 'x', 'to': 'x', 'inputs': [], 'output': 'iota0'}"),
+    (["validate", "{}"], _doc("cfk", {
+        "generators": [{"name": "b", "alexander": 0, "maslov": -1},
+                       {"name": "c", "alexander": -1, "maslov": -2}],
+        "arrows": [{"from": "b", "to": "c"}, {"from": "b", "to": "c", "u_power": 0}]}),
+     "repeated arrow entry {'from': 'b', 'to': 'c', 'u_power': 0}"),
+    (["validate", "{}"], "b: A=0 M=-1\nc: A=-1 M=-2\nb -> c\n# again\nb -> U^0 c\n",
+     "line 5: repeated arrow"),
     (["build-h", "--script", "{}"], _doc("script", {"pairs": ["ab"]}), "pairs must be"),
     (["build-h", "--script", "{}"], _doc("script", {"pairs": [{"x": 1, "y": 2}]}),
      "[from, to] lists"),

@@ -199,6 +199,26 @@ def reduced(D):
     return ktd.minimize_d(type_d.reduce_d(D)[0])
 
 
+INVOLUTION_KNOTS = FIXTURE_NAMES + ["T(3,4)", "mirror T(3,4)"]
+
+
+@pytest.mark.parametrize("name", INVOLUTION_KNOTS)
+def test_the_involution_squares_to_the_identity(name):
+    # H box H box D is homotopic to D: reduce between the two boxes
+    D = ktd.ktd_basefree(_knot(name))
+    once = type_d.reduce_d(type_da.box_da_d(type_da.builtin_H(), D))[0]
+    twice = reduced(type_da.box_da_d(type_da.builtin_H(), once))
+    assert ktd._compare_d(twice, reduced(D)).verdict == "verified"
+
+
+@pytest.mark.parametrize("name", INVOLUTION_KNOTS)
+def test_verify_basefree_at_four_framings(name):
+    C = _knot(name)
+    for n in range(4 * ktd._width(C) + 3, 4 * ktd._width(C) + 7):
+        res = ktd.verify_elliptic_invariance(C, "basefree", n)
+        assert res.verdict == "verified", (n, res.detail)
+
+
 def test_compare_fails_on_a_different_knot():
     # negative control: H box CFD(trefoil_right) is not CFD(trefoil_left)
     left = reduced(type_da.box_da_d(type_da.builtin_H(),

@@ -222,6 +222,38 @@ def test_reduce_da_random_orders_agree():
         assert type_da.isomorphic_da(red, H) is not None
 
 
+# mapping-class relations: the braid relation of the two Dehn twists, the
+# involution commuting with each twist, and (tau_lambda tau_mu)^3 and
+# (tau_mu tau_lambda)^3 both the involution; sizes after reduce_da
+RELATIONS = [
+    ("mu lambda mu", "lambda mu lambda", (4, 11)),
+    ("H mu", "mu H", (9, 20)),
+    ("H lambda", "lambda H", (9, 22)),
+    ("lambda mu lambda mu lambda mu", "H", (8, 16)),
+    ("mu lambda mu lambda mu lambda", "H", (8, 16)),
+]
+
+
+def _reduced_word(word):
+    """reduce_da of the box product of the bimodules word names, left first."""
+    named = {"mu": type_da.builtin_tau_mu, "lambda": type_da.builtin_tau_lambda,
+             "H": type_da.builtin_H}
+    factors = [named[w]() for w in word.split()]
+    prod = factors[0]
+    for factor in factors[1:]:
+        prod = type_da.box_da_da(prod, factor)
+    return type_da.reduce_da(prod)[0]
+
+
+@pytest.mark.parametrize("left, right, size", RELATIONS,
+                         ids=[f"{l} = {r}" for l, r, _ in RELATIONS])
+def test_mapping_class_relations_hold(left, right, size):
+    L, R = _reduced_word(left), _reduced_word(right)
+    assert (len(L.generators), len(L.actions)) == size
+    assert (len(R.generators), len(R.actions)) == size
+    assert type_da.isomorphic_da(L, R) is not None
+
+
 def test_box_da_d_validates(any_complex):
     D = ktd.ktd_basefree(any_complex)
     box = type_da.box_da_d(type_da.builtin_H(), D)
