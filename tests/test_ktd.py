@@ -313,7 +313,8 @@ def test_verify_torus_knot_5_6(algo):
 
 
 # sha256 of write_typed(ktd_basefree(C, n)) at the default n and at n + 3,
-# recorded before ktd_basefree computed each column once
+# recorded before ktd_basefree computed each column once; the mirrors of the
+# torus knots were recorded before it built its columns in one ordered pass
 BASEFREE_SHA256 = {
     "unknot@default":
         "6c44c2b1e60c883ee97cea29d8ec6a4c35e187d4cbeea7a86c33572f976a2f71",
@@ -359,6 +360,30 @@ BASEFREE_SHA256 = {
         "73d57c57e0278315cc1fc23cfa8afa43bc3afa6eee46ade9e86fddf00ec725f9",
     "T(7,8)@+3":
         "1a364c7c14f32efbec7b6c85aab0047ed8570daea3a5f0cce5a87520275b2374",
+    "mirror T(2,3)@default":
+        "85c7eb2e3f87f75630cc55b319eeaf00c7d0c54b6c8d2ffb6116867c35b32737",
+    "mirror T(2,3)@+3":
+        "2a77afc03e33b871af286bce8a4f1d40963ff354436fc889dae5272a9c56c368",
+    "mirror T(3,4)@default":
+        "64c6b2ad9bf948658f1c914d2cb84d81e643b82e5630d8678b9e4e3fb1aadeaa",
+    "mirror T(3,4)@+3":
+        "cdd42d77d01671daa15c1f87c01f081483da22adb4810cd71a94f738fd08503e",
+    "mirror T(4,5)@default":
+        "0a548fd088a88f144da643a27b8a1444fbe79900a80f1cd2a769475b6c383216",
+    "mirror T(4,5)@+3":
+        "2d1bbbd67b780ac701d8189db13acb032295ceda63fa16b7c87b5154ee0c3a85",
+    "mirror T(5,6)@default":
+        "c8bdbe601569e1766606978df54a54b1bdae72e674990d906308b57fddcf7a86",
+    "mirror T(5,6)@+3":
+        "b2849f01aa521b6d3ddaa0b5e935603d6ce4522b8adb6c98fe99f5978095ee84",
+    "mirror T(6,7)@default":
+        "60c21277ef5a8cbd0207a9bed8cd8edfaaa6a080a30ab55ad6514ad325268fcd",
+    "mirror T(6,7)@+3":
+        "eab5b540a9f589a697fee58d516547d5d1fc587de54a8cfaa0e33a241bba48d5",
+    "mirror T(7,8)@default":
+        "da71bba34e43ea9564abf0491fd469628dc1122f856c87c242b6126a01536ad4",
+    "mirror T(7,8)@+3":
+        "06aedd1bb859dc794ffb74166abad94ffff255951f56d06a7e3da25f9ae0563d",
 }
 
 
