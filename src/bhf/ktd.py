@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import cfk
-from .algebra import AlgebraElement, Idempotent, idem_element, is_idempotent
+from .algebra import AlgebraElement, Idempotent, is_idempotent
 from .type_d import (MATCH_CAP, MATCH_DEPTH, DArrow, TypeDModule, _match_up_to_base_change,
                      make_module, minimize_d, reduce_d)
 from .type_da import box_da_d, builtin_H, builtin_tau_mu
@@ -86,6 +86,15 @@ def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
     else:
         chain("u", n - two_tau, xv, A.R123, xh, A.R2, False)
     tags = {META: {"algo": "basis", "framing": n}}
+    return _module(gens, arrows, tags)
+
+
+def _module(gens, arrows, tags) -> TypeDModule:
+    """make_module, or a ValueError naming a generator made twice: a generator
+    of the complex can carry a name the construction gives another one."""
+    for name, k in Counter(name for name, _ in gens).items():
+        if k > 1:
+            raise ValueError(f"construction makes two generators named {name!r}")
     return make_module(gens, arrows, tags)
 
 
@@ -94,7 +103,14 @@ def _width(C: cfk.KnotComplex) -> int:
 
 
 def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
-    """Base-free type D module; describes the complement with framing -n."""
+    """Base-free type D module; describes the complement with framing -n.
+
+    The iota1 part has a column for each s2 = 2s from 2*amin - n + 1 to
+    2*amax + n - 1 in steps of 2.  A w column (2*s2 <= -n, bound
+    m = (s2 + n - 1)/2) holds sym|s2 for each generator sym of grading <= m,
+    a z column (2*s2 >= n, m = (s2 - n + 1)/2) those of grading >= m, and a
+    dot column *|s2 alone; rho23 arrows join each to the one before it.
+    """
     cfk._require_model(C)
     # read first: the homologies have rank one, so C has a generator
     f_w = cfk.cohomology_support(C, "dw")
@@ -104,92 +120,49 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
         n = 4 * t + 3
     if n < 4 * t + 3:
         raise ValueError(f"framing parameter n={n} too small, need >= {4 * t + 3}")
-    by = C.by_name()
-    amin = min(g.alexander for g in C.generators)
-    amax = max(g.alexander for g in C.generators)
-
-    def column(s2: int) -> tuple[str, int, list]:
-        """(kind, bound, members) of the iota1 column at s2 = 2s."""
-        if 2 * s2 <= -n:
-            m = (s2 + n - 1) // 2
-            return "w", m, [g.name for g in C.generators if g.alexander <= m]
-        m = (s2 - n + 1) // 2
-        if 2 * s2 >= n:
-            return "z", m, [g.name for g in C.generators if g.alexander >= m]
-        return "dot", m, [None]
-
-    def vname(sym: str | None, s2: int) -> str:
-        return f"{'*' if sym is None else sym}|{s2}"
-
-    lo = 2 * amin - n + 1
-    hi = 2 * amax + n - 1
-    # the nonempty columns in order: s2 -> (kind, bound, members)
-    cols = {s2: col for s2 in range(lo, hi + 1, 2) if (col := column(s2))[2]}
-
-    gens: list[tuple[str, Idempotent]] = []
-    tags: dict = {META: {"algo": "basefree", "framing": n, "width": t}}
-    for g in C.generators:
-        gens.append((g.name, Idempotent.I0))
-        tags[g.name] = {"part": "V0", "col2": 2 * g.alexander,
-                        "symbol": g.name, "level": g.alexander}
-    for s2, (k, _, members) in cols.items():
-        for sym in members:
-            name = vname(sym, s2)
-            gens.append((name, Idempotent.I1))
-            tags[name] = {"part": "V1", "kind": k, "col2": s2,
-                          "symbol": sym,
-                          "level": None if sym is None else by[sym].alexander}
-
+    level = {g.name: g.alexander for g in C.generators}
+    # C is reduced: a horizontal arrow raises the grading, a vertical one lowers it
     horiz = [a for a in C.arrows if C.is_horizontal(a)]
     vert = [a for a in C.arrows if C.is_vertical(a)]
-
+    gens: list[tuple[str, Idempotent]] = []
+    tags: dict = {META: {"algo": "basefree", "framing": n, "width": t}}
     arrows: list[DArrow] = []
-    present = {g for g, _ in gens}
-    w_cols = [(s2, m) for s2, (k, m, _) in cols.items() if k == "w"]
-    z_cols = [(s2, m) for s2, (k, m, _) in cols.items() if k == "z"]
-
-    def put(src: str, tgt: str, lab: AlgebraElement) -> None:
-        assert src in present and tgt in present, (src, tgt)
-        arrows.append(DArrow(src, tgt, lab))
-
-    for g in C.generators:
-        sname = g.name
-        sA = g.alexander
-        put(sname, vname(sname, 2 * sA + n - 1), A.R1)
-        put(sname, vname(sname, 2 * sA - n + 1), A.R3)
-    for a in horiz:
-        x, y, r = a.source, a.target, a.u_power
-        # rho123 arrows come from horizontal arrows of length one
-        if r == 1:
-            put(x, vname(y, 2 * by[x].alexander + n + 1), A.R123)
-        for s2, m in w_cols:
-            if by[x].alexander <= m:
-                if by[y].alexander <= m:
-                    put(vname(x, s2), vname(y, s2), idem_element(Idempotent.I1))
-                elif by[y].alexander == m + 1:
-                    put(vname(x, s2), y, A.R2)
-    for a in vert:
-        x, y = a.source, a.target
-        for s2, m in z_cols:
-            if by[x].alexander >= m and by[y].alexander >= m:
-                put(vname(x, s2), vname(y, s2), idem_element(Idempotent.I1))
-    for s2, (k1, _, members) in cols.items():
-        nxt = s2 + 2
-        if nxt not in cols:
-            continue
-        k2, _, later = cols[nxt]
-        if k1 == "w" and k2 == "dot":
-            for sym in sorted(f_w):
-                put(vname(sym, s2), vname(None, nxt), A.R23)
-        elif k1 == "dot" and k2 == "z":
-            for sym in sorted(rep_z):
-                put(vname(None, s2), vname(sym, nxt), A.R23)
+    for g, a in level.items():
+        gens.append((g, Idempotent.I0))
+        tags[g] = {"part": "V0", "col2": 2 * a, "symbol": g, "level": a}
+        arrows += [DArrow(g, f"{g}|{2 * a + n - 1}", A.R1),
+                   DArrow(g, f"{g}|{2 * a - n + 1}", A.R3)]
+    # rho123 arrows come from horizontal arrows of length one
+    arrows += [DArrow(a.source, f"{a.target}|{2 * level[a.source] + n + 1}", A.R123)
+               for a in horiz if a.u_power == 1]
+    # every column holds a generator: a w bound is at least amin, a z bound at most amax
+    kind, col = None, {}  # the previous column: its kind and its symbol -> name
+    for s2 in range(2 * min(level.values()) - n + 1, 2 * max(level.values()) + n, 2):
+        prev_kind, prev = kind, col
+        if 2 * s2 <= -n:
+            kind, m = "w", (s2 + n - 1) // 2
+            col = {g: f"{g}|{s2}" for g, a in level.items() if a <= m}
+            arrows += [DArrow(col[a.source], col[a.target], A.I1)
+                       for a in horiz if level[a.target] <= m]
+            arrows += [DArrow(col[a.source], a.target, A.R2)
+                       for a in horiz if level[a.target] == m + 1]
+        elif 2 * s2 >= n:
+            kind, m = "z", (s2 - n + 1) // 2
+            col = {g: f"{g}|{s2}" for g, a in level.items() if a >= m}
+            arrows += [DArrow(col[a.source], col[a.target], A.I1)
+                       for a in vert if level[a.target] >= m]
+        else:
+            kind, col = "dot", {None: f"*|{s2}"}
+        gens += [(name, Idempotent.I1) for name in col.values()]
+        tags.update((name, {"part": "V1", "kind": kind, "col2": s2, "symbol": sym,
+                            "level": level.get(sym)}) for sym, name in col.items())
+        if (prev_kind, kind) == ("w", "dot"):
+            arrows += [DArrow(prev[sym], col[None], A.R23) for sym in f_w]
+        elif (prev_kind, kind) == ("dot", "z"):
+            arrows += [DArrow(prev[None], col[sym], A.R23) for sym in rep_z]
         else:  # w -> w, dot -> dot and z -> z join each symbol in both
-            both = set(later)
-            for sym in members:
-                if sym in both:
-                    put(vname(sym, s2), vname(sym, nxt), A.R23)
-    return make_module(gens, arrows, tags)
+            arrows += [DArrow(prev[sym], col[sym], A.R23) for sym in prev if sym in col]
+    return _module(gens, arrows, tags)
 
 
 def flip_ktd_direct(D: TypeDModule, C: cfk.KnotComplex) -> TypeDModule:

@@ -185,6 +185,17 @@ def test_basis_of_an_unsimplifiable_complex_exits_1(capsys, monkeypatch, argv):
         1, "", "error: complex is not simplified with rank-one homologies\n")
 
 
+@pytest.mark.parametrize("third, argv", [
+    ("a|8", ["cfd", "-", "--algo", "basefree"]), ("a|8", ["verify", "-"]),
+    ("u.1", ["cfd", "-"]), ("u.1", ["verify", "-", "--algo", "basis"])])
+def test_a_generator_named_like_a_made_one_exits_1(capsys, monkeypatch, third, argv):
+    # the trefoil with its third generator named like a generator the
+    # construction makes: the base-free rho1 target of a, or the basis chain
+    monkeypatch.setattr(sys, "stdin", io.StringIO(TERSE_TREFOIL.replace("c", third)))
+    assert run(capsys, *argv) == (
+        1, "", f"error: construction makes two generators named {third!r}\n")
+
+
 @pytest.mark.parametrize("module", ["basefree", "builtin:H"])
 def test_reduce_script_with_an_unknown_arrow_exits_1(tmp_path, capsys, module):
     if module == "basefree":

@@ -40,9 +40,15 @@ def test_basefree_five_gen_oracle(five_gen):
     assert label_counts(D) == ORACLE_LABELS
 
 
-def test_basefree_validates(any_complex):
-    D = ktd.ktd_basefree(any_complex)
-    assert type_d.validate_d(D) == []
+TORUS_KNOTS = [f"{m}T({p},{p + 1})" for p in range(2, 8) for m in ("", "mirror ")]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + TORUS_KNOTS)
+def test_basefree_validates(name):
+    # every arrow ends at a generator the construction made, at each framing
+    C = _knot(name)
+    for n in range(4 * ktd._width(C) + 3, 4 * ktd._width(C) + 7):
+        assert type_d.validate_d(ktd.ktd_basefree(C, n)) == [], n
 
 
 def test_basefree_never_uses_rho12(any_complex):
@@ -174,6 +180,24 @@ UNREDUCED = cfk.make_complex([cfk.KnotGenerator("a", 0, 0), cfk.KnotGenerator("b
 DANGLING = cfk.make_complex([cfk.KnotGenerator("a", 0, 0)], [cfk.KnotArrow("a", "z", 0)])
 
 
+def trefoil_with(third):
+    """The right-handed trefoil, b -> U a and b -> third, with its third
+    generator named third."""
+    return cfk.make_complex([cfk.KnotGenerator("a", 1, 0), cfk.KnotGenerator("b", 0, -1),
+                             cfk.KnotGenerator(third, -1, -2)],
+                            [cfk.KnotArrow("b", "a", 1), cfk.KnotArrow("b", third, 0)])
+
+
+def verify_basis(C):
+    return ktd.verify_elliptic_invariance(C, "basis")
+
+
+# a|8 is the base-free rho1 target of a, u.1 ... u.3 the basis unstable chain
+CLASHES = [(ktd.ktd_basefree, "a|8"), (ktd.verify_elliptic_invariance, "a|8"),
+           (ktd.ktd_basis, "u.1"), (ktd.ktd_basis, "u.2"), (ktd.ktd_basis, "u.3"),
+           (verify_basis, "u.1")]
+
+
 @pytest.mark.parametrize("f, C, says", [
     (ktd.ktd_basefree, UNREDUCED, "complex must be reduced"),
     (ktd.ktd_basis, UNREDUCED, "complex must be reduced"),
@@ -184,7 +208,8 @@ DANGLING = cfk.make_complex([cfk.KnotGenerator("a", 0, 0)], [cfk.KnotArrow("a", 
     (cfk.tau, DANGLING, "invalid complex: arrow a->z references unknown generator"),
     (ktd.verify_elliptic_invariance, DANGLING,
      "invalid complex: arrow a->z references unknown generator"),
-], ids=lambda x: getattr(x, "__name__", None))
+] + [(f, trefoil_with(name), f"construction makes two generators named {name!r}")
+     for f, name in CLASHES], ids=lambda x: getattr(x, "__name__", None))
 def test_library_rejects_a_complex_it_cannot_take(f, C, says):
     with pytest.raises(ValueError) as got:
         f(C)
