@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _linalg
 
@@ -52,9 +53,14 @@ class KnotComplex:
     def by_name(self) -> dict[str, KnotGenerator]:
         return {g.name: g for g in self.generators}
 
+    @cached_property
+    def _alexander(self) -> dict[str, int]:
+        # read once per complex: alexander_drop runs once per arrow
+        return {g.name: g.alexander for g in self.generators}
+
     def alexander_drop(self, a: KnotArrow) -> int:
-        m = self.by_name()
-        return m[a.source].alexander - m[a.target].alexander
+        level = self._alexander
+        return level[a.source] - level[a.target]
 
     def is_vertical(self, a: KnotArrow) -> bool:
         return a.u_power == 0

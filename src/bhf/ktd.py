@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 from . import cfk
 from .algebra import AlgebraElement, Idempotent, is_idempotent
-from .type_d import (MATCH_CAP, MATCH_DEPTH, DArrow, TypeDModule, _match_up_to_base_change,
-                     make_module, minimize_d, reduce_d)
-from .type_da import box_da_d, builtin_H, builtin_tau_mu
+from .type_d import (MATCH_CAP, MATCH_DEPTH, DArrow, TypeDModule, _freeze_d, _Graph, _graph_d,
+                     _match_up_to_base_change, _minimize, _reduce, make_module)
+from .type_da import _box_graph, builtin_H, builtin_tau_mu
 
 __all__ = [
     "ktd_basis", "ktd_basefree", "flip_ktd_direct", "adjust_framing",
@@ -39,11 +39,17 @@ META = "__meta__"
 
 def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
     """Type D module of the complement from a simplified basis."""
+    return _module(*_basis(C, framing))
+
+
+def _basis(C: cfk.KnotComplex, framing: int | None) -> tuple:
+    """The generators, arrows (source, target, label) and tag maker of
+    ktd_basis: the tags are made only for its output."""
     cfk._require_model(C)
     if not (cfk.is_vertically_simplified(C) and cfk.is_horizontally_simplified(C)):
         raise ValueError("complex must be simultaneously simplified")
     gens: list[tuple[str, Idempotent]] = [(g.name, Idempotent.I0) for g in C.generators]
-    arrows: list[DArrow] = []
+    arrows: list[tuple[str, str, A]] = []
 
     def chain(prefix: str, length: int, head: str, first: A, tail: str, last: A,
               down: bool) -> None:
@@ -52,10 +58,9 @@ def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
         first, and tail -last-> the last when down, else the last -last-> tail."""
         ks = [f"{prefix}.{i}" for i in range(1, length + 1)]
         gens.extend((k, Idempotent.I1) for k in ks)
-        arrows.append(DArrow(head, ks[0], first))
-        arrows.extend(DArrow(y, x, A.R23) if down else DArrow(x, y, A.R23)
-                      for x, y in zip(ks, ks[1:]))
-        arrows.append(DArrow(tail, ks[-1], last) if down else DArrow(ks[-1], tail, last))
+        arrows.append((head, ks[0], first))
+        arrows.extend((y, x, A.R23) if down else (x, y, A.R23) for x, y in zip(ks, ks[1:]))
+        arrows.append((tail, ks[-1], last) if down else (ks[-1], tail, last))
 
     v_touched: set[str] = set()
     h_touched: set[str] = set()
@@ -82,20 +87,37 @@ def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
     if n < two_tau:
         chain("u", two_tau - n, xv, A.R1, xh, A.R3, True)
     elif n == two_tau:
-        arrows.append(DArrow(xv, xh, A.R12))
+        arrows.append((xv, xh, A.R12))
     else:
         chain("u", n - two_tau, xv, A.R123, xh, A.R2, False)
-    tags = {META: {"algo": "basis", "framing": n}}
-    return _module(gens, arrows, tags)
+    return _named_once(gens), arrows, lambda: {META: {"algo": "basis", "framing": n}}
 
 
-def _module(gens, arrows, tags) -> TypeDModule:
-    """make_module, or a ValueError naming a generator made twice: a generator
-    of the complex can carry a name the construction gives another one."""
+def _named_once(gens: list) -> list:
+    """gens, or a ValueError naming a generator made twice: a generator of
+    the complex can carry a name the construction gives another one."""
     for name, k in Counter(name for name, _ in gens).items():
         if k > 1:
             raise ValueError(f"construction makes two generators named {name!r}")
-    return make_module(gens, arrows, tags)
+    return gens
+
+
+def _module(gens: list, arrows: list, tags) -> TypeDModule:
+    """The module of a construction's generators, arrows and tag maker."""
+    return make_module(gens, map(DArrow._make, arrows), tags())
+
+
+def _graph(gens: list, arrows: list) -> _Graph:
+    """The module graph of a construction's generators and arrows: the
+    edges of _module's output, unsorted and untagged."""
+    return _Graph(gens, ((s, t, ((), c)) for s, t, c in dict.fromkeys(arrows)), {})
+
+
+def _minimal(G: _Graph) -> TypeDModule:
+    """The module graph G reduced and minimised in place, then frozen."""
+    _reduce(G, None)
+    _minimize(G)
+    return _freeze_d(G)
 
 
 def _width(C: cfk.KnotComplex) -> int:
@@ -111,6 +133,12 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     a z column (2*s2 >= n, m = (s2 - n + 1)/2) those of grading >= m, and a
     dot column *|s2 alone; rho23 arrows join each to the one before it.
     """
+    return _module(*_basefree(C, n))
+
+
+def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
+    """The generators, arrows (source, target, label) and tag maker of
+    ktd_basefree: the tags are made only for its output."""
     cfk._require_model(C)
     # read first: the homologies have rank one, so C has a generator
     f_w = cfk.cohomology_support(C, "dw")
@@ -125,15 +153,13 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     horiz = [a for a in C.arrows if C.is_horizontal(a)]
     vert = [a for a in C.arrows if C.is_vertical(a)]
     gens: list[tuple[str, Idempotent]] = []
-    tags: dict = {META: {"algo": "basefree", "framing": n, "width": t}}
-    arrows: list[DArrow] = []
+    columns: list[tuple[str, int, dict]] = []  # kind, s2 and symbol -> name, for the tags
+    arrows: list[tuple[str, str, A]] = []
     for g, a in level.items():
         gens.append((g, Idempotent.I0))
-        tags[g] = {"part": "V0", "col2": 2 * a, "symbol": g, "level": a}
-        arrows += [DArrow(g, f"{g}|{2 * a + n - 1}", A.R1),
-                   DArrow(g, f"{g}|{2 * a - n + 1}", A.R3)]
+        arrows += [(g, f"{g}|{2 * a + n - 1}", A.R1), (g, f"{g}|{2 * a - n + 1}", A.R3)]
     # rho123 arrows come from horizontal arrows of length one
-    arrows += [DArrow(a.source, f"{a.target}|{2 * level[a.source] + n + 1}", A.R123)
+    arrows += [(a.source, f"{a.target}|{2 * level[a.source] + n + 1}", A.R123)
                for a in horiz if a.u_power == 1]
     # every column holds a generator: a w bound is at least amin, a z bound at most amax
     kind, col = None, {}  # the previous column: its kind and its symbol -> name
@@ -142,27 +168,35 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
         if 2 * s2 <= -n:
             kind, m = "w", (s2 + n - 1) // 2
             col = {g: f"{g}|{s2}" for g, a in level.items() if a <= m}
-            arrows += [DArrow(col[a.source], col[a.target], A.I1)
+            arrows += [(col[a.source], col[a.target], A.I1)
                        for a in horiz if level[a.target] <= m]
-            arrows += [DArrow(col[a.source], a.target, A.R2)
+            arrows += [(col[a.source], a.target, A.R2)
                        for a in horiz if level[a.target] == m + 1]
         elif 2 * s2 >= n:
             kind, m = "z", (s2 - n + 1) // 2
             col = {g: f"{g}|{s2}" for g, a in level.items() if a >= m}
-            arrows += [DArrow(col[a.source], col[a.target], A.I1)
+            arrows += [(col[a.source], col[a.target], A.I1)
                        for a in vert if level[a.target] >= m]
         else:
             kind, col = "dot", {None: f"*|{s2}"}
         gens += [(name, Idempotent.I1) for name in col.values()]
-        tags.update((name, {"part": "V1", "kind": kind, "col2": s2, "symbol": sym,
-                            "level": level.get(sym)}) for sym, name in col.items())
+        columns.append((kind, s2, col))
         if (prev_kind, kind) == ("w", "dot"):
-            arrows += [DArrow(prev[sym], col[None], A.R23) for sym in f_w]
+            arrows += [(prev[sym], col[None], A.R23) for sym in f_w]
         elif (prev_kind, kind) == ("dot", "z"):
-            arrows += [DArrow(prev[None], col[sym], A.R23) for sym in rep_z]
+            arrows += [(prev[None], col[sym], A.R23) for sym in rep_z]
         else:  # w -> w, dot -> dot and z -> z join each symbol in both
-            arrows += [DArrow(prev[sym], col[sym], A.R23) for sym in prev if sym in col]
-    return _module(gens, arrows, tags)
+            arrows += [(prev[sym], col[sym], A.R23) for sym in prev if sym in col]
+
+    def tags() -> dict:
+        made = {META: {"algo": "basefree", "framing": n, "width": t}}
+        made.update((g, {"part": "V0", "col2": 2 * a, "symbol": g, "level": a})
+                    for g, a in level.items())
+        for kind, s2, col in columns:
+            made.update((name, {"part": "V1", "kind": kind, "col2": s2, "symbol": sym,
+                                "level": level.get(sym)}) for sym, name in col.items())
+        return made
+    return _named_once(gens), arrows, tags
 
 
 def flip_ktd_direct(D: TypeDModule, C: cfk.KnotComplex) -> TypeDModule:
@@ -217,13 +251,15 @@ def flip_ktd_direct(D: TypeDModule, C: cfk.KnotComplex) -> TypeDModule:
 
 
 def adjust_framing(D: TypeDModule, k: int) -> TypeDModule:
-    """Raise the framing by k meridional twists (k >= 0), reducing each step."""
+    """Raise the framing by k meridional twists (k >= 0), reducing each step;
+    the boxes and reductions run on module graphs, frozen once at the end."""
     if k < 0:
         raise ValueError("only nonnegative twist counts are supported")
-    tau_mu = builtin_tau_mu()
+    tau_mu, G = builtin_tau_mu(), _graph_d(D)
     for _ in range(k):
-        D, _trace = reduce_d(box_da_d(tau_mu, D))
-    return D
+        G = _box_graph(tau_mu, G)
+        _reduce(G, None)
+    return _freeze_d(G)
 
 
 @dataclass(frozen=True)
@@ -233,14 +269,21 @@ class VerifyResult:
     detail: str
 
 
-def _ktd(C: cfk.KnotComplex, algo: str, framing: int | None) -> TypeDModule | None:
-    """None when the simplified basis that ``basis`` needs is not found."""
+def _construction(C: cfk.KnotComplex, algo: str, framing: int | None) -> tuple | None:
+    """The generators, arrows and tag maker of the named construction; None
+    when the simplified basis that ``basis`` needs is not found."""
     if algo == "basis":
         Cs = cfk.simultaneous_simplify(C)
-        return None if Cs is None else ktd_basis(Cs, framing)
+        return None if Cs is None else _basis(Cs, framing)
     if algo == "basefree":
-        return ktd_basefree(C, framing)
+        return _basefree(C, framing)
     raise ValueError(f"unknown algorithm {algo!r}")
+
+
+def _ktd(C: cfk.KnotComplex, algo: str, framing: int | None) -> TypeDModule | None:
+    """None when the simplified basis that ``basis`` needs is not found."""
+    built = _construction(C, algo, framing)
+    return None if built is None else _module(*built)
 
 
 def _carries(mapping: dict[str, str], M: TypeDModule, N: TypeDModule) -> bool:
@@ -284,18 +327,22 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
     bimodule respects homotopy equivalence (Lipshitz-Ozsvath-Thurston,
     arXiv:1003.0598), so boxing the reduced module gives a left side
     homotopic to boxing the module itself, from a box several times
-    smaller.  A simplified basis that ``basis`` does not find is reported
-    as inconclusive.
+    smaller.  Each side stays one module graph from its construction to
+    its minimisation (the box writes a new one) and is frozen once, for
+    the comparison; the right side's graph is built once the left side is
+    frozen, so the two are never held together.  A simplified basis that
+    ``basis`` does not find is reported as inconclusive.
     """
     bad = cfk.validate(C)
     if bad:
         raise ValueError("invalid complex: " + bad[0])
     C = cfk.reduce(C)
-    DL = _ktd(C, algo, framing)
-    DR = _ktd(cfk.flip(C), algo, framing)
-    if DL is None or DR is None:
+    built = [_construction(X, algo, framing) for X in (C, cfk.flip(C))]
+    if None in built:
         return VerifyResult("inconclusive", None, "simultaneous simplification "
                             f"did not converge in {cfk.SIMPLIFY_ROUNDS} rounds")
-    left, _ = reduce_d(box_da_d(builtin_H(), reduce_d(DL)[0]))
-    right, _ = reduce_d(DR)
-    return _compare_d(minimize_d(left), minimize_d(right))
+    (gens_l, arrows_l, _), (gens_r, arrows_r, _) = built
+    left = _graph(gens_l, arrows_l)
+    _reduce(left, None)
+    left = _minimal(_box_graph(builtin_H(), left))
+    return _compare_d(left, _minimal(_graph(gens_r, arrows_r)))

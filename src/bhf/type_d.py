@@ -123,8 +123,9 @@ class _Graph:
         self.inc: dict[str, set] = defaultdict(set)
         self.diff: list[tuple[str, str]] = []
         self.tags = tags
-        # the edges are distinct (make_module and make_da drop repeats), so
-        # this is what toggling each one in would build
+        # the edges are distinct (make_module, make_da, the constructions'
+        # graphs and the box drop repeats), so this is what toggling each one
+        # in would build
         for s, t, label in edges:
             self.out[s].add((t, label))
             self.inc[t].add((s, label))
@@ -340,12 +341,18 @@ def minimize_d(M: TypeDModule) -> TypeDModule:
     len(M.arrows) of them.
     """
     G = _graph_d(M)
+    _minimize(G)
+    return _freeze_d(G)
+
+
+def _minimize(G: _Graph) -> None:
+    """minimize_d in place on the module graph G."""
     names = sorted(G.left)
     while True:
         best = next(((gen, other, c) for gen in names
                      for other, c, delta in _scored_changes(G, gen) if delta < 0), None)
         if best is None:
-            return _freeze_d(G)
+            return
         G.base_change(*best)
 
 

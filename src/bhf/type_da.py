@@ -201,7 +201,8 @@ _SEP = "⊗"  # product generators are named b⊗x
 def _box(B: TypeDAModule, generators, edges) -> tuple[list, list]:
     """Box tensor product of B with a right factor, read as generator tuples
     (name, left idempotent, ...) and edges (source, inputs, output, target):
-    a type D module is a DA bimodule with no inputs.
+    a type D module is a DA bimodule with no inputs, and so are the live
+    generators and edges of a type D module graph.
 
     An action of B consumes the outputs of a path of right-factor edges,
     whose inputs become those of the product; an action without inputs
@@ -256,6 +257,14 @@ def box_da_d(B: TypeDAModule, M: TypeDModule) -> TypeDModule:
     gens, edges = _box(B, M.generators, ((a.source, (), a.label, a.target)
                                          for a in M.arrows))
     return make_module(gens, [DArrow(s, t, c) for s, _, c, t in edges])
+
+
+def _box_graph(B: TypeDAModule, G: _Graph) -> _Graph:
+    """box_da_d on the live generators and edges of the type D module graph
+    G, written into a new graph."""
+    gens, edges = _box(B, G.left.items(), ((s, args, c, t) for s, out in G.out.items()
+                                           for t, (args, c) in out))
+    return _Graph(gens, ((s, t, (args, c)) for s, args, c, t in edges), {})
 
 
 def box_da_da(B: TypeDAModule, C: TypeDAModule) -> TypeDAModule:

@@ -99,10 +99,10 @@ def test_criterion_4_basis_verification_and_framings():
         D = ktd.ktd_basis(S)
         base = D.tags[ktd.META]["framing"]
         for k in (3, 5):  # framings two_tau and two_tau + 2
-            adj = ktd.minimize_d(ktd.adjust_framing(D, k))
+            adj = type_d.minimize_d(ktd.adjust_framing(D, k))
             direct, _ = type_d.reduce_d(ktd.ktd_basis(S, base + k))
             assert type_d._match_up_to_base_change(
-                adj, ktd.minimize_d(direct))[0] is not None, (name, k)
+                adj, type_d.minimize_d(direct))[0] is not None, (name, k)
     report(4, "basis-path verification at default framing, and twist "
               "adjustment matches direct construction at higher framings")
 

@@ -353,3 +353,18 @@ def test_rref_matches_elimination_oracle():
         assert _rref_solve(eqs, nbits) == want
         solved[want is not None] += 1
     assert solved[True] >= 100 and solved[False] >= 100
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_alexander_drop_reads_the_gradings_once(name, monkeypatch):
+    # is_reduced, is_horizontal and the constructions call alexander_drop
+    # once per arrow: it must not rebuild the generator table each time
+    C = random_complex(name, 3)
+    by = C.by_name()
+    drops = [by[a.source].alexander - by[a.target].alexander for a in C.arrows]
+    monkeypatch.setattr(cfk.KnotComplex, "by_name",
+                        lambda self: pytest.fail("by_name rebuilt per arrow"))
+    assert [C.alexander_drop(a) for a in C.arrows] == drops
+    assert [C.is_horizontal(a) for a in C.arrows] == [
+        a.u_power + d == 0 for a, d in zip(C.arrows, drops)]
+    assert cfk.is_reduced(C) == all(a.u_power > 0 or d > 0 for a, d in zip(C.arrows, drops))

@@ -5,7 +5,7 @@ import pytest
 
 from bhf import cfk, io_formats, ktd, type_d, type_da
 from bhf.algebra import AlgebraElement as A, Idempotent as I
-from conftest import FIXTURE_NAMES, base_change, every_change, load_cfk
+from conftest import FIXTURE_NAMES, base_change, every_change, load_cfk, random_complex
 from staircase import mirror, staircase, torus_knot
 
 # frozen oracle for the five-generator example at n=7: column populations,
@@ -142,9 +142,9 @@ def test_adjust_framing_matches_direct_construction(any_complex):
     D = ktd.ktd_basis(S)
     base = D.tags[ktd.META]["framing"]
     for k in (3, 5):
-        adj = ktd.minimize_d(ktd.adjust_framing(D, k))
+        adj = type_d.minimize_d(ktd.adjust_framing(D, k))
         direct, _ = type_d.reduce_d(ktd.ktd_basis(S, base + k))
-        direct = ktd.minimize_d(direct)
+        direct = type_d.minimize_d(direct)
         assert type_d._match_up_to_base_change(adj, direct)[0] is not None
 
 
@@ -153,8 +153,8 @@ def test_algorithms_agree(any_complex):
     S = cfk.simultaneous_simplify(C)
     t = max((abs(g.alexander) for g in C.generators), default=0)
     n = 4 * t + 3
-    bf = ktd.minimize_d(type_d.reduce_d(ktd.ktd_basefree(C, n))[0])
-    bs = ktd.minimize_d(type_d.reduce_d(ktd.ktd_basis(S, -n))[0])
+    bf = type_d.minimize_d(type_d.reduce_d(ktd.ktd_basefree(C, n))[0])
+    bs = type_d.minimize_d(type_d.reduce_d(ktd.ktd_basis(S, -n))[0])
     assert type_d._match_up_to_base_change(bf, bs)[0] is not None
 
 
@@ -221,7 +221,7 @@ T56 = [10, 9, 5, 3, 0, -3, -5, -9, -10]
 
 
 def reduced(D):
-    return ktd.minimize_d(type_d.reduce_d(D)[0])
+    return type_d.minimize_d(type_d.reduce_d(D)[0])
 
 
 INVOLUTION_KNOTS = FIXTURE_NAMES + ["T(3,4)", "mirror T(3,4)"]
@@ -687,3 +687,91 @@ def test_boxing_the_reduced_module_keeps_the_negative_control():
     res = ktd._compare_d(reduced(left), reduced(ktd.ktd_basefree(L)))
     assert res.verdict == "failed"
     assert _old_verdict(R, L, "basefree", None) == ("failed", 0)
+
+
+def _staged(C, algo, framing):
+    """verify_elliptic_invariance as the composition of the public functions,
+    each stage frozen into a module, or the ValueError it raises."""
+    try:
+        bad = cfk.validate(C)
+        if bad:
+            raise ValueError("invalid complex: " + bad[0])
+        C = cfk.reduce(C)
+        DL, DR = ktd._ktd(C, algo, framing), ktd._ktd(cfk.flip(C), algo, framing)
+    except ValueError as e:
+        return str(e)
+    if DL is None or DR is None:
+        return ktd.VerifyResult("inconclusive", None, "simultaneous simplification "
+                                f"did not converge in {cfk.SIMPLIFY_ROUNDS} rounds")
+    H = type_da.builtin_H()
+    left = type_d.reduce_d(type_da.box_da_d(H, type_d.reduce_d(DL)[0]))[0]
+    return ktd._compare_d(type_d.minimize_d(left), type_d.minimize_d(type_d.reduce_d(DR)[0]))
+
+
+def _graphed(C, algo, framing):
+    try:
+        return ktd.verify_elliptic_invariance(C, algo, framing)
+    except ValueError as e:
+        return str(e)
+
+
+def _framings(C, algo):
+    """The default framing of verify on C, then it moved by 1, 2 and 3;
+    [None] when C has none: its construction raises, or ``basis`` finds
+    no simplified basis."""
+    try:
+        D = ktd._ktd(cfk.reduce(C), algo, None)
+    except ValueError:
+        return [None]
+    return [None] if D is None else [D.tags[ktd.META]["framing"] + k for k in (0, 1, 2, 3)]
+
+
+def _check_staged(C, algo):
+    """Assert that verify gives the staged reference's verdict, detail and
+    witness, or its error, at each of _framings; return the outcomes."""
+    out = []
+    for framing in _framings(C, algo):
+        out.append(_graphed(C, algo, framing))
+        assert out[-1] == _staged(C, algo, framing), framing
+    return out
+
+
+STAGED_KNOTS = FIXTURE_NAMES + [f"{m}T({p},{p + 1})" for p in range(2, 9) for m in ("", "mirror ")]
+
+
+@pytest.mark.parametrize("algo", ["basefree", "basis"])
+@pytest.mark.parametrize("name", STAGED_KNOTS)
+def test_verify_equals_the_staged_reference(name, algo):
+    assert {res.verdict for res in _check_staged(_knot(name), algo)} == {"verified"}
+
+
+@pytest.mark.parametrize("algo", ["basefree", "basis"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_verify_equals_the_staged_reference_on_random_complexes(name, algo):
+    for seed in range(40):
+        _check_staged(random_complex(name, seed), algo)
+
+
+def test_verify_equals_the_staged_reference_where_it_cannot_verify():
+    # seed 51 adds a vertical pair to the right-handed trefoil: its
+    # simultaneous simplification falls into a cycle, and its horizontal
+    # homology has rank 3
+    C = random_complex("trefoil_right", 51)
+    assert _check_staged(C, "basis")[0].verdict == "inconclusive"
+    assert _check_staged(C, "basefree") == ["dw homology has rank 3, expected 1"]
+    for name, algo in (("a|8", "basefree"), ("u.1", "basis")):
+        assert _check_staged(trefoil_with(name), algo) == [
+            f"construction makes two generators named {name!r}"]
+
+
+@pytest.mark.parametrize("name", ["trefoil_right", "figure_eight", "five_gen", "T(3,4)",
+                                  "mirror T(3,4)"])
+def test_adjust_framing_equals_boxing_and_reducing_each_twist(name):
+    C = cfk.reduce(_knot(name))
+    tau_mu = type_da.builtin_tau_mu()
+    for D in (ktd.ktd_basis(cfk.simultaneous_simplify(C)), ktd.ktd_basefree(C)):
+        staged = D
+        for k in range(1, 4):
+            staged = type_d.reduce_d(type_da.box_da_d(tau_mu, staged))[0]
+            assert (io_formats.write_typed(ktd.adjust_framing(D, k))
+                    == io_formats.write_typed(staged))

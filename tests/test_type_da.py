@@ -278,8 +278,8 @@ def test_box_associativity_with_modules():
         one, _ = type_d.reduce_d(type_da.box_da_d(H, type_da.box_da_d(tau, D)))
         HT, _ = type_da.reduce_da(type_da.box_da_da(H, tau))
         two, _ = type_d.reduce_d(type_da.box_da_d(HT, D))
-        one = ktd.minimize_d(one)
-        two = ktd.minimize_d(two)
+        one = type_d.minimize_d(one)
+        two = type_d.minimize_d(two)
         assert type_d._match_up_to_base_change(one, two)[0] is not None
 
 
@@ -290,7 +290,7 @@ def test_involution_commutes_with_twist():
     lhs, _ = type_d.reduce_d(type_da.box_da_d(H, type_da.box_da_d(tau, D)))
     rhs, _ = type_d.reduce_d(type_da.box_da_d(tau, type_da.box_da_d(H, D)))
     assert type_d._match_up_to_base_change(
-        ktd.minimize_d(lhs), ktd.minimize_d(rhs))[0] is not None
+        type_d.minimize_d(lhs), type_d.minimize_d(rhs))[0] is not None
 
 
 def test_string_reversal_loops():
@@ -502,3 +502,31 @@ def test_box_da_da_matches_oracle():
 def test_isomorphic_da_detects_difference():
     assert type_da.isomorphic_da(type_da.builtin_tau_mu(),
                                  type_da.builtin_tau_lambda()) is None
+
+
+def _graph_box(B, G):
+    return type_d._freeze_d(type_da._box_graph(B, G))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_the_graph_reader_boxes_as_box_da_d(name):
+    # the box reads a module graph's live generators and edges as it reads
+    # a frozen module, cancelled generators included in neither
+    D = ktd.ktd_basefree(load_cfk(name))
+    R = type_d.reduce_d(D)[0]
+    reduced = type_d._graph_d(D)
+    type_d._reduce(reduced, None)
+    for make in BUILTINS:
+        B = make()
+        for M, G in ((D, type_d._graph_d(D)), (R, reduced)):
+            assert (io_formats.write_typed(_graph_box(B, G))
+                    == io_formats.write_typed(type_da.box_da_d(B, M)))
+
+
+def test_both_box_readers_reject_a_repeated_product_name():
+    # a⊗(b⊗c) and (a⊗b)⊗c are both named a⊗b⊗c
+    B = make_da([("a", I.I0, I.I0), ("a⊗b", I.I0, I.I0)], [])
+    M = make_module([("b⊗c", I.I0), ("c", I.I0)], [])
+    for box in (type_da.box_da_d, lambda B, M: _graph_box(B, type_d._graph_d(M))):
+        with pytest.raises(ValueError, match="two generators named 'a⊗b⊗c'"):
+            box(B, M)
