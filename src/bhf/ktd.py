@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from . import cfk
 from .algebra import AlgebraElement, Idempotent, is_idempotent
-from .type_d import (MATCH_CAP, MATCH_DEPTH, DArrow, TypeDModule, _freeze_d, _Graph, _graph_d,
-                     _match_up_to_base_change, _minimize, _reduce, make_module)
+from .type_d import (_D_LABEL, MATCH_CAP, MATCH_DEPTH, DArrow, TypeDModule, _freeze_d, _Graph,
+                     _graph_d, _match_up_to_base_change, _minimize, _reduce, make_module)
 from .type_da import _box_graph, builtin_H, builtin_tau_mu
 
 __all__ = [
@@ -110,7 +110,7 @@ def _module(gens: list, arrows: list, tags) -> TypeDModule:
 def _graph(gens: list, arrows: list) -> _Graph:
     """The module graph of a construction's generators and arrows: the
     edges of _module's output, unsorted and untagged."""
-    return _Graph(gens, ((s, t, ((), c)) for s, t, c in dict.fromkeys(arrows)), {})
+    return _Graph(gens, ((s, t, _D_LABEL[c]) for s, t, c in dict.fromkeys(arrows)), {})
 
 
 def _minimal(G: _Graph) -> TypeDModule:

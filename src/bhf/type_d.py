@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
-from .algebra import (_MUL, _UNITS, NONZERO, AlgebraElement, Idempotent, idem_element,
-                      left_idem, multiply, right_idem)
+from .algebra import (_MUL, _UNIT, _UNITS, NONZERO, AlgebraElement, Idempotent,
+                      left_idem, right_idem)
 
 __all__ = [
     "DArrow", "TypeDModule", "ReductionTrace", "make_module",
@@ -105,6 +105,11 @@ def _odd_terms(edges, splits=None) -> list[tuple]:
 
 ARITY_CAP = 8  # inputs a cancellation may give one action
 
+# the label (args, coeff) of each type D coefficient, one tuple shared by
+# every edge, and the labels of the differential: no inputs, an idempotent
+_D_LABEL = {c: ((), c) for c in AlgebraElement}
+_DIFF = frozenset(_D_LABEL[u] for u in _UNITS)
+
 
 class _Graph:
     """Mutable module indexed by adjacency, edited in place and frozen once.
@@ -126,26 +131,26 @@ class _Graph:
         # the edges are distinct (make_module, make_da, the constructions'
         # graphs and the box drop repeats), so this is what toggling each one
         # in would build
+        out, inc, diff = self.out, self.inc, self.diff
         for s, t, label in edges:
-            self.out[s].add((t, label))
-            self.inc[t].add((s, label))
-            if not label[0] and label[1] in _UNITS:
-                self.diff.append((s, t))
-        self.diff.sort()
+            out[s].add((t, label))
+            inc[t].add((s, label))
+            if label in _DIFF:
+                diff.append((s, t))
+        diff.sort()
 
     def toggle(self, s: str, t: str, label: tuple) -> None:
         """Add the edge if absent, remove it if present (addition mod 2)."""
         out = self.out[s]
-        differential = not label[0] and label[1] in _UNITS
         if (t, label) in out:
             out.remove((t, label))
             self.inc[t].remove((s, label))
-            if differential:
+            if label in _DIFF:
                 del self.diff[bisect_left(self.diff, (s, t))]
         else:
             out.add((t, label))
             self.inc[t].add((s, label))
-            if differential:
+            if label in _DIFF:
                 insort(self.diff, (s, t))
 
     def cancel(self, s: str, t: str) -> None:
@@ -156,45 +161,51 @@ class _Graph:
         data a second mid multiplies to zero: mids are chords from one
         idempotent to itself.
         """
-        edge = ((), idem_element(self.left[s])) if s in self.left else None
-        if edge is None or t not in self.left or (t, edge) not in self.out[s]:
+        left, out, inc, diff = self.left, self.out, self.inc, self.diff
+        edge = _D_LABEL[_UNIT[left[s]]] if s in left else None
+        if edge is None or t not in left or (t, edge) not in out[s]:
             raise ValueError(f"no idempotent arrow {s} -> {t}")
         ends = (s, t)
-        # an input-free idempotent mid besides the edge only occurs in
-        # malformed data, where passing through it would never end
-        steps = [(y, lab) for y, lab in self.out[s] if y not in ends] + [
-            (None, lab) for y, lab in self.out[s] if y == t and lab != edge
-            and (lab[0] or lab[1] not in _UNITS)]
+        # the edges out of s, a mid's end written None; an input-free
+        # idempotent mid besides the edge only occurs in malformed data,
+        # where passing through it would never end
+        steps = [(None if y == t else y, lab) for y, lab in out[s]
+                 if y not in ends or y == t and lab not in _DIFF]
+        zero = AlgebraElement.ZERO
         toggles: dict[tuple, int] = {}
-
-        def extend(coeff: AlgebraElement, args: tuple, x: str) -> None:
+        # (x, inputs, coeff) of each path x -> t, and of each path that
+        # passes on through a mid, appended as it is found
+        paths = [(x, args, coeff) for x, (args, coeff) in inc[t] if x not in ends]
+        for x, args, coeff in paths:
+            row = _MUL[coeff]
             for y, (more, lab) in steps:
-                c = multiply(coeff, lab)
-                if c is AlgebraElement.ZERO:
+                c = row[lab]
+                if c is zero:
                     continue
-                if len(args) + len(more) > ARITY_CAP:
-                    raise ValueError(f"cancellation exceeds arity cap {ARITY_CAP}")
-                if y is None:  # pass through a mid, back to s
-                    extend(c, args + more, x)
+                if args or more:
+                    if len(args) + len(more) > ARITY_CAP:
+                        raise ValueError(f"cancellation exceeds arity cap {ARITY_CAP}")
+                    label = (args + more, c)
                 else:
-                    key = (x, y, (args + more, c))
+                    label = _D_LABEL[c]
+                if y is None:  # pass through a mid, back to s
+                    paths.append((x, label[0], c))
+                else:
+                    key = (x, y, label)
                     toggles[key] = toggles.get(key, 0) ^ 1
-
-        for x, (args, coeff) in [e for e in self.inc[t] if e[0] not in ends]:
-            extend(coeff, args, x)
         for g in {s, t}:  # no zig-zag edge touches s or t: remove them whole
-            del self.left[g]
-            for y, lab in self.out.pop(g, ()):
+            del left[g]
+            for y, lab in out.pop(g, ()):
                 if y not in ends:
-                    self.inc[y].remove((g, lab))
-                if not lab[0] and lab[1] in _UNITS:
-                    del self.diff[bisect_left(self.diff, (g, y))]
-            for x, lab in self.inc.pop(g, ()):
+                    inc[y].remove((g, lab))
+                if lab in _DIFF:
+                    del diff[bisect_left(diff, (g, y))]
+            for x, lab in inc.pop(g, ()):
                 if x in ends:  # removed with the edges out of x
                     continue
-                self.out[x].remove((g, lab))
-                if not lab[0] and lab[1] in _UNITS:
-                    del self.diff[bisect_left(self.diff, (x, g))]
+                out[x].remove((g, lab))
+                if lab in _DIFF:
+                    del diff[bisect_left(diff, (x, g))]
         for key, parity in toggles.items():
             if parity:
                 self.toggle(*key)
@@ -240,7 +251,7 @@ class _Graph:
 
 
 def _graph_d(M: TypeDModule) -> _Graph:
-    return _Graph(M.generators, ((a.source, a.target, ((), a.label))
+    return _Graph(M.generators, ((a.source, a.target, _D_LABEL[a.label])
                                  for a in M.arrows), M.tags)
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .algebra import (AlgebraElement, CHORDS, Idempotent, idem_element,
                       is_idempotent, left_idem, multiply, right_idem)
-from .type_d import (DArrow, ReductionTrace, TypeDModule, _Graph, _isomorphic,
+from .type_d import (_D_LABEL, DArrow, ReductionTrace, TypeDModule, _Graph, _isomorphic,
                      _odd_terms, _reduce, make_module)
 
 __all__ = [
@@ -218,31 +218,38 @@ def _box(B: TypeDAModule, generators, edges) -> tuple[list, list]:
     right: dict[str, Idempotent] = {}
     by_right: dict[Idempotent, list[tuple[str, Idempotent]]] = {}
     gens: dict[str, tuple] = {}  # B outer: names come nearly sorted
+    # name[b][x] is b⊗x, made once, so that every edge shares one string
+    # (its hash cached, equal by identity); an end that misses the table is
+    # no product, and its formatted name fails the check below
+    name: dict[str, dict[str, str]] = {}
     for bn, bl, br in B.generators:
         right[bn] = br
         by_right.setdefault(br, []).append((bn, bl))
+        row = name[bn] = {}
         for x, rest in by_left.get(br, ()):
-            name = f"{bn}{_SEP}{x}"
-            if name in gens:
-                raise ValueError(f"box product has two generators named {name!r}")
-            gens[name] = (name, bl, *rest)
+            n = row[x] = f"{bn}{_SEP}{x}"
+            if n in gens:
+                raise ValueError(f"box product has two generators named {n!r}")
+            gens[n] = (n, bl, *rest)
     out: dict[str, list] = {}
     toggles: dict[tuple, int] = {}
     for s, args, c, t in edges:
         out.setdefault(s, []).append((args, c, t))
         if is_idempotent(c):
             for bn, bl in by_right.get(left_idem(c), ()):
-                key = (f"{bn}{_SEP}{s}", args, idem_element(bl), f"{bn}{_SEP}{t}")
+                row = name[bn]
+                key = (row.get(s) or f"{bn}{_SEP}{s}", args, idem_element(bl),
+                       row.get(t) or f"{bn}{_SEP}{t}")
                 toggles[key] = toggles.get(key, 0) ^ 1
     for act in B.actions:
+        row, ends = name[act.source], name.get(act.target, {})
         for x, _ in by_left.get(right[act.source], ()):
             paths = [(x, ())]  # (end, inputs) of the paths that read act.args
             for a in act.args:
                 paths = [(t, args + more) for y, args in paths
                          for more, c, t in out.get(y, ()) if c is a]
             for end, args in paths:
-                key = (f"{act.source}{_SEP}{x}", args, act.coeff,
-                       f"{act.target}{_SEP}{end}")
+                key = (row[x], args, act.coeff, ends.get(end) or f"{act.target}{_SEP}{end}")
                 toggles[key] = toggles.get(key, 0) ^ 1
     kept = [key for key, p in toggles.items() if p]
     for s, _, _, t in kept:
@@ -264,7 +271,7 @@ def _box_graph(B: TypeDAModule, G: _Graph) -> _Graph:
     G, written into a new graph."""
     gens, edges = _box(B, G.left.items(), ((s, args, c, t) for s, out in G.out.items()
                                            for t, (args, c) in out))
-    return _Graph(gens, ((s, t, (args, c)) for s, args, c, t in edges), {})
+    return _Graph(gens, ((s, t, _D_LABEL[c]) for s, _, c, t in edges), {})
 
 
 def box_da_da(B: TypeDAModule, C: TypeDAModule) -> TypeDAModule:

@@ -1,3 +1,4 @@
+import bisect
 import collections
 import functools
 import itertools
@@ -6,8 +7,8 @@ import random
 import pytest
 
 from bhf import cfk, io_formats, ktd, type_d, type_da
-from bhf.algebra import (NONZERO, AlgebraElement as A, Idempotent as I, left_idem,
-                         multiply, right_idem)
+from bhf.algebra import (_UNITS, NONZERO, AlgebraElement as A, Idempotent as I,
+                         idem_element, left_idem, multiply, right_idem)
 from conftest import FIXTURE_NAMES, base_change, every_change, load_cfk
 from staircase import mirror, torus_knot
 
@@ -576,3 +577,150 @@ def test_change_delta_reads_the_loop_toggled_at_gen():
             M = type_d.make_module(gens, arrows + list(extra))
             assert _check_change_delta(M) == 40
             _check_scored_changes(M)
+
+
+def _oracle_cancel(G, s, t):
+    """_Graph.cancel as it was before the shared labels: a label tuple per
+    edge, the differential rule written out at each use, a recursive
+    closure calling multiply per product, and the old toggle per edge made
+    an odd number of times."""
+    def differential(lab):
+        return not lab[0] and lab[1] in _UNITS
+
+    edge = ((), idem_element(G.left[s])) if s in G.left else None
+    if edge is None or t not in G.left or (t, edge) not in G.out[s]:
+        raise ValueError(f"no idempotent arrow {s} -> {t}")
+    ends = (s, t)
+    steps = [(y, lab) for y, lab in G.out[s] if y not in ends] + [
+        (None, lab) for y, lab in G.out[s] if y == t and lab != edge
+        and (lab[0] or lab[1] not in _UNITS)]
+    toggles = {}
+
+    def extend(coeff, args, x):
+        for y, (more, lab) in steps:
+            c = multiply(coeff, lab)
+            if c is A.ZERO:
+                continue
+            if len(args) + len(more) > type_d.ARITY_CAP:
+                raise ValueError(f"cancellation exceeds arity cap {type_d.ARITY_CAP}")
+            if y is None:
+                extend(c, args + more, x)
+            else:
+                key = (x, y, (args + more, c))
+                toggles[key] = toggles.get(key, 0) ^ 1
+
+    for x, (args, coeff) in [e for e in G.inc[t] if e[0] not in ends]:
+        extend(coeff, args, x)
+    for g in {s, t}:
+        del G.left[g]
+        for y, lab in G.out.pop(g, ()):
+            if y not in ends:
+                G.inc[y].remove((g, lab))
+            if differential(lab):
+                del G.diff[bisect.bisect_left(G.diff, (g, y))]
+        for x, lab in G.inc.pop(g, ()):
+            if x in ends:
+                continue
+            G.out[x].remove((g, lab))
+            if differential(lab):
+                del G.diff[bisect.bisect_left(G.diff, (x, g))]
+    for (x, y, lab), parity in toggles.items():
+        if not parity:
+            continue
+        if (y, lab) in G.out[x]:
+            G.out[x].remove((y, lab))
+            G.inc[y].remove((x, lab))
+            if differential(lab):
+                del G.diff[bisect.bisect_left(G.diff, (x, y))]
+        else:
+            G.out[x].add((y, lab))
+            G.inc[y].add((x, lab))
+            if differential(lab):
+                bisect.insort(G.diff, (x, y))
+
+
+def _graph_state(G):
+    return dict(G.out), dict(G.inc), list(G.diff), dict(G.left)
+
+
+def _check_cancel_against_oracle(make_graph, seed):
+    """A seeded reduction of make_graph(), cancelling with _Graph.cancel on
+    one copy and _oracle_cancel on another, leaves both copies the same
+    after every step; returns the number of steps."""
+    G, H = make_graph(), make_graph()
+    rng = random.Random(seed)
+    steps = 0
+    while G.diff:
+        s, t = rng.choice(G.diff)
+        G.cancel(s, t)
+        _oracle_cancel(H, s, t)
+        assert _graph_state(G) == _graph_state(H), (s, t)
+        steps += 1
+    assert not H.diff
+    return steps
+
+
+def _da_graph(B):
+    return type_d._Graph(B.generators, ((a.source, a.target, (a.args, a.coeff))
+                                        for a in B.actions), {})
+
+
+def _oracle_inputs():
+    """Graph makers of the fixtures' and T(3,4)'s base-free modules, of
+    their boxes with H, tau_mu and tau_lambda, of the sixfold product, and
+    of two small modules whose cancellation passes through mids."""
+    bimodules = [type_da.builtin_H(), type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()]
+    knots = [load_cfk(name) for name in FIXTURE_NAMES]
+    for C in knots + [torus_knot(3, 4), mirror(torus_knot(3, 4))]:
+        D = ktd.ktd_basefree(C)
+        yield functools.partial(type_d._graph_d, D)
+        for B in bimodules:
+            yield functools.partial(type_d._graph_d, type_da.box_da_d(B, D))
+    tau_mu, tau_lambda = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
+    sixfold = type_da.box_da_da(tau_mu, tau_lambda)
+    for factor in (tau_mu, tau_lambda, tau_mu, tau_lambda):
+        sixfold = type_da.box_da_da(sixfold, factor)
+    yield functools.partial(_da_graph, sixfold)
+    # zig-zags x -> t <- s -> y that also pass through a chord mid s -> t
+    yield lambda: type_d._graph_d(type_d.make_module(
+        [("x", I.I0), ("s", I.I1), ("t", I.I1), ("y", I.I1)],
+        [DArrow("x", "t", A.R1), DArrow("s", "t", A.I1), DArrow("s", "t", A.R23),
+         DArrow("s", "y", A.I1)]))
+    yield functools.partial(_da_graph, type_da.make_da(
+        [("x", I.I0, I.I0), ("s", I.I0, I.I1), ("t", I.I0, I.I1), ("y", I.I1, I.I1)],
+        [type_da.DAAction("s", (), A.I0, "t"), type_da.DAAction("x", (A.R1,), A.I0, "t"),
+         type_da.DAAction("s", (A.R23,), A.R12, "t"), type_da.DAAction("s", (), A.R3, "y")]))
+
+
+def test_cancel_matches_the_frozen_oracle():
+    steps = 0
+    for make_graph in _oracle_inputs():
+        for seed in range(8):
+            steps += _check_cancel_against_oracle(make_graph, seed)
+    assert steps > 5000
+
+
+def test_cancel_raises_as_the_frozen_oracle():
+    # a missing edge, unknown ends, a zig-zag of 5 + 4 inputs, one more
+    # than the arity cap allows
+    D = ktd.ktd_basefree(load_cfk("trefoil_right"))
+    x, y = next((a.source, a.target) for a in D.arrows if a.label not in (A.I0, A.I1))
+    many = (A.R12,) * 5, (A.R23,) * 4
+    wide = [("s", "t", ((), A.I0)), ("x", "t", (many[0], A.I0)), ("s", "y", (many[1], A.R1))]
+    cases = [(functools.partial(type_d._graph_d, D), pair, "no idempotent arrow")
+             for pair in [(x, y), (x, "nowhere"), ("nowhere", y), (y, y)]]
+    cases.append((lambda: type_d._Graph([("s", I.I0), ("t", I.I0), ("x", I.I0), ("y", I.I1)],
+                                        wide, {}), ("s", "t"), "arity cap"))
+    # a mid with an input and an idempotent output can be passed through
+    # again and again: the cap ends it
+    looping = wide[:2] + [("s", "t", ((A.R12,), A.I0)), ("s", "y", ((), A.R1))]
+    cases.append((lambda: type_d._Graph([("s", I.I0), ("t", I.I0), ("x", I.I0), ("y", I.I1)],
+                                        looping, {}), ("s", "t"), "arity cap"))
+    for make_graph, (s, t), message in cases:
+        G, H = make_graph(), make_graph()
+        with pytest.raises(ValueError, match=message) as new:
+            G.cancel(s, t)
+        with pytest.raises(ValueError, match=message) as old:
+            _oracle_cancel(H, s, t)
+        assert str(new.value) == str(old.value)
+        assert _graph_state(G) == _graph_state(H)

@@ -530,3 +530,14 @@ def test_both_box_readers_reject_a_repeated_product_name():
     for box in (type_da.box_da_d, lambda B, M: _graph_box(B, type_d._graph_d(M))):
         with pytest.raises(ValueError, match="two generators named 'a⊗b⊗c'"):
             box(B, M)
+
+
+@pytest.mark.parametrize("arrow", [DArrow("x", "y", A.I0),  # iota0 out of x, but y is iota1
+                                   DArrow("x", "nowhere", A.R1)])  # an unknown target
+def test_both_box_readers_reject_an_arrow_outside_the_products(arrow):
+    # a module that was never validated: the arrow's image in the box ends at
+    # a product that the idempotents do not make
+    M = make_module([("x", I.I0), ("y", I.I1)], [arrow])
+    for box in (type_da.box_da_d, lambda B, M: _graph_box(B, type_d._graph_d(M))):
+        with pytest.raises(AssertionError, match="outside the idempotent-compatible"):
+            box(type_da.builtin_H(), M)
