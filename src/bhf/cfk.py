@@ -55,7 +55,8 @@ class KnotComplex:
 
     @cached_property
     def _alexander(self) -> dict[str, int]:
-        # read once per complex: alexander_drop runs once per arrow
+        # the complex's one name -> Alexander table, read once: alexander_drop
+        # runs once per arrow, and the type D constructions read it too
         return {g.name: g.alexander for g in self.generators}
 
     def alexander_drop(self, a: KnotArrow) -> int:
@@ -128,11 +129,9 @@ def flip(C: KnotComplex) -> KnotComplex:
     Alexander drop s becomes x -> U^(r+s) y.  An involution; vertical and
     horizontal arrows trade places.
     """
-    by = C.by_name()
     gens = [KnotGenerator(g.name, -g.alexander, g.maslov - 2 * g.alexander)
             for g in C.generators]
-    arrows = [KnotArrow(a.source, a.target,
-                        a.u_power + by[a.source].alexander - by[a.target].alexander)
+    arrows = [KnotArrow(a.source, a.target, a.u_power + C.alexander_drop(a))
               for a in C.arrows]
     return make_complex(gens, arrows, C.shift)
 
@@ -157,20 +156,18 @@ class _Mut:
         arrows = [KnotArrow(s, t, r) for s, outs in self.out.items() for t, r in outs]
         return make_complex(self.gens.values(), arrows, self.shift)
 
-    def toggle(self, s: str, t: str, r: int) -> bool:
-        """Add s -> U^r t if absent, else remove it; True when added."""
+    def toggle(self, s: str, t: str, r: int) -> None:
+        """Add s -> U^r t if absent, else remove it."""
         out = self.out[s]
         if (t, r) in out:
             out.remove((t, r))
             self.inc[t].remove((s, r))
-            return False
-        out.add((t, r))
-        self.inc[t].add((s, r))
-        return True
+        else:
+            out.add((t, r))
+            self.inc[t].add((s, r))
 
-    def add_to(self, a: str, b: str, j: int) -> list[tuple[str, str, int]]:
-        """Base change b := b + U^j a (a valid filtered change of basis);
-        returns the arrows it added."""
+    def add_to(self, a: str, b: str, j: int) -> None:
+        """Base change b := b + U^j a (a valid filtered change of basis)."""
         ga, gb = self.gens[a], self.gens[b]
         if a == b or j < 0:
             raise ValueError("invalid base change")
@@ -179,7 +176,8 @@ class _Mut:
         # arrows out of a now also leave b, and the old b is b + U^j a
         changes = ([(b, t, r + j) for t, r in self.out[a]]
                    + [(s, a, r + j) for s, r in self.inc[b]])
-        return [e for e in changes if self.toggle(*e)]
+        for e in changes:
+            self.toggle(*e)
 
     def cancel(self, x: str, y: str) -> None:
         """Cancel the arrow x -> y: each zig-zag s -> y <- x -> t becomes

@@ -208,13 +208,9 @@ def _cmd_build_h(args) -> int:
     order = None
     if args.script:
         _, order = _load(args.script, "script")
-    B = type_da.builtin_tau_mu()
-    L = type_da.builtin_tau_lambda()
-    prod = type_da.box_da_da(B, L)
-    for factor in (B, L, B, L):
-        prod = type_da.box_da_da(prod, factor)
-    reduced, _trace = type_da.reduce_da(prod, order)
-    _write(args.output, io_formats.write_typeda(reduced))
+    twists = (type_da.builtin_tau_mu(), type_da.builtin_tau_lambda())
+    prod = functools.reduce(type_da.box_da_da, twists * 3)  # ((τ_μ ⊠ τ_λ) ⊠ τ_μ) ⊠ …
+    _write(args.output, io_formats.write_typeda(type_da.reduce_da(prod, order)[0]))
     return 0
 
 

@@ -100,21 +100,31 @@ def _field(entry: dict, key: str, kind: type, default=None):
     return value
 
 
-def _terse_kind(text: str) -> str:
+def _code_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, text before any "#", stripped) of each line with code."""
+    return [(lineno, code) for lineno, raw in enumerate(text.splitlines(), 1)
+            if (code := raw.split("#", 1)[0].strip())]
+
+
+def _terse_kind(lines: list[tuple[int, str]]) -> str:
     # terse knot complexes have "name: A=.. M=.." lines, scripts never do
-    code = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    code = "\n".join(line for _, line in lines)
     return "script" if "->" in code and ":" not in code else "cfk"
 
 
 def parse_any(text: str, kind: str | None = None) -> tuple[str, object]:
     """The (kind, object) of a document of kind if given, or else of the
-    kind its envelope names or its terse lines show; text is decoded once."""
+    kind its envelope names or its terse lines show; text is decoded once.
+    Terse text without a line of code is refused as an empty document."""
     if text.lstrip().startswith("{") or kind in ("type_d", "type_da"):
         kind, payload = _open_envelope(text, kind)
         return kind, _PAYLOAD_READERS[kind](payload)
-    kind = kind or _terse_kind(text)
+    lines = _code_lines(text)
+    if not lines:
+        raise ParseError("empty document")
+    kind = kind or _terse_kind(lines)
     try:
-        return kind, _LINE_READERS[kind](text)
+        return kind, _LINE_READERS[kind](lines)
     except ParseError as e:
         bad = e
     try:  # a JSON array, string or number is neither an envelope nor lines
@@ -149,14 +159,11 @@ def _shown(line: str) -> str:
     return repr(line if len(line) <= 80 else line[:80] + "…")
 
 
-def _cfk_lines(text: str) -> KnotComplex:
+def _cfk_lines(lines: list[tuple[int, str]]) -> KnotComplex:
     gens: list[KnotGenerator] = []
     arrows: list[KnotArrow] = []
     at: list[int] = []  # the line of each arrow
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines:
         m = _GEN_RE.match(line)
         if m:
             gens.append(KnotGenerator(m.group(1), int(m.group(2)), int(m.group(3))))
@@ -224,12 +231,9 @@ def _script_payload(payload: dict) -> list[tuple[str, str]]:
     return [(a, b) for a, b in pairs]
 
 
-def _script_lines(text: str) -> list[tuple[str, str]]:
+def _script_lines(lines: list[tuple[int, str]]) -> list[tuple[str, str]]:
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines:
         parts = [p.strip() for p in line.split("->")]
         if len(parts) != 2 or not all(parts):
             raise ParseError(f"line {lineno}: expected 'from -> to', got {_shown(line)}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import cfk
 from .algebra import AlgebraElement, Idempotent, is_idempotent
-from .type_d import (_D_LABEL, MATCH_CAP, MATCH_DEPTH, DArrow, TypeDModule, _freeze_d, _Graph,
+from .type_d import (MATCH_CAP, MATCH_DEPTH, DArrow, TypeDModule, _freeze_d, _graph, _Graph,
                      _graph_d, _match_up_to_base_change, _minimize, _reduce, make_module)
 from .type_da import _box_graph, builtin_H, builtin_tau_mu
 
@@ -77,12 +77,11 @@ def _basis(C: cfk.KnotComplex, framing: int | None) -> tuple:
     if len(xi_v) != 1 or len(xi_h) != 1:
         raise ValueError("complex is not simplified with rank-one homologies")
     (xv,), (xh,) = xi_v, xi_h
-    by = C.by_name()
     # For a genuine knot complex both distinguished generators sit at
     # Alexander level +-tau, so this difference is 2*tau; using the
     # difference keeps the unstable chain correct on artificial complexes
     # whose two homology representatives sit at unrelated levels.
-    two_tau = by[xv].alexander - by[xh].alexander
+    two_tau = C._alexander[xv] - C._alexander[xh]
     n = two_tau - 3 if framing is None else framing
     if n < two_tau:
         chain("u", two_tau - n, xv, A.R1, xh, A.R3, True)
@@ -105,12 +104,6 @@ def _named_once(gens: list) -> list:
 def _module(gens: list, arrows: list, tags) -> TypeDModule:
     """The module of a construction's generators, arrows and tag maker."""
     return make_module(gens, map(DArrow._make, arrows), tags())
-
-
-def _graph(gens: list, arrows: list) -> _Graph:
-    """The module graph of a construction's generators and arrows: the
-    edges of _module's output, unsorted and untagged."""
-    return _Graph(gens, ((s, t, _D_LABEL[c]) for s, t, c in dict.fromkeys(arrows)), {})
 
 
 def _minimal(G: _Graph) -> TypeDModule:
@@ -148,7 +141,7 @@ def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
         n = 4 * t + 3
     if n < 4 * t + 3:
         raise ValueError(f"framing parameter n={n} too small, need >= {4 * t + 3}")
-    level = {g.name: g.alexander for g in C.generators}
+    level = C._alexander
     # C is reduced: a horizontal arrow raises the grading, a vertical one lowers it
     horiz = [a for a in C.arrows if C.is_horizontal(a)]
     vert = [a for a in C.arrows if C.is_vertical(a)]
@@ -211,7 +204,7 @@ def flip_ktd_direct(D: TypeDModule, C: cfk.KnotComplex) -> TypeDModule:
         raise ValueError("module lacks base-free column metadata")
     n = D.tags[META]["framing"]
     cfk._require_model(C)
-    by = C.by_name()
+    level = C._alexander
     new_tags: dict = {META: dict(D.tags[META])}
     part, kind = {}, {}  # generator -> its part and its column kind, read once
     cols: dict[str, set[int]] = {"w": set(), "z": set()}  # col2 of the old w and z columns
@@ -241,7 +234,7 @@ def flip_ktd_direct(D: TypeDModule, C: cfk.KnotComplex) -> TypeDModule:
     arrows.extend(DArrow(f"*|{lw + 2}", f"{sym}|{lw}", A.R23) for sym in rep_w)
     arrows.extend(DArrow(f"{sym}|{rz}", f"*|{rz - 2}", A.R23) for sym in f_z)
     for a in filter(C.is_vertical, C.arrows):  # one pass builds rho2 and rho123
-        top, bottom = by[a.source].alexander, by[a.target].alexander
+        top, bottom = level[a.source], level[a.target]
         # rho2 from each z column s2 holding the source whose bound sits just above the target
         arrows.extend(DArrow(f"{a.source}|{s2}", a.target, A.R2) for s2 in cols["z"]
                       if bottom + 1 == (s2 - n + 1) // 2 <= top)
@@ -342,7 +335,8 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
         return VerifyResult("inconclusive", None, "simultaneous simplification "
                             f"did not converge in {cfk.SIMPLIFY_ROUNDS} rounds")
     (gens_l, arrows_l, _), (gens_r, arrows_r, _) = built
-    left = _graph(gens_l, arrows_l)
+    # fromkeys drops a repeated arrow, as make_module does
+    left = _graph(gens_l, dict.fromkeys(arrows_l))
     _reduce(left, None)
     left = _minimal(_box_graph(builtin_H(), left))
-    return _compare_d(left, _minimal(_graph(gens_r, arrows_r)))
+    return _compare_d(left, _minimal(_graph(gens_r, dict.fromkeys(arrows_r))))

@@ -250,9 +250,14 @@ class _Graph:
         return gens, edges, {n: v for n, v in self.tags.items() if n not in gone}
 
 
+def _graph(gens, arrows, tags=None) -> _Graph:
+    """The module graph of generator tuples and distinct plain (source,
+    target, coeff) arrows: the one reader of type D edges."""
+    return _Graph(gens, ((s, t, _D_LABEL[c]) for s, t, c in arrows), tags or {})
+
+
 def _graph_d(M: TypeDModule) -> _Graph:
-    return _Graph(M.generators, ((a.source, a.target, _D_LABEL[a.label])
-                                 for a in M.arrows), M.tags)
+    return _graph(M.generators, M.arrows, M.tags)
 
 
 def _freeze_d(G: _Graph) -> TypeDModule:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .algebra import (AlgebraElement, CHORDS, Idempotent, idem_element,
                       is_idempotent, left_idem, multiply, right_idem)
-from .type_d import (_D_LABEL, DArrow, ReductionTrace, TypeDModule, _Graph, _isomorphic,
+from .type_d import (DArrow, ReductionTrace, TypeDModule, _graph, _Graph, _isomorphic,
                      _odd_terms, _reduce, make_module)
 
 __all__ = [
@@ -137,13 +137,14 @@ def builtin_H() -> TypeDAModule:
     return make_da(gens, acts)
 
 
-def _args_chain_ok(start: Idempotent, args: tuple[AlgebraElement, ...]) -> bool:
-    cur = start
+def _chain_end(start: Idempotent, args: tuple[AlgebraElement, ...]) -> Idempotent | None:
+    """The right idempotent where the inputs args, chained from start, end;
+    None when they do not chain or one is an idempotent or zero."""
     for a in args:
-        if is_idempotent(a) or a is A.ZERO or left_idem(a) is not cur:
-            return False
-        cur = right_idem(a)
-    return True
+        if is_idempotent(a) or a is A.ZERO or left_idem(a) is not start:
+            return None
+        start = right_idem(a)
+    return start
 
 
 # the two-chord factorisations: rho1.rho2, rho2.rho3, rho1.rho23, rho12.rho3
@@ -169,13 +170,13 @@ def validate_da(B: TypeDAModule) -> list[str]:
             out.append(f"action at {act.source}->{act.target}: unknown generator")
             continue
         ls, rs = idems[act.source]
-        lt, _rt = idems[act.target]
-        if not _args_chain_ok(rs, act.args):
+        lt, rt = idems[act.target]
+        end = _chain_end(rs, act.args)
+        if end is None:
             out.append(f"action {act.source}{tuple(a.value for a in act.args)}: "
                        "inputs do not chain from the right idempotent")
             continue
-        end = rs if not act.args else right_idem(act.args[-1])
-        if end is not idems[act.target][1]:
+        if end is not rt:
             out.append(f"action {act.source}->{act.target}: inputs end at the "
                        "wrong right idempotent")
         if act.coeff is A.ZERO:
@@ -210,7 +211,8 @@ def _box(B: TypeDAModule, generators, edges) -> tuple[list, list]:
     feeds no action (strict unitality: no action consumes an idempotent
     input) and passes through each compatible generator of B.  Returns the
     product's generator tuples (b⊗x, left idempotent of b, ...) and its
-    edges, summed mod 2.  Raises ValueError when two products share a name.
+    edges, summed mod 2.  Raises ValueError when two products share a name,
+    and AssertionError on an edge outside the idempotent-compatible products.
     """
     by_left: dict[Idempotent, list[tuple[str, tuple]]] = {}
     for g in generators:
@@ -271,7 +273,7 @@ def _box_graph(B: TypeDAModule, G: _Graph) -> _Graph:
     G, written into a new graph."""
     gens, edges = _box(B, G.left.items(), ((s, args, c, t) for s, out in G.out.items()
                                            for t, (args, c) in out))
-    return _Graph(gens, ((s, t, _D_LABEL[c]) for s, _, c, t in edges), {})
+    return _graph(gens, ((s, t, c) for s, _, c, t in edges))
 
 
 def box_da_da(B: TypeDAModule, C: TypeDAModule) -> TypeDAModule:
@@ -282,7 +284,7 @@ def box_da_da(B: TypeDAModule, C: TypeDAModule) -> TypeDAModule:
 
 
 def reduce_da(B: TypeDAModule, order=None) -> tuple[TypeDAModule, ReductionTrace]:
-    """Cancel differential actions with idempotent coefficients.
+    """Cancel idempotent differential actions on reduce_d's graph, under its ARITY_CAP.
 
     order: None (lexicographic), an int seed, or a replay list of
     (source, target) pairs.

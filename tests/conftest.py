@@ -1,3 +1,4 @@
+import functools
 import pathlib
 import random
 import re
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from bhf import cfk, io_formats, type_d
+from bhf import cfk, io_formats, type_d, type_da
 from bhf.algebra import _UNITS
 
 ACCEPTANCE_CRITERIA = {
@@ -53,6 +54,19 @@ FIXTURE_NAMES = ["unknot", "trefoil_right", "trefoil_left", "figure_eight",
 # the right-handed trefoil in the terse line format
 TERSE_TREFOIL = ("a: A=1 M=0\nb: A=0 M=-1\nc: A=-1 M=-2\n"
                  "b -> U^1 a\nb -> c\n")
+
+
+# the bimodule that each word of box_word names
+BIMODULES = {"mu": type_da.builtin_tau_mu, "lambda": type_da.builtin_tau_lambda,
+             "H": type_da.builtin_H}
+# (tau_mu tau_lambda)^3, whose reduction is the involution bimodule H
+SIXFOLD = "mu lambda " * 3
+
+
+def box_word(word: str) -> type_da.TypeDAModule:
+    """The box product of the bimodules that word names ("mu", "lambda",
+    "H"), left first: the left fold of box_da_da that bhf build-h makes."""
+    return functools.reduce(type_da.box_da_da, [BIMODULES[w]() for w in word.split()])
 
 
 def load_cfk(name: str) -> cfk.KnotComplex:

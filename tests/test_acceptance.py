@@ -9,19 +9,11 @@ import random
 
 from bhf import cfk, io_formats, ktd, type_d, type_da
 from bhf.algebra import AlgebraElement as A, Idempotent as I, multiply
-from conftest import FIXTURES, FIXTURE_NAMES, check_graph, load_cfk
+from conftest import FIXTURES, FIXTURE_NAMES, SIXFOLD, box_word, check_graph, load_cfk
 
 
 def report(number, text):
     print(f"criterion {number}: PASS - {text}")
-
-
-def sixfold_twist():
-    B, L = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
-    prod = type_da.box_da_da(B, L)
-    for factor in (B, L, B, L):
-        prod = type_da.box_da_da(prod, factor)
-    return prod
 
 
 def random_staircase(rng: random.Random) -> cfk.KnotComplex:
@@ -47,7 +39,7 @@ def random_staircase(rng: random.Random) -> cfk.KnotComplex:
 
 
 def test_criterion_1_involution_bimodule_reconstruction():
-    prod = sixfold_twist()
+    prod = box_word(SIXFOLD)
     H = type_da.builtin_H()
     script = io_formats.parse_script(
         (FIXTURES / "h_cancellations.script").read_text(encoding="utf-8"))

@@ -436,6 +436,29 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, capsys, argv, text,
     assert err.startswith("error: ") and says in err and "Traceback" not in err
 
 
+# a command reading terse text refuses one without a line of code; one
+# reading a module expects an envelope, which such text is not
+_EMPTY_INPUT = [
+    *[(argv, "error: -: empty document\n") for argv in (
+        ["validate", "-"], ["flip", "-"], ["simplify", "-"], ["tau", "-"], ["cfd", "-"],
+        ["verify", "-"], ["reduce", "-"], ["iso", "-", "builtin:H"],
+        ["build-h", "--script", "-"])],
+    (["tensor", "--bimodule", "builtin:H", "-"], "error: -: not valid JSON"),
+    (["dot", "-"], "error: -: not valid JSON"),
+]
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n"],
+                         ids=["empty", "blank", "comment"])
+@pytest.mark.parametrize("argv, says", _EMPTY_INPUT, ids=[a[0] for a, _ in _EMPTY_INPUT])
+def test_an_empty_document_exits_1(capsys, monkeypatch, argv, says, text):
+    # a failed producer piped into a reader without pipefail must not pass
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(says) and "Traceback" not in err
+
+
 def _edited(fixture, edit):
     """The fixture's JSON document after edit(payload)."""
     doc = json.loads((FIXTURES / f"{fixture}.cfk.json").read_text(encoding="utf-8"))

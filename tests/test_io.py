@@ -40,6 +40,16 @@ def test_line_format_bad_line():
         io_formats.parse_cfk("a: A=1 M=0\nwhat is this\n")
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n"])
+def test_terse_text_without_code_is_refused(text):
+    for parse in (io_formats.parse_cfk, io_formats.parse_script, io_formats.parse_any):
+        with pytest.raises(io_formats.ParseError, match="^empty document$"):
+            parse(text)
+    # an envelope is never empty: its payload says what it holds
+    assert io_formats.parse_script('{"format_version": "1", "kind": "script", '
+                                   '"payload": {"pairs": []}}') == []
+
+
 def test_typed_round_trip(any_complex):
     D = ktd.ktd_basefree(any_complex)
     text = io_formats.write_typed(D)

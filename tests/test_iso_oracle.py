@@ -8,7 +8,7 @@ import pytest
 
 from bhf import cfk, ktd, type_d, type_da
 from bhf.algebra import AlgebraElement as A, Idempotent as I
-from conftest import FIXTURE_NAMES, load_cfk
+from conftest import FIXTURE_NAMES, SIXFOLD, box_word, load_cfk
 from staircase import mirror, torus_knot
 
 DArrow = type_d.DArrow
@@ -139,16 +139,8 @@ def test_verify_sides_match_as_the_oracle_does(pq, side, monkeypatch):
     assert ktd._compare_d(left, right) == result
 
 
-def sixfold_twist():
-    B, L = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
-    prod = type_da.box_da_da(B, L)
-    for factor in (B, L, B, L):
-        prod = type_da.box_da_da(prod, factor)
-    return prod
-
-
 def test_sixfold_reductions_match_as_the_oracle_does():
-    prod, H = sixfold_twist(), type_da.builtin_H()
+    prod, H = box_word(SIXFOLD), type_da.builtin_H()
     assert all(_check(type_da.reduce_da(prod, s)[0], H) for s in range(20))
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from bhf import io_formats, ktd, type_d, type_da
 from bhf.algebra import NONZERO, left_idem, right_idem
-from conftest import FIXTURES, FIXTURE_NAMES, base_change, load_cfk
+from conftest import FIXTURES, FIXTURE_NAMES, SIXFOLD, base_change, box_word, load_cfk
 from staircase import mirror, torus_knot
 
 SEEDS = range(20)
@@ -30,14 +30,6 @@ TORUS = [(3, 4), (3, 5), (4, 5), (7, 8)]
 KNOTS = {**{f"T({p},{q})": (lambda p=p, q=q: torus_knot(p, q)) for p, q in TORUS},
          **{f"mirror_T({p},{q})": (lambda p=p, q=q: mirror(torus_knot(p, q)))
             for p, q in TORUS}}
-
-
-def _sixfold_twist():
-    B, L = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
-    prod = type_da.box_da_da(B, L)
-    for factor in (B, L, B, L):
-        prod = type_da.box_da_da(prod, factor)
-    return prod
 
 
 def _box(name, n=None):
@@ -74,11 +66,11 @@ def _seeded(D):
 def _da_scripted():
     script = io_formats.parse_script(
         (FIXTURES / "h_cancellations.script").read_text(encoding="utf-8"))
-    return _record(*type_da.reduce_da(_sixfold_twist(), script))
+    return _record(*type_da.reduce_da(box_word(SIXFOLD), script))
 
 
 def _da_seeded():
-    prod = _sixfold_twist()
+    prod = box_word(SIXFOLD)
     return "".join(f"seed {seed}\n" + _record(*type_da.reduce_da(prod, seed))
                    for seed in [None, *SEEDS])
 

@@ -9,20 +9,11 @@ from bhf.algebra import (CHORDS, NONZERO, AlgebraElement, AlgebraElement as A,
                          multiply, right_idem)
 from bhf.type_d import DArrow, TypeDModule, make_module
 from bhf.type_da import DAAction, TypeDAModule, _act, make_da
-from conftest import FIXTURE_NAMES, FIXTURES, load_cfk
+from conftest import FIXTURE_NAMES, FIXTURES, SIXFOLD, box_word, load_cfk
 from staircase import mirror, torus_knot
 
 BUILTINS = (type_da.builtin_tau_mu, type_da.builtin_tau_lambda,
             type_da.builtin_identity, type_da.builtin_H)
-
-
-def twist_product(k: int) -> type_da.TypeDAModule:
-    """The product of k alternating twists tau_mu, tau_lambda, tau_mu, ..."""
-    B, L = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
-    prod = type_da.box_da_da(B, L)
-    for factor in (B, L, B, L)[:k - 2]:
-        prod = type_da.box_da_da(prod, factor)
-    return prod
 
 
 def _relation_failures_by_sequences(B):
@@ -119,7 +110,7 @@ def _corrupt(B, rng):
 
 
 def _oracle_corpus():
-    bases = [build() for build in BUILTINS] + [twist_product(2)]
+    bases = [build() for build in BUILTINS] + [box_word("mu lambda")]
     corpus = list(bases)
     for seed in range(120):
         corpus.append(_corrupt(bases[seed % len(bases)], random.Random(seed)))
@@ -152,9 +143,9 @@ def test_validate_da_matches_sequence_oracle():
 
 
 def test_larger_twist_products_are_valid():
-    for k in (4, 5, 6):
-        assert type_da.validate_da(twist_product(k)) == []
-    prod = twist_product(6)
+    for word in ("mu lambda mu lambda", "mu lambda mu lambda mu", SIXFOLD):
+        assert type_da.validate_da(box_word(word)) == []
+    prod = box_word(SIXFOLD)
     act = next(a for a in prod.actions for d in prod.actions
                if not d.args and d.source == a.target
                and multiply(a.coeff, d.coeff) is not A.ZERO)
@@ -204,18 +195,18 @@ def test_box_da_da_two_twists():
 def test_sixfold_twist_reduces_to_H_scripted():
     script = io_formats.parse_script(
         (FIXTURES / "h_cancellations.script").read_text(encoding="utf-8"))
-    red, trace = type_da.reduce_da(twist_product(6), script)
+    red, trace = type_da.reduce_da(box_word(SIXFOLD), script)
     assert len(trace.pairs) == 13
     assert type_da.isomorphic_da(red, type_da.builtin_H()) is not None
 
 
 def test_sixfold_twist_reduces_to_H_unscripted():
-    red, _ = type_da.reduce_da(twist_product(6))
+    red, _ = type_da.reduce_da(box_word(SIXFOLD))
     assert type_da.isomorphic_da(red, type_da.builtin_H()) is not None
 
 
 def test_reduce_da_random_orders_agree():
-    prod = twist_product(6)
+    prod = box_word(SIXFOLD)
     H = type_da.builtin_H()
     for seed in range(5):
         red, _ = type_da.reduce_da(prod, seed)
@@ -235,14 +226,7 @@ RELATIONS = [
 
 
 def _reduced_word(word):
-    """reduce_da of the box product of the bimodules word names, left first."""
-    named = {"mu": type_da.builtin_tau_mu, "lambda": type_da.builtin_tau_lambda,
-             "H": type_da.builtin_H}
-    factors = [named[w]() for w in word.split()]
-    prod = factors[0]
-    for factor in factors[1:]:
-        prod = type_da.box_da_da(prod, factor)
-    return type_da.reduce_da(prod)[0]
+    return type_da.reduce_da(box_word(word))[0]
 
 
 @pytest.mark.parametrize("left, right, size", RELATIONS,
@@ -252,6 +236,40 @@ def test_mapping_class_relations_hold(left, right, size):
     assert (len(L.generators), len(L.actions)) == size
     assert (len(R.generators), len(R.actions)) == size
     assert type_da.isomorphic_da(L, R) is not None
+
+
+def _generators_per_idempotent_pair(B):
+    """(generators, actions, counts at iota0 iota0, iota0 iota1, iota1 iota0,
+    iota1 iota1) of reduce_da(B), which must leave no idempotent differential."""
+    R = type_da.reduce_da(B)[0]
+    assert not any(not a.args and is_idempotent(a.coeff) for a in R.actions)
+    pairs = [(l, r) for _, l, r in R.generators]
+    return len(R.generators), len(R.actions), tuple(
+        pairs.count((l, r)) for l in (I.I0, I.I1) for r in (I.I0, I.I1))
+
+
+def test_the_boundary_dehn_twist_is_not_the_identity_bimodule():
+    """H ⊠ H, (tau_mu tau_lambda)^6 and (tau_lambda tau_mu)^6, the boundary
+    Dehn twist, are not homotopic to the identity bimodule.
+
+    The input-free actions with an idempotent output form a differential
+    on each (left, right) idempotent pair: no product of two chords is an
+    idempotent, so the idempotent part of the structure equation without
+    inputs is the square of that part.  For the same reason the input-free
+    idempotent parts of morphisms and homotopies are chain maps and chain
+    homotopies, which keep the idempotent pairs.  A homotopy equivalence of
+    DA bimodules thus restricts to a chain homotopy equivalence of these
+    complexes, and on a reduced bimodule their differential is zero: its
+    number of generators per idempotent pair is a homotopy invariant, the
+    DA analogue of the count ktd._compare_d reads.  The three products
+    count 3/4/4/5 against the identity's 1/0/0/1 (and H's 1/2/2/3), although
+    H ⊠ H ⊠ D ≅ D on every type D module tested.
+    """
+    products = ["H H", "mu lambda " * 6, "lambda mu " * 6]
+    assert {_generators_per_idempotent_pair(box_word(w)) for w in products} == {
+        (16, 55, (3, 4, 4, 5))}
+    assert _generators_per_idempotent_pair(box_word(SIXFOLD)) == (8, 16, (1, 2, 2, 3))
+    assert _generators_per_idempotent_pair(type_da.builtin_identity()) == (2, 6, (1, 0, 0, 1))
 
 
 def test_box_da_d_validates(any_complex):
@@ -308,7 +326,7 @@ def test_string_reversal_loops():
 
 
 def test_cancel_da_arity_cap(monkeypatch):
-    prod = twist_product(6)
+    prod = box_word(SIXFOLD)
     monkeypatch.setattr(type_d, "ARITY_CAP", 0)
     with pytest.raises(ValueError):
         type_da.reduce_da(prod)
@@ -496,7 +514,7 @@ def test_box_da_da_matches_oracle():
     for factor in (L, B, L, B, L):
         prod, ref = type_da.box_da_da(prod, factor), oracle_box_da_da(ref, factor)
         assert io_formats.write_typeda(prod) == io_formats.write_typeda(ref)
-    assert prod == twist_product(6)
+    assert prod == box_word(SIXFOLD)
 
 
 def test_isomorphic_da_detects_difference():
