@@ -1,37 +1,6 @@
-"""Bordered invariants of knot complements over the two-element field."""
+"""Bordered invariants of knot complements over the two-element field.
 
-from .algebra import AlgebraElement, Idempotent, multiply
-from .cfk import (
-    KnotArrow,
-    KnotComplex,
-    KnotGenerator,
-    flip,
-    make_complex,
-    reduce,
-    simultaneous_simplify,
-    tau,
-    validate,
-)
-from .ktd import (
-    adjust_framing,
-    flip_ktd_direct,
-    ktd_basefree,
-    ktd_basis,
-    verify_elliptic_invariance,
-)
-from .type_d import TypeDModule, isomorphic_d, make_module, reduce_d, validate_d
-from .type_da import (
-    TypeDAModule,
-    box_da_d,
-    box_da_da,
-    builtin_H,
-    builtin_identity,
-    builtin_tau_lambda,
-    builtin_tau_mu,
-    isomorphic_da,
-    make_da,
-    reduce_da,
-    validate_da,
-)
+Each public name lives in its module: ``from bhf import ktd``, then
+``ktd.verify_elliptic_invariance``."""
 
 __version__ = "0.1.0"

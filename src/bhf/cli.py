@@ -3,7 +3,8 @@
 Exit codes: 0 success / verified, 1 invalid input or failed verification,
 2 usage error, 3 inconclusive verdict.  "-" reads stdin or writes stdout;
 bimodule arguments accept builtin:tau-mu, builtin:tau-lambda, builtin:H
-and builtin:identity.  BHF_SEED overrides --seed.
+and builtin:identity.  reduce takes --seed or --script, not both;
+BHF_SEED overrides --seed and is not read with --script.
 """
 from __future__ import annotations
 
@@ -93,6 +94,8 @@ def _seed(args) -> int | None:
 @functools.cache  # building the parser costs more than most commands
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bhf", description=__doc__)
+    framing = ("basis: the complement's framing, by default 2*tau - 3; basefree: "
+               "n for framing -n, at least 4*max|A| + 3, its default")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="validate any document")
@@ -112,7 +115,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cfd", help="type D module of the complement")
     sp.add_argument("path")
-    sp.add_argument("--framing", type=int, default=None)
+    sp.add_argument("--framing", type=int, default=None, help=framing)
     sp.add_argument("--algo", choices=["basis", "basefree"], default="basis")
     sp.add_argument("-o", "--output", default=None)
 
@@ -130,8 +133,9 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reduce", help="cancel idempotent arrows or actions")
     sp.add_argument("path")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--script", default=None)
+    order = sp.add_mutually_exclusive_group()
+    order.add_argument("--seed", type=int, default=None)
+    order.add_argument("--script", default=None)
     sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("iso", help="search for a permutation isomorphism")
@@ -141,7 +145,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify",
                         help="check invariance under the elliptic involution")
     sp.add_argument("path")
-    sp.add_argument("--framing", type=int, default=None)
+    sp.add_argument("--framing", type=int, default=None, help=framing)
     sp.add_argument("--algo", choices=["basis", "basefree"], default="basefree")
 
     sp = sub.add_parser("dot", help="Graphviz rendering of a type D module")
@@ -216,9 +220,7 @@ def _cmd_build_h(args) -> int:
 
 def _cmd_reduce(args) -> int:
     kind, obj = _load(args.path, "type_d", "type_da")
-    order = _seed(args)
-    if args.script:
-        _, order = _load(args.script, "script")
+    order = _load(args.script, "script")[1] if args.script else _seed(args)
     if kind == "type_d":
         out, _ = type_d.reduce_d(obj, order)
         _write(args.output, io_formats.write_typed(out))

@@ -39,13 +39,13 @@ META = "__meta__"
 
 def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
     """Type D module of the complement from a simplified basis."""
+    cfk._require_model(C)
     return _module(*_basis(C, framing))
 
 
 def _basis(C: cfk.KnotComplex, framing: int | None) -> tuple:
     """The generators, arrows (source, target, label) and tag maker of
-    ktd_basis: the tags are made only for its output."""
-    cfk._require_model(C)
+    ktd_basis: the tags are made only for its output; its caller checks C."""
     if not (cfk.is_vertically_simplified(C) and cfk.is_horizontally_simplified(C)):
         raise ValueError("complex must be simultaneously simplified")
     gens: list[tuple[str, Idempotent]] = [(g.name, Idempotent.I0) for g in C.generators]
@@ -126,13 +126,13 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     a z column (2*s2 >= n, m = (s2 - n + 1)/2) those of grading >= m, and a
     dot column *|s2 alone; rho23 arrows join each to the one before it.
     """
+    cfk._require_model(C)
     return _module(*_basefree(C, n))
 
 
 def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
     """The generators, arrows (source, target, label) and tag maker of
-    ktd_basefree: the tags are made only for its output."""
-    cfk._require_model(C)
+    ktd_basefree: the tags are made only for its output; its caller checks C."""
     # read first: the homologies have rank one, so C has a generator
     f_w = cfk.cohomology_support(C, "dw")
     rep_z = cfk.homology_support(C, "dz")
@@ -258,6 +258,9 @@ def adjust_framing(D: TypeDModule, k: int) -> TypeDModule:
 @dataclass(frozen=True)
 class VerifyResult:
     verdict: str                     # "verified" | "failed" | "inconclusive"
+    # generator mapping onto the right side from the module the match reached:
+    # the reduced left module only when no base change was needed (five_gen
+    # and some random complexes need one; ROADMAP item 4)
     witness: dict | None
     detail: str
 
@@ -275,8 +278,17 @@ def _construction(C: cfk.KnotComplex, algo: str, framing: int | None) -> tuple |
 
 def _ktd(C: cfk.KnotComplex, algo: str, framing: int | None) -> TypeDModule | None:
     """None when the simplified basis that ``basis`` needs is not found."""
+    cfk._require_model(C)
     built = _construction(C, algo, framing)
     return None if built is None else _module(*built)
+
+
+def _side(C: cfk.KnotComplex, algo: str, framing: int | None) -> _Graph | None:
+    """The module graph of the named construction, or None as _construction;
+    its lists go once the graph holds them."""
+    built = _construction(C, algo, framing)
+    # fromkeys drops a repeated arrow, as make_module does
+    return None if built is None else _graph(built[0], dict.fromkeys(built[1]))
 
 
 def _carries(mapping: dict[str, str], M: TypeDModule, N: TypeDModule) -> bool:
@@ -322,21 +334,21 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
     homotopic to boxing the module itself, from a box several times
     smaller.  Each side stays one module graph from its construction to
     its minimisation (the box writes a new one) and is frozen once, for
-    the comparison; the right side's graph is built once the left side is
-    frozen, so the two are never held together.  A simplified basis that
-    ``basis`` does not find is reported as inconclusive.
+    the comparison; the right side's construction starts once the left side
+    is frozen, so the two are never held together.  A simplified basis that
+    ``basis`` does not find is reported as inconclusive.  C is validated
+    once: reducing, simplifying and flipping keep a valid complex valid.
     """
     bad = cfk.validate(C)
     if bad:
         raise ValueError("invalid complex: " + bad[0])
     C = cfk.reduce(C)
-    built = [_construction(X, algo, framing) for X in (C, cfk.flip(C))]
-    if None in built:
-        return VerifyResult("inconclusive", None, "simultaneous simplification "
-                            f"did not converge in {cfk.SIMPLIFY_ROUNDS} rounds")
-    (gens_l, arrows_l, _), (gens_r, arrows_r, _) = built
-    # fromkeys drops a repeated arrow, as make_module does
-    left = _graph(gens_l, dict.fromkeys(arrows_l))
-    _reduce(left, None)
-    left = _minimal(_box_graph(builtin_H(), left))
-    return _compare_d(left, _minimal(_graph(gens_r, dict.fromkeys(arrows_r))))
+    left = _side(C, algo, framing)
+    if left is not None:
+        _reduce(left, None)
+        left = _minimal(_box_graph(builtin_H(), left))
+        right = _side(cfk.flip(C), algo, framing)
+        if right is not None:
+            return _compare_d(left, _minimal(right))
+    return VerifyResult("inconclusive", None, "simultaneous simplification "
+                        f"did not converge in {cfk.SIMPLIFY_ROUNDS} rounds")

@@ -13,7 +13,7 @@ import pytest
 import bhf
 from bhf import cfk, cli, io_formats, ktd, type_d, type_da
 from bhf.algebra import Idempotent as I
-from conftest import FIXTURE_NAMES, FIXTURES, TERSE_TREFOIL, load_cfk, random_complex
+from conftest import FIXTURE_NAMES, FIXTURES, ROOT, TERSE_TREFOIL, load_cfk, random_complex
 
 
 def fx(name):
@@ -333,6 +333,28 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     assert code1 == 0
     assert code2 == 1
     assert "BHF_SEED" in err
+
+
+def test_reduce_takes_a_seed_or_a_script_not_both(tmp_path, capsys, monkeypatch):
+    module, script = tmp_path / "five.json", tmp_path / "nothing.script"
+    module.write_text(io_formats.write_typed(ktd.ktd_basefree(load_cfk("five_gen"))))
+    script.write_text(_doc("script", {"pairs": []}))  # valid, and cancels nothing
+    assert run(capsys, "reduce", str(module), "--seed", "1")[0] == 0
+    assert run(capsys, "reduce", str(module), "--script", str(script))[0] == 0
+    code, out, err = run(capsys, "reduce", str(module), "--seed", "1", "--script", str(script))
+    assert (code, out) == (2, "") and "not allowed with argument --seed" in err
+    # the script fixes the order, so BHF_SEED is not read
+    monkeypatch.setenv("BHF_SEED", "not-a-number")
+    code, out, err = run(capsys, "reduce", str(module), "--script", str(script))
+    assert (code, err) == (0, "") and io_formats.parse_any(out)[0] == "type_d"
+
+
+def test_the_readme_example_prints_verified(capsys):
+    # the example imports submodules: bhf itself re-exports no name
+    (example,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text("utf-8"),
+                            re.S)
+    exec(example, {})
+    assert capsys.readouterr().out == "verified\n"
 
 
 def test_python_dash_m_runs_cli():

@@ -216,6 +216,20 @@ def test_library_rejects_a_complex_it_cannot_take(f, C, says):
     assert str(got.value) == says
 
 
+@pytest.mark.parametrize("algo", ["basefree", "basis"])
+def test_verify_and_cfd_validate_their_complex_once(algo, monkeypatch):
+    # _require_model reads the module global, so it counts through the wrapper
+    calls = []
+    validate = cfk.validate
+    monkeypatch.setattr(cfk, "validate", lambda C: calls.append(C) or validate(C))
+    C = load_cfk("trefoil_right")
+    assert ktd.verify_elliptic_invariance(C, algo).verdict == "verified"
+    assert len(calls) == 1
+    calls.clear()
+    assert ktd._ktd(cfk.reduce(C), algo, None) is not None
+    assert len(calls) == 1
+
+
 # exponents of the Alexander polynomial of T(5,6), highest first
 T56 = [10, 9, 5, 3, 0, -3, -5, -9, -10]
 
