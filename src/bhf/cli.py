@@ -3,14 +3,12 @@
 Exit codes: 0 success / verified, 1 invalid input or failed verification,
 2 usage error, 3 inconclusive verdict.  "-" reads stdin or writes stdout;
 bimodule arguments accept builtin:tau-mu, builtin:tau-lambda, builtin:H
-and builtin:identity.  reduce takes --seed or --script, not both;
-BHF_SEED overrides --seed and is not read with --script.
+and builtin:identity.  reduce takes --seed or --script, not both.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from . import cfk, io_formats, ktd, type_d, type_da
@@ -23,10 +21,9 @@ BUILTINS = {
 }
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = 1):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """Input the CLI cannot take; main prints it and exits 1, as for a
+    ValueError from the library."""
 
 
 def _read(path: str) -> str:
@@ -81,16 +78,6 @@ def _load(path: str, *kinds: str):
     return kind, obj
 
 
-def _seed(args) -> int | None:
-    env = os.environ.get("BHF_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"BHF_SEED must be an integer, got {env!r}") from None
-    return getattr(args, "seed", None)
-
-
 @functools.cache  # building the parser costs more than most commands
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bhf", description=__doc__)
@@ -99,27 +86,33 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="validate any document")
+    sp.set_defaults(run=_cmd_validate)
     sp.add_argument("path")
 
     sp = sub.add_parser("flip", help="exchange basepoints of a knot complex")
+    sp.set_defaults(run=_cmd_flip)
     sp.add_argument("path")
     sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("simplify", help="reduce and simplify a knot complex")
+    sp.set_defaults(run=_cmd_simplify)
     sp.add_argument("path")
     sp.add_argument("--mode", choices=["v", "h", "both"], default="both")
     sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("tau", help="print tau of a knot complex")
+    sp.set_defaults(run=_cmd_tau)
     sp.add_argument("path")
 
     sp = sub.add_parser("cfd", help="type D module of the complement")
+    sp.set_defaults(run=_cmd_cfd)
     sp.add_argument("path")
     sp.add_argument("--framing", type=int, default=None, help=framing)
     sp.add_argument("--algo", choices=["basis", "basefree"], default="basis")
     sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("tensor", help="box tensor a bimodule with a module")
+    sp.set_defaults(run=_cmd_tensor)
     sp.add_argument("--bimodule", required=True,
                     help="builtin:{tau-mu,tau-lambda,H,identity} or a file")
     sp.add_argument("path")
@@ -127,11 +120,13 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("build-h",
                         help="assemble the involution bimodule from six twists")
+    sp.set_defaults(run=_cmd_build_h)
     sp.add_argument("--script", default=None,
                     help="replay an explicit cancellation script")
     sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("reduce", help="cancel idempotent arrows or actions")
+    sp.set_defaults(run=_cmd_reduce)
     sp.add_argument("path")
     order = sp.add_mutually_exclusive_group()
     order.add_argument("--seed", type=int, default=None)
@@ -139,16 +134,19 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("iso", help="search for a permutation isomorphism")
+    sp.set_defaults(run=_cmd_iso)
     sp.add_argument("left")
     sp.add_argument("right")
 
     sp = sub.add_parser("verify",
                         help="check invariance under the elliptic involution")
+    sp.set_defaults(run=_cmd_verify)
     sp.add_argument("path")
     sp.add_argument("--framing", type=int, default=None, help=framing)
     sp.add_argument("--algo", choices=["basis", "basefree"], default="basefree")
 
     sp = sub.add_parser("dot", help="Graphviz rendering of a type D module")
+    sp.set_defaults(run=_cmd_dot)
     sp.add_argument("path")
     sp.add_argument("-o", "--output", default=None)
     return p
@@ -220,7 +218,7 @@ def _cmd_build_h(args) -> int:
 
 def _cmd_reduce(args) -> int:
     kind, obj = _load(args.path, "type_d", "type_da")
-    order = _load(args.script, "script")[1] if args.script else _seed(args)
+    order = _load(args.script, "script")[1] if args.script else args.seed
     if kind == "type_d":
         out, _ = type_d.reduce_d(obj, order)
         _write(args.output, io_formats.write_typed(out))
@@ -262,21 +260,6 @@ def _cmd_dot(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "flip": _cmd_flip,
-    "simplify": _cmd_simplify,
-    "tau": _cmd_tau,
-    "cfd": _cmd_cfd,
-    "tensor": _cmd_tensor,
-    "build-h": _cmd_build_h,
-    "reduce": _cmd_reduce,
-    "iso": _cmd_iso,
-    "verify": _cmd_verify,
-    "dot": _cmd_dot,
-}
-
-
 def main(argv=None) -> int:
     parser = _parser()
     try:
@@ -284,11 +267,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        return _COMMANDS[args.command](args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except ValueError as e:  # the library rejects input it cannot take
+        return args.run(args)
+    except ValueError as e:  # a CliError, or the library rejects input it cannot take
         print(f"error: {e}", file=sys.stderr)
         return 1
     except BrokenPipeError:

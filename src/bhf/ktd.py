@@ -193,9 +193,10 @@ def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
 
 
 def flip_ktd_direct(D: TypeDModule, C: cfk.KnotComplex) -> TypeDModule:
-    """Rewrite the base-free module of C into the one of flip(C) in place.
+    """Rewrite the base-free module of C into the one of flip(C).
 
-    Works on the tagged output of ``ktd_basefree``: negate column labels,
+    Works on the tagged output of ``ktd_basefree(C, n)`` and rejects any
+    other module, a reduced one included: negate column labels,
     reverse the interior rho23 arrows, swap the chain maps around the
     one-dimensional columns, switch rho1/rho3 at each iota0 generator,
     and rebuild the rho2 / rho123 families from the vertical arrows of C.
@@ -204,6 +205,10 @@ def flip_ktd_direct(D: TypeDModule, C: cfk.KnotComplex) -> TypeDModule:
         raise ValueError("module lacks base-free column metadata")
     n = D.tags[META]["framing"]
     cfk._require_model(C)
+    # a reduced or minimised module keeps the tag but not the construction
+    made = sorted(name for name, _ in _basefree(C, n)[0])
+    if made != sorted(name for name, _ in D.generators):
+        raise ValueError("module is not the base-free construction of the complex")
     level = C._alexander
     new_tags: dict = {META: dict(D.tags[META])}
     part, kind = {}, {}  # generator -> its part and its column kind, read once
@@ -285,10 +290,10 @@ def _ktd(C: cfk.KnotComplex, algo: str, framing: int | None) -> TypeDModule | No
 
 def _side(C: cfk.KnotComplex, algo: str, framing: int | None) -> _Graph | None:
     """The module graph of the named construction, or None as _construction;
-    its lists go once the graph holds them."""
+    its lists go once the graph holds them.  No construction repeats an
+    arrow, so the graph takes them as they are."""
     built = _construction(C, algo, framing)
-    # fromkeys drops a repeated arrow, as make_module does
-    return None if built is None else _graph(built[0], dict.fromkeys(built[1]))
+    return None if built is None else _graph(*built[:2])
 
 
 def _carries(mapping: dict[str, str], M: TypeDModule, N: TypeDModule) -> bool:
