@@ -109,6 +109,15 @@ def test_basis_unknot_self_framing():
     assert D.arrows[0].source == D.arrows[0].target
 
 
+def test_flip_direct_matches_flip(any_complex):
+    C = any_complex
+    D = ktd.ktd_basefree(C)
+    F = ktd.flip_ktd_direct(D, C)
+    assert type_d.validate_d(F) == []
+    E = ktd.ktd_basefree(cfk.flip(C))
+    assert type_d.isomorphic_d(F, E) is not None
+
+
 def test_flip_direct_requires_basefree(five_gen):
     S = cfk.simultaneous_simplify(five_gen)
     D = ktd.ktd_basis(S)
@@ -163,6 +172,17 @@ def test_adjust_framing_rejects_a_negative_count(trefoil):
         ktd.adjust_framing(D, -1)
 
 
+def test_adjust_framing_matches_direct_construction(any_complex):
+    S = cfk.simultaneous_simplify(any_complex)
+    D = ktd.ktd_basis(S)
+    base = D.tags[ktd.META]["framing"]
+    for k in (3, 5):
+        adj = type_d.minimize_d(ktd.adjust_framing(D, k))
+        direct, _ = type_d.reduce_d(ktd.ktd_basis(S, base + k))
+        direct = type_d.minimize_d(direct)
+        assert type_d._match_up_to_base_change(adj, direct)[0] is not None
+
+
 def test_algorithms_agree(any_complex):
     C = any_complex
     S = cfk.simultaneous_simplify(C)
@@ -177,6 +197,11 @@ def test_verify_basefree(any_complex):
     res = ktd.verify_elliptic_invariance(any_complex, "basefree")
     assert res.verdict == "verified"
     assert res.witness
+
+
+def test_verify_basis(any_complex):
+    res = ktd.verify_elliptic_invariance(any_complex, "basis")
+    assert res.verdict == "verified"
 
 
 def test_verify_rejects_an_unknown_algorithm(trefoil):
