@@ -21,11 +21,6 @@ BUILTINS = {
 }
 
 
-class CliError(ValueError):
-    """Input the CLI cannot take; main prints it and exits 1, as for a
-    ValueError from the library."""
-
-
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -33,7 +28,7 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise CliError(f"cannot read {path}: {e}") from None
+        raise ValueError(f"cannot read {path}: {e}") from None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -44,7 +39,7 @@ def _write(path: str | None, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
-        raise CliError(f"cannot write {path}: {e}") from None
+        raise ValueError(f"cannot write {path}: {e}") from None
 
 
 def _load_any(path: str, kind: str | None = None):
@@ -55,7 +50,7 @@ def _load_any(path: str, kind: str | None = None):
     try:
         return io_formats.parse_any(_read(path), kind)
     except io_formats.ParseError as e:
-        raise CliError(f"{path}: {e}") from None
+        raise ValueError(f"{path}: {e}") from None
 
 
 _VALIDATORS = {
@@ -71,10 +66,10 @@ def _load(path: str, *kinds: str):
     (kind, object)."""
     kind, obj = _load_any(path, kinds[0] if len(kinds) == 1 else None)
     if kind not in kinds:
-        raise CliError(f"{path}: expected {' or '.join(kinds)}, found {kind}")
+        raise ValueError(f"{path}: expected {' or '.join(kinds)}, found {kind}")
     bad = _VALIDATORS[kind](obj)
     if bad:
-        raise CliError(f"{path}: invalid {kind}: {bad[0]}")
+        raise ValueError(f"{path}: invalid {kind}: {bad[0]}")
     return kind, obj
 
 
@@ -178,7 +173,7 @@ def _cmd_simplify(args) -> int:
     else:
         S = cfk.simultaneous_simplify(C)
         if S is None:
-            raise CliError("simultaneous simplification did not converge")
+            raise ValueError("simultaneous simplification did not converge")
         C = S
     _write(args.output, io_formats.write_cfk(C))
     return 0
@@ -194,7 +189,7 @@ def _cmd_cfd(args) -> int:
     C = cfk.reduce(_load(args.path, "cfk")[1])
     D = ktd._ktd(C, args.algo, args.framing)
     if D is None:
-        raise CliError("simultaneous simplification did not converge")
+        raise ValueError("simultaneous simplification did not converge")
     _write(args.output, io_formats.write_typed(D))
     return 0
 
@@ -232,7 +227,7 @@ def _cmd_iso(args) -> int:
     kl, left = _load(args.left, "type_d", "type_da")
     kr, right = _load(args.right, "type_d", "type_da")
     if kl != kr:
-        raise CliError(f"cannot compare a {kl} with a {kr}")
+        raise ValueError(f"cannot compare a {kl} with a {kr}")
     iso = type_d.isomorphic_d if kl == "type_d" else type_da.isomorphic_da
     mapping = iso(left, right)
     if mapping is None:
@@ -268,7 +263,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return args.run(args)
-    except ValueError as e:  # a CliError, or the library rejects input it cannot take
+    except ValueError as e:  # the CLI or the library rejects input it cannot take
         print(f"error: {e}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -13,9 +13,10 @@ chosen boundary framing:
     between quotient complexes on the left, one-dimensional columns in
     the middle and subcomplexes on the right, joined by rho23 arrows.
 
-``flip_ktd_direct`` rewrites the base-free module of C into the one of
-the flipped complex by a local graph transformation, giving an
-independent construction used to cross-check the two.
+``flip_ktd_direct(C, n)`` builds the base-free module of C at n and
+rewrites it into the one of the flipped complex by a local graph
+transformation, giving an independent construction used to cross-check
+the two.
 """
 from __future__ import annotations
 
@@ -192,23 +193,17 @@ def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
     return _named_once(gens), arrows, tags
 
 
-def flip_ktd_direct(D: TypeDModule, C: cfk.KnotComplex) -> TypeDModule:
-    """Rewrite the base-free module of C into the one of flip(C).
+def flip_ktd_direct(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
+    """Rewrite the base-free module of C at n into the one of flip(C).
 
-    Works on the tagged output of ``ktd_basefree(C, n)`` and rejects any
-    other module, a reduced one included: negate column labels,
+    Builds ``ktd_basefree(C, n)``, which checks C and takes the default n,
+    and rewrites it by a local graph transformation: negate column labels,
     reverse the interior rho23 arrows, swap the chain maps around the
     one-dimensional columns, switch rho1/rho3 at each iota0 generator,
     and rebuild the rho2 / rho123 families from the vertical arrows of C.
     """
-    if META not in D.tags or D.tags[META].get("algo") != "basefree":
-        raise ValueError("module lacks base-free column metadata")
+    D = ktd_basefree(C, n)
     n = D.tags[META]["framing"]
-    cfk._require_model(C)
-    # a reduced or minimised module keeps the tag but not the construction
-    made = sorted(name for name, _ in _basefree(C, n)[0])
-    if made != sorted(name for name, _ in D.generators):
-        raise ValueError("module is not the base-free construction of the complex")
     level = C._alexander
     new_tags: dict = {META: dict(D.tags[META])}
     part, kind = {}, {}  # generator -> its part and its column kind, read once

@@ -112,10 +112,36 @@ def random_complex(name: str, seed: int, shift=None) -> cfk.KnotComplex:
             q_gen, r = cfk.KnotGenerator(q, A, M - 1), 0
         gens += [cfk.KnotGenerator(p, A, M), q_gen]
         arrows.append(cfk.KnotArrow(p, q, r))
-    m = cfk._Mut(cfk.make_complex(gens, arrows, shift or C.shift))
+    return _scrambled(cfk.make_complex(gens, arrows, shift or C.shift), rng)
+
+
+def _scrambled(C: cfk.KnotComplex, rng: random.Random) -> cfk.KnotComplex:
+    """C after 0-25 attempted filtered base changes drawn from rng."""
+    m = cfk._Mut(C)
     for _ in range(rng.randint(0, 25)):
         random_base_change(m, rng)
     return m.freeze()
+
+
+def boxed_complex(name: str, seed: int) -> cfk.KnotComplex:
+    """A fixture plus one or two boxes: four generators a, b, c, d with
+    a -> b and c -> d vertical, and a -> U^h c and b -> U^h d horizontal.
+    A box is acyclic over F2[U, U^-1] and adds nothing to either homology,
+    so the result is a valid knot complex of the same knot; it is scrambled
+    by up to 25 attempted filtered base changes."""
+    rng = random.Random(seed)
+    C = load_cfk(name)
+    gens, arrows = list(C.generators), list(C.arrows)
+    for i in range(rng.randint(1, 2)):
+        A, M = rng.randint(-2, 2), rng.randint(-3, 2)
+        v, h = rng.randint(1, 2), rng.randint(1, 2)
+        a, b, c, d = (f"s{i}{x}" for x in "abcd")
+        gens += [cfk.KnotGenerator(a, A, M), cfk.KnotGenerator(b, A - v, M - 1),
+                 cfk.KnotGenerator(c, A + h, M - 1 + 2 * h),
+                 cfk.KnotGenerator(d, A + h - v, M - 2 + 2 * h)]
+        arrows += [cfk.KnotArrow(a, b, 0), cfk.KnotArrow(a, c, h),
+                   cfk.KnotArrow(b, d, h), cfk.KnotArrow(c, d, 0)]
+    return _scrambled(cfk.make_complex(gens, arrows, C.shift), rng)
 
 
 def base_change(M, gen, other, coeff):

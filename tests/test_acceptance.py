@@ -190,8 +190,7 @@ def test_criterion_7_structural_invariants():
 def test_criterion_8_direct_flip_construction():
     for name in FIXTURE_NAMES:
         C = load_cfk(name)
-        D = ktd.ktd_basefree(C)
-        F = ktd.flip_ktd_direct(D, C)
+        F = ktd.flip_ktd_direct(C)
         assert type_d.validate_d(F) == []
         E = ktd.ktd_basefree(cfk.flip(C))
         assert type_d.isomorphic_d(F, E) is not None, name

@@ -106,6 +106,14 @@ def test_reduce_cancels_contractible_pair():
     assert [g.name for g in R.generators] == ["u"]
 
 
+def test_reduce_refuses_an_arrow_with_a_parallel_u_power():
+    # x -> y and x -> U y: cancelling x -> y over F2[U] would divide by 1 + U
+    C = cfk.make_complex([G("x", 0, 1), G("y", 0, 0)], [Ar("x", "y", 0), Ar("x", "y", 1)])
+    with pytest.raises(ValueError) as e:
+        cfk.reduce(C)
+    assert str(e.value) == "cannot cancel x->y: parallel arrow with positive U power"
+
+
 def test_tau_values():
     expected = {"unknot": 0, "trefoil_right": 1, "trefoil_left": -1,
                 "figure_eight": 0, "five_gen": 1}
