@@ -114,12 +114,12 @@ def is_reduced(C: KnotComplex) -> bool:
     return all(a.u_power > 0 or C.alexander_drop(a) > 0 for a in C.arrows)
 
 
-def _require_model(C: KnotComplex) -> None:
+def _model(C: KnotComplex) -> KnotComplex:
+    """C validated and reduced: what every function that builds from C takes."""
     bad = validate(C)
     if bad:
         raise ValueError("invalid complex: " + bad[0])
-    if not is_reduced(C):
-        raise ValueError("complex must be reduced")
+    return reduce(C)
 
 
 def flip(C: KnotComplex) -> KnotComplex:
@@ -267,8 +267,7 @@ def simultaneous_simplify(C: KnotComplex):
 def tau(C: KnotComplex) -> int:
     """Alexander grading of the generator of the vertical homology: the one
     generator that no vertical arrow touches once vertically simplified."""
-    _require_model(C)
-    V = vertical_simplify(C)
+    V = vertical_simplify(_model(C))
     touched = {g for a in V.arrows if a.u_power == 0 for g in (a.source, a.target)}
     survivors = [g for g in V.generators if g.name not in touched]
     if len(survivors) != 1:

@@ -42,15 +42,20 @@ def _write(path: str | None, text: str) -> None:
         raise ValueError(f"cannot write {path}: {e}") from None
 
 
-def _load_any(path: str, kind: str | None = None):
-    """Load a document of the given kind, or else of the kind its text
-    shows; returns (kind, object)."""
+def _load_any(path: str, *kinds: str):
+    """Load a document of one of ``kinds``, or of any kind when none is
+    named, unchecked (tau, cfd and verify leave that to the library);
+    returns (kind, object)."""
     if path in BUILTINS:
-        return "type_da", BUILTINS[path]()
-    try:
-        return io_formats.parse_any(_read(path), kind)
-    except io_formats.ParseError as e:
-        raise ValueError(f"{path}: {e}") from None
+        kind, obj = "type_da", BUILTINS[path]()
+    else:
+        try:
+            kind, obj = io_formats.parse_any(_read(path), kinds[0] if len(kinds) == 1 else None)
+        except io_formats.ParseError as e:
+            raise ValueError(f"{path}: {e}") from None
+    if kinds and kind not in kinds:
+        raise ValueError(f"{path}: expected {' or '.join(kinds)}, found {kind}")
+    return kind, obj
 
 
 _VALIDATORS = {
@@ -64,9 +69,7 @@ _VALIDATORS = {
 def _load(path: str, *kinds: str):
     """Load a document of one of ``kinds`` and validate it; returns
     (kind, object)."""
-    kind, obj = _load_any(path, kinds[0] if len(kinds) == 1 else None)
-    if kind not in kinds:
-        raise ValueError(f"{path}: expected {' or '.join(kinds)}, found {kind}")
+    kind, obj = _load_any(path, *kinds)
     bad = _VALIDATORS[kind](obj)
     if bad:
         raise ValueError(f"{path}: invalid {kind}: {bad[0]}")
@@ -180,16 +183,13 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    C = cfk.reduce(_load(args.path, "cfk")[1])
-    print(cfk.tau(C))
+    print(cfk.tau(_load_any(args.path, "cfk")[1]))
     return 0
 
 
 def _cmd_cfd(args) -> int:
-    C = cfk.reduce(_load(args.path, "cfk")[1])
-    D = ktd._ktd(C, args.algo, args.framing)
-    if D is None:
-        raise ValueError("simultaneous simplification did not converge")
+    build = ktd.ktd_basis if args.algo == "basis" else ktd.ktd_basefree
+    D = build(_load_any(args.path, "cfk")[1], args.framing)
     _write(args.output, io_formats.write_typed(D))
     return 0
 
@@ -239,7 +239,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    C = _load(args.path, "cfk")[1]
+    C = _load_any(args.path, "cfk")[1]
     res = ktd.verify_elliptic_invariance(C, args.algo, args.framing)
     print(f"{res.verdict}: {res.detail}")
     if res.verdict == "verified":

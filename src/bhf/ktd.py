@@ -1,9 +1,9 @@
 """Type D modules of knot complements from knot Floer complexes.
 
 Two constructions of the bordered invariant of the complement with a
-chosen boundary framing:
+chosen boundary framing, each from any valid complex, reduced first:
 
-  * ``ktd_basis``: from a reduced, simultaneously simplified complex, one
+  * ``ktd_basis``: from a simultaneously simplified basis it finds, one
     chain of iota1 generators per vertical arrow, per horizontal arrow,
     and one unstable chain whose shape depends on framing versus 2*tau.
 
@@ -39,16 +39,17 @@ META = "__meta__"
 
 
 def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
-    """Type D module of the complement from a simplified basis."""
-    cfk._require_model(C)
-    return _module(*_basis(C, framing))
+    """Type D module of the complement from a simplified basis of C."""
+    D = _ktd(C, "basis", framing)
+    if D is None:
+        raise ValueError("simultaneous simplification did not converge")
+    return D
 
 
 def _basis(C: cfk.KnotComplex, framing: int | None) -> tuple:
     """The generators, arrows (source, target, label) and tag maker of
-    ktd_basis: the tags are made only for its output; its caller checks C."""
-    if not (cfk.is_vertically_simplified(C) and cfk.is_horizontally_simplified(C)):
-        raise ValueError("complex must be simultaneously simplified")
+    ktd_basis: the tags are made only for its output; C is valid, reduced and
+    simultaneously simplified."""
     gens: list[tuple[str, Idempotent]] = [(g.name, Idempotent.I0) for g in C.generators]
     arrows: list[tuple[str, str, A]] = []
 
@@ -127,13 +128,12 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     a z column (2*s2 >= n, m = (s2 - n + 1)/2) those of grading >= m, and a
     dot column *|s2 alone; rho23 arrows join each to the one before it.
     """
-    cfk._require_model(C)
-    return _module(*_basefree(C, n))
+    return _module(*_basefree(cfk._model(C), n))
 
 
 def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
     """The generators, arrows (source, target, label) and tag maker of
-    ktd_basefree: the tags are made only for its output; its caller checks C."""
+    ktd_basefree: the tags are made only for its output; C is valid and reduced."""
     # read first: the homologies have rank one, so C has a generator
     f_w = cfk.cohomology_support(C, "dw")
     rep_z = cfk.homology_support(C, "dz")
@@ -196,13 +196,15 @@ def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
 def flip_ktd_direct(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     """Rewrite the base-free module of C at n into the one of flip(C).
 
-    Builds ``ktd_basefree(C, n)``, which checks C and takes the default n,
-    and rewrites it by a local graph transformation: negate column labels,
-    reverse the interior rho23 arrows, swap the chain maps around the
-    one-dimensional columns, switch rho1/rho3 at each iota0 generator,
-    and rebuild the rho2 / rho123 families from the vertical arrows of C.
+    Builds the base-free module of C's model (cfk._model) at n, by default
+    the least n, and rewrites it by a local graph transformation: negate
+    column labels, reverse the interior rho23 arrows, swap the chain maps
+    around the one-dimensional columns, switch rho1/rho3 at each iota0
+    generator, and rebuild the rho2 / rho123 families from the model's
+    vertical arrows.
     """
-    D = ktd_basefree(C, n)
+    C = cfk._model(C)
+    D = _module(*_basefree(C, n))
     n = D.tags[META]["framing"]
     level = C._alexander
     new_tags: dict = {META: dict(D.tags[META])}
@@ -278,8 +280,7 @@ def _construction(C: cfk.KnotComplex, algo: str, framing: int | None) -> tuple |
 
 def _ktd(C: cfk.KnotComplex, algo: str, framing: int | None) -> TypeDModule | None:
     """None when the simplified basis that ``basis`` needs is not found."""
-    cfk._require_model(C)
-    built = _construction(C, algo, framing)
+    built = _construction(cfk._model(C), algo, framing)
     return None if built is None else _module(*built)
 
 
@@ -337,12 +338,9 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
     the comparison; the right side's construction starts once the left side
     is frozen, so the two are never held together.  A simplified basis that
     ``basis`` does not find is reported as inconclusive.  C is validated
-    once: reducing, simplifying and flipping keep a valid complex valid.
+    and reduced once (cfk._model): flipping keeps a reduced complex reduced.
     """
-    bad = cfk.validate(C)
-    if bad:
-        raise ValueError("invalid complex: " + bad[0])
-    C = cfk.reduce(C)
+    C = cfk._model(C)
     left = _side(C, algo, framing)
     if left is not None:
         _reduce(left, None)

@@ -397,6 +397,11 @@ _MALFORMED = [
     (["tensor", "--bimodule", "{}", "{ok}"], _BAD_DA, "invalid type_da: A-infinity"),
     (["tensor", "--bimodule", "builtin:H", "{}"], _BAD_DA, "expected kind 'type_d'"),
     (["tau", "{}"], _SELF_LOOP, "expected kind 'cfk'"),
+    # a builtin is a type_da: a command that lets the library check its complex
+    # still refuses one
+    (["verify", "builtin:H"], "", "expected cfk, found type_da"),
+    (["cfd", "builtin:H"], "", "expected cfk, found type_da"),
+    (["tau", "builtin:tau-mu"], "", "expected cfk, found type_da"),
     (["iso", "{}", "builtin:H"], _doc("cfk", {}), "expected type_d or type_da"),
     (["build-h", "--script", "{}"], "a -> b -> c\n", "expected 'from -> to'"),
     (["reduce", "{ok}", "--script", "{}"], "a -> b -> c\n", "expected 'from -> to'"),

@@ -4,11 +4,12 @@ import itertools
 
 import pytest
 
-from bhf import cfk, io_formats, ktd, type_d, type_da
+from bhf import cfk, cli, io_formats, ktd, type_d, type_da
 from bhf.algebra import AlgebraElement as A, Idempotent as I
-from conftest import (FIXTURE_NAMES, base_change, boxed_complex, every_change, load_cfk,
-                      random_complex)
+from conftest import (FIXTURE_NAMES, FIXTURES, base_change, boxed_complex, every_change,
+                      load_cfk, random_complex)
 from staircase import mirror, staircase, torus_knot
+from test_cli import UNSIMPLIFIABLE
 
 # frozen oracle for the five-generator example at n=7: column populations,
 # arrow label inventory and the distinguished homology representatives
@@ -76,11 +77,6 @@ def test_basis_validates(any_complex):
     S = cfk.simultaneous_simplify(any_complex)
     D = ktd.ktd_basis(S)
     assert type_d.validate_d(D) == []
-
-
-def test_basis_requires_simplified(five_gen):
-    with pytest.raises(ValueError):
-        ktd.ktd_basis(five_gen)
 
 
 def test_basis_unstable_chain_shapes():
@@ -214,9 +210,9 @@ CLASHES = [(ktd.ktd_basefree, "a|8"), (ktd.verify_elliptic_invariance, "a|8"),
 
 
 @pytest.mark.parametrize("f, C, says", [
-    (ktd.ktd_basefree, UNREDUCED, "complex must be reduced"),
-    (ktd.ktd_basis, UNREDUCED, "complex must be reduced"),
-    (cfk.tau, UNREDUCED, "complex must be reduced"),
+    (ktd.ktd_basis, DANGLING, "invalid complex: arrow a->z references unknown generator"),
+    (ktd.flip_ktd_direct, DANGLING, "invalid complex: arrow a->z references unknown generator"),
+    (ktd.flip_ktd_direct, trefoil_with("a|8"), "construction makes two generators named 'a|8'"),
     (cfk.vertical_simplify, UNREDUCED, "complex must be reduced before simplification"),
     (cfk.simultaneous_simplify, UNREDUCED, "complex must be reduced before simplification"),
     (ktd.ktd_basefree, DANGLING, "invalid complex: arrow a->z references unknown generator"),
@@ -232,17 +228,54 @@ def test_library_rejects_a_complex_it_cannot_take(f, C, says):
 
 
 @pytest.mark.parametrize("algo", ["basefree", "basis"])
-def test_verify_and_cfd_validate_their_complex_once(algo, monkeypatch):
-    # _require_model reads the module global, so it counts through the wrapper
-    calls = []
-    validate = cfk.validate
-    monkeypatch.setattr(cfk, "validate", lambda C: calls.append(C) or validate(C))
-    C = load_cfk("trefoil_right")
-    assert ktd.verify_elliptic_invariance(C, algo).verdict == "verified"
-    assert len(calls) == 1
-    calls.clear()
-    assert ktd._ktd(cfk.reduce(C), algo, None) is not None
-    assert len(calls) == 1
+def test_verify_and_cfd_validate_their_complex_once(algo, monkeypatch, capsys):
+    # cfk._model reads the module globals, and the CLI's validator table
+    # holds the function itself, so each counts through its wrapper
+    calls = collections.Counter()
+
+    def counted(name, f):
+        return lambda C: calls.update([name]) or f(C)
+    monkeypatch.setitem(cli._VALIDATORS, "cfk", counted("validate", cfk.validate))
+    monkeypatch.setattr(cfk, "validate", counted("validate", cfk.validate))
+    monkeypatch.setattr(cfk, "reduce", counted("reduce", cfk.reduce))
+    path = str(FIXTURES / "trefoil_right.cfk.json")
+    for argv in (["verify", path, "--algo", algo], ["cfd", path, "--algo", algo],
+                 ["tau", path]):
+        calls.clear()
+        assert cli.main(argv) == 0, argv
+        assert calls == {"validate": 1, "reduce": 1}, argv
+    capsys.readouterr()
+
+
+def _built(f, C):
+    """What f makes of C: a module as its document, or the ValueError's text."""
+    try:
+        made = f(C)
+    except ValueError as e:
+        return str(e)
+    return made if isinstance(made, int) else io_formats.write_typed(made)
+
+
+def test_builders_take_any_valid_complex():
+    # each validates and reduces C itself, and ktd_basis simplifies it, so
+    # an unreduced or unsimplified C gives what its reduction gives
+    draws = [random_complex(name, seed) for name in FIXTURE_NAMES for seed in range(20)]
+    unsimplifiable = io_formats.parse_cfk(UNSIMPLIFIABLE)
+    built = 0
+    for C in [load_cfk("five_gen"), UNREDUCED, unsimplifiable] + draws:
+        if cfk.validate(C):
+            continue
+        R = cfk.reduce(C)
+        for f in (ktd.ktd_basefree, ktd.flip_ktd_direct, cfk.tau):
+            assert _built(f, C) == _built(f, R), f.__name__
+        S = cfk.simultaneous_simplify(R)
+        if S is None:
+            assert _built(ktd.ktd_basis, C) == "simultaneous simplification did not converge"
+        else:
+            built += 1
+            assert _built(ktd.ktd_basis, C) == _built(ktd.ktd_basis, S)
+    assert cfk.simultaneous_simplify(cfk.reduce(unsimplifiable)) is None
+    assert built == 101  # five_gen, UNREDUCED and 99 of the 100 valid draws
 
 
 # exponents of the Alexander polynomial of T(5,6), highest first
