@@ -200,7 +200,9 @@ class _Mut:
 
 
 def reduce(C: KnotComplex, seed: int | None = None) -> KnotComplex:
-    """Cancel all arrows with u_power 0 and Alexander drop 0."""
+    """Cancel all arrows with u_power 0 and Alexander drop 0 (C if none)."""
+    if is_reduced(C):
+        return C
     m = _Mut(C)
     rng = random.Random(seed) if seed is not None else None
     while True:
@@ -215,9 +217,9 @@ def vertical_simplify(C: KnotComplex) -> KnotComplex:
     """Base-change until vertical arrows form a disjoint matching: each
     round takes the least (Alexander drop, source, target) vertical arrow
     x -> y between unmatched generators, clears the other vertical arrows
-    into y and out of x, then matches x with y."""
+    into y and out of x, then matches x with y.  C is reduced first."""
     if not is_reduced(C):
-        raise ValueError("complex must be reduced before simplification")
+        C = reduce(C)
     m = _Mut(C)
     live = set(m.gens)
     while vertical := [(m.drop(x, y), x, y) for x in live
@@ -233,7 +235,7 @@ def vertical_simplify(C: KnotComplex) -> KnotComplex:
 
 def horizontal_simplify(C: KnotComplex) -> KnotComplex:
     """Base-change until horizontal arrows form a disjoint matching; flip
-    trades them for vertical arrows."""
+    trades them for vertical arrows.  C is reduced first."""
     return flip(vertical_simplify(flip(C)))
 
 
@@ -252,10 +254,10 @@ SIMPLIFY_ROUNDS = 64
 def simultaneous_simplify(C: KnotComplex):
     """Alternate vertical and horizontal simplification until both hold.
 
-    Returns the simplified complex, or None after SIMPLIFY_ROUNDS rounds.
+    Reduces C first; returns the simplified complex, or None after SIMPLIFY_ROUNDS rounds.
     """
     if not is_reduced(C):
-        raise ValueError("complex must be reduced before simplification")
+        C = reduce(C)
     for _ in range(SIMPLIFY_ROUNDS):
         for simplify in (vertical_simplify, horizontal_simplify):
             if is_vertically_simplified(C) and is_horizontally_simplified(C):

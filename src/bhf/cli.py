@@ -168,16 +168,13 @@ def _cmd_flip(args) -> int:
 
 
 def _cmd_simplify(args) -> int:
-    C = cfk.reduce(_load(args.path, "cfk")[1])
+    C = _load(args.path, "cfk")[1]
     if args.mode == "v":
         C = cfk.vertical_simplify(C)
     elif args.mode == "h":
         C = cfk.horizontal_simplify(C)
-    else:
-        S = cfk.simultaneous_simplify(C)
-        if S is None:
-            raise ValueError("simultaneous simplification did not converge")
-        C = S
+    elif (C := cfk.simultaneous_simplify(C)) is None:
+        raise ValueError("simultaneous simplification did not converge")
     _write(args.output, io_formats.write_cfk(C))
     return 0
 

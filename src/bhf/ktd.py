@@ -1,7 +1,8 @@
 """Type D modules of knot complements from knot Floer complexes.
 
 Two constructions of the bordered invariant of the complement with a
-chosen boundary framing, each from any valid complex, reduced first:
+chosen boundary framing, each from any valid complex, reduced first; both
+refuse one whose dw or dz homology has rank other than one alike:
 
   * ``ktd_basis``: from a simultaneously simplified basis it finds, one
     chain of iota1 generators per vertical arrow, per horizontal arrow,
@@ -40,10 +41,7 @@ META = "__meta__"
 
 def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
     """Type D module of the complement from a simplified basis of C."""
-    D = _ktd(C, "basis", framing)
-    if D is None:
-        raise ValueError("simultaneous simplification did not converge")
-    return D
+    return _module(*_construction(cfk._model(C), "basis", framing))
 
 
 def _basis(C: cfk.KnotComplex, framing: int | None) -> tuple:
@@ -77,7 +75,7 @@ def _basis(C: cfk.KnotComplex, framing: int | None) -> tuple:
     xi_v = [g.name for g in C.generators if g.name not in v_touched]
     xi_h = [g.name for g in C.generators if g.name not in h_touched]
     if len(xi_v) != 1 or len(xi_h) != 1:
-        raise ValueError("complex is not simplified with rank-one homologies")
+        _rank_one(C)  # C is simplified: the counts are the homology ranks, so it raises
     (xv,), (xh,) = xi_v, xi_h
     # For a genuine knot complex both distinguished generators sit at
     # Alexander level +-tau, so this difference is 2*tau; using the
@@ -267,29 +265,29 @@ class VerifyResult:
     detail: str
 
 
-def _construction(C: cfk.KnotComplex, algo: str, framing: int | None) -> tuple | None:
-    """The generators, arrows and tag maker of the named construction; None
-    when the simplified basis that ``basis`` needs is not found."""
+class _Unconverged(ValueError):
+    """No simplified basis of a knot complex in cfk.SIMPLIFY_ROUNDS rounds."""
+
+
+def _rank_one(C: cfk.KnotComplex) -> None:
+    """Refuse C, as _basefree does, unless dw and dz have rank-one homology."""
+    cfk.cohomology_support(C, "dw")
+    cfk.homology_support(C, "dz")
+
+
+def _construction(C: cfk.KnotComplex, algo: str, framing: int | None) -> tuple:
+    """The generators, arrows (none repeated) and tag maker of the named
+    construction on a valid, reduced C; _basefree's ValueError when C is not
+    a knot complex, _Unconverged when ``basis`` finds no simplified basis."""
     if algo == "basis":
         Cs = cfk.simultaneous_simplify(C)
-        return None if Cs is None else _basis(Cs, framing)
+        if Cs is None:
+            _rank_one(C)
+            raise _Unconverged("simultaneous simplification did not converge")
+        return _basis(Cs, framing)
     if algo == "basefree":
         return _basefree(C, framing)
     raise ValueError(f"unknown algorithm {algo!r}")
-
-
-def _ktd(C: cfk.KnotComplex, algo: str, framing: int | None) -> TypeDModule | None:
-    """None when the simplified basis that ``basis`` needs is not found."""
-    built = _construction(cfk._model(C), algo, framing)
-    return None if built is None else _module(*built)
-
-
-def _side(C: cfk.KnotComplex, algo: str, framing: int | None) -> _Graph | None:
-    """The module graph of the named construction, or None as _construction;
-    its lists go once the graph holds them.  No construction repeats an
-    arrow, so the graph takes them as they are."""
-    built = _construction(C, algo, framing)
-    return None if built is None else _graph(*built[:2])
 
 
 def _carries(mapping: dict[str, str], M: TypeDModule, N: TypeDModule) -> bool:
@@ -336,17 +334,17 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
     smaller.  Each side stays one module graph from its construction to
     its minimisation (the box writes a new one) and is frozen once, for
     the comparison; the right side's construction starts once the left side
-    is frozen, so the two are never held together.  A simplified basis that
-    ``basis`` does not find is reported as inconclusive.  C is validated
-    and reduced once (cfk._model): flipping keeps a reduced complex reduced.
+    is frozen, so the two are never held together.  C is validated and
+    reduced once (cfk._model): flipping keeps a reduced complex reduced.  A
+    knot complex without the simplified basis ``basis`` needs is inconclusive.
     """
     C = cfk._model(C)
-    left = _side(C, algo, framing)
-    if left is not None:
+    try:
+        left = _graph(*_construction(C, algo, framing)[:2])
         _reduce(left, None)
         left = _minimal(_box_graph(builtin_H(), left))
-        right = _side(cfk.flip(C), algo, framing)
-        if right is not None:
-            return _compare_d(left, _minimal(right))
-    return VerifyResult("inconclusive", None, "simultaneous simplification "
-                        f"did not converge in {cfk.SIMPLIFY_ROUNDS} rounds")
+        right = _graph(*_construction(cfk.flip(C), algo, framing)[:2])
+    except _Unconverged:
+        return VerifyResult("inconclusive", None, "simultaneous simplification "
+                            f"did not converge in {cfk.SIMPLIFY_ROUNDS} rounds")
+    return _compare_d(left, _minimal(right))

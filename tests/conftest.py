@@ -94,8 +94,10 @@ def random_base_change(m, rng: random.Random) -> bool:
 def random_complex(name: str, seed: int, shift=None) -> cfk.KnotComplex:
     """A fixture plus 0-3 acyclic pairs (vertical, horizontal, or unreduced
     with U^0 and Alexander drop 0), scrambled by up to 25 attempted filtered
-    base changes.  The pairs are acyclic over F2[U, U^-1], but a horizontal
-    pair adds rank 2 to the vertical homology, so ``tau`` rejects those."""
+    base changes.  The pairs are acyclic over F2[U, U^-1], but a vertical
+    pair adds rank 2 to the horizontal homology and a horizontal pair to
+    the vertical one.  Such a draw is no knot complex: both constructions
+    refuse it alike, and ``tau`` refuses one with a horizontal pair."""
     rng = random.Random(seed)
     C = load_cfk(name)
     gens, arrows = list(C.generators), list(C.arrows)

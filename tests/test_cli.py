@@ -179,10 +179,10 @@ def test_reduce_of_a_bimodule_replays_a_script(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["cfd", "-"], ["verify", "-", "--algo", "basis"]])
 def test_basis_of_an_unsimplifiable_complex_exits_1(capsys, monkeypatch, argv):
-    # two generators, no arrow: the homologies have rank two
+    # two generators, no arrow: the homologies have rank two, so it is no
+    # knot complex, and basis refuses it as basefree does
     monkeypatch.setattr(sys, "stdin", io.StringIO("x: A=0 M=0\ny: A=0 M=0\n"))
-    assert run(capsys, *argv) == (
-        1, "", "error: complex is not simplified with rank-one homologies\n")
+    assert run(capsys, *argv) == (1, "", "error: dw homology has rank 2, expected 1\n")
 
 
 @pytest.mark.parametrize("third, argv", [

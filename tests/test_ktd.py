@@ -128,11 +128,10 @@ def test_constructions_make_each_arrow_once():
         for algo in ("basefree", "basis"):
             try:
                 made = ktd._construction(C, algo, None)
-            except ValueError:  # no rank-one homologies, or a name made twice
+            except ValueError:  # not a knot complex, no simplified basis, or a name made twice
                 continue
-            if made is not None:
-                built += 1
-                assert len(set(made[1])) == len(made[1]), algo
+            built += 1
+            assert len(set(made[1])) == len(made[1]), algo
     assert built == 198  # all 38 staged builds, and 160 of the 400 random ones
 
 
@@ -189,6 +188,8 @@ def test_verify_rejects_an_unknown_algorithm(trefoil):
 UNREDUCED = cfk.make_complex([cfk.KnotGenerator("a", 0, 0), cfk.KnotGenerator("b", 0, -1),
                               cfk.KnotGenerator("c", 0, 0)], [cfk.KnotArrow("a", "b", 0)])
 DANGLING = cfk.make_complex([cfk.KnotGenerator("a", 0, 0)], [cfk.KnotArrow("a", "z", 0)])
+# two generators and no arrow: both homologies have rank two, so no knot complex
+TWO_POINTS = cfk.make_complex([cfk.KnotGenerator("x", 0, 0), cfk.KnotGenerator("y", 0, 0)], [])
 
 
 def trefoil_with(third):
@@ -213,8 +214,8 @@ CLASHES = [(ktd.ktd_basefree, "a|8"), (ktd.verify_elliptic_invariance, "a|8"),
     (ktd.ktd_basis, DANGLING, "invalid complex: arrow a->z references unknown generator"),
     (ktd.flip_ktd_direct, DANGLING, "invalid complex: arrow a->z references unknown generator"),
     (ktd.flip_ktd_direct, trefoil_with("a|8"), "construction makes two generators named 'a|8'"),
-    (cfk.vertical_simplify, UNREDUCED, "complex must be reduced before simplification"),
-    (cfk.simultaneous_simplify, UNREDUCED, "complex must be reduced before simplification"),
+    (ktd.ktd_basis, TWO_POINTS, "dw homology has rank 2, expected 1"),
+    (verify_basis, TWO_POINTS, "dw homology has rank 2, expected 1"),
     (ktd.ktd_basefree, DANGLING, "invalid complex: arrow a->z references unknown generator"),
     (cfk.tau, DANGLING, "invalid complex: arrow a->z references unknown generator"),
     (ktd.verify_elliptic_invariance, DANGLING,
@@ -258,7 +259,8 @@ def _built(f, C):
 
 def test_builders_take_any_valid_complex():
     # each validates and reduces C itself, and ktd_basis simplifies it, so
-    # an unreduced or unsimplified C gives what its reduction gives
+    # an unreduced or unsimplified C gives what its reduction gives; the
+    # simplifications reduce C too
     draws = [random_complex(name, seed) for name in FIXTURE_NAMES for seed in range(20)]
     unsimplifiable = io_formats.parse_cfk(UNSIMPLIFIABLE)
     built = 0
@@ -268,12 +270,19 @@ def test_builders_take_any_valid_complex():
         R = cfk.reduce(C)
         for f in (ktd.ktd_basefree, ktd.flip_ktd_direct, cfk.tau):
             assert _built(f, C) == _built(f, R), f.__name__
+        for f in (cfk.vertical_simplify, cfk.horizontal_simplify, cfk.simultaneous_simplify):
+            assert f(C) == f(R), f.__name__
         S = cfk.simultaneous_simplify(R)
-        if S is None:
-            assert _built(ktd.ktd_basis, C) == "simultaneous simplification did not converge"
-        else:
+        basis = _built(ktd.ktd_basis, C)
+        if S is not None:
             built += 1
-            assert _built(ktd.ktd_basis, C) == _built(ktd.ktd_basis, S)
+            assert basis == _built(ktd.ktd_basis, S)
+        try:
+            ktd.ktd_basefree(C)
+        except ValueError as e:  # not a knot complex: basis refuses it in the same words
+            assert basis == str(e)
+        else:
+            assert S is not None or basis == "simultaneous simplification did not converge"
     assert cfk.simultaneous_simplify(cfk.reduce(unsimplifiable)) is None
     assert built == 101  # five_gen, UNREDUCED and 99 of the 100 valid draws
 
@@ -723,12 +732,21 @@ def test_basis_output_is_pinned(key):
     assert digest == BASIS_SHA256[key]
 
 
+# the public builder of each algorithm, and what ktd_basis raises when it
+# finds no simplified basis of a knot complex: verify's one inconclusive build
+BUILDERS = {"basefree": ktd.ktd_basefree, "basis": ktd.ktd_basis}
+UNCONVERGED = "simultaneous simplification did not converge"
+
+
 def _old_verdict(CL, CR, algo, framing):
     """Verdict and matched-generator count of _compare_d with the left side
     verify_elliptic_invariance used to build: H boxed with the unreduced
     module of CL.  CR is flip(CL) unless a control pairs other knots."""
-    DL, DR = ktd._ktd(CL, algo, framing), ktd._ktd(CR, algo, framing)
-    if DL is None or DR is None:
+    try:
+        DL, DR = BUILDERS[algo](CL, framing), BUILDERS[algo](CR, framing)
+    except ValueError as e:
+        if str(e) != UNCONVERGED:
+            raise
         return "inconclusive", 0
     left = type_d.reduce_d(type_da.box_da_d(type_da.builtin_H(), DL))[0]
     res = ktd._compare_d(reduced(left), reduced(DR))
@@ -741,7 +759,7 @@ def _framing(C, algo, offset):
         return None
     if algo == "basefree":
         return 4 * ktd._width(C) + 3 + offset
-    return ktd._ktd(C, algo, None).tags[ktd.META]["framing"] + offset
+    return BUILDERS[algo](C, None).tags[ktd.META]["framing"] + offset
 
 
 VERIFY_CASES = ([(name, algo, offset) for name in FIXTURE_NAMES
@@ -777,12 +795,12 @@ def _staged(C, algo, framing):
         if bad:
             raise ValueError("invalid complex: " + bad[0])
         C = cfk.reduce(C)
-        DL, DR = ktd._ktd(C, algo, framing), ktd._ktd(cfk.flip(C), algo, framing)
+        DL, DR = BUILDERS[algo](C, framing), BUILDERS[algo](cfk.flip(C), framing)
     except ValueError as e:
-        return str(e)
-    if DL is None or DR is None:
-        return ktd.VerifyResult("inconclusive", None, "simultaneous simplification "
-                                f"did not converge in {cfk.SIMPLIFY_ROUNDS} rounds")
+        if str(e) != UNCONVERGED:
+            return str(e)
+        return ktd.VerifyResult("inconclusive", None,
+                                f"{UNCONVERGED} in {cfk.SIMPLIFY_ROUNDS} rounds")
     H = type_da.builtin_H()
     left = type_d.reduce_d(type_da.box_da_d(H, type_d.reduce_d(DL)[0]))[0]
     return ktd._compare_d(type_d.minimize_d(left), type_d.minimize_d(type_d.reduce_d(DR)[0]))
@@ -797,13 +815,13 @@ def _graphed(C, algo, framing):
 
 def _framings(C, algo):
     """The default framing of verify on C, then it moved by 1, 2 and 3;
-    [None] when C has none: its construction raises, or ``basis`` finds
-    no simplified basis."""
+    [None] when C has none: its construction raises, also when ``basis``
+    finds no simplified basis."""
     try:
-        D = ktd._ktd(cfk.reduce(C), algo, None)
+        D = BUILDERS[algo](C, None)
     except ValueError:
         return [None]
-    return [None] if D is None else [D.tags[ktd.META]["framing"] + k for k in (0, 1, 2, 3)]
+    return [D.tags[ktd.META]["framing"] + k for k in (0, 1, 2, 3)]
 
 
 def _check_staged(C, algo):
@@ -859,13 +877,33 @@ def test_verify_never_fails_on_boxed_complexes(algo):
                 assert res.detail.startswith(BUDGETS), (name, seed, res.detail)
 
 
+# the nine random draws, seeds 0-199, whose simultaneous simplification
+# falls into a cycle; none is a knot complex, and this is what both
+# algorithms refuse it with
+CYCLING_DRAWS = {
+    ("unknot", 132): "dw homology has rank 5, expected 1",
+    ("trefoil_right", 45): "dw homology has rank 3, expected 1",
+    ("trefoil_right", 51): "dw homology has rank 3, expected 1",
+    ("trefoil_right", 148): "dw homology has rank 5, expected 1",
+    ("trefoil_left", 16): "dw homology has rank 3, expected 1",
+    ("trefoil_left", 186): "dw homology has rank 3, expected 1",
+    ("figure_eight", 82): "dz homology has rank 3, expected 1",
+    ("figure_eight", 88): "dw homology has rank 7, expected 1",
+    ("figure_eight", 132): "dw homology has rank 5, expected 1",
+}
+
+
 def test_verify_equals_the_staged_reference_where_it_cannot_verify():
-    # seed 51 adds a vertical pair to the right-handed trefoil: its
-    # simultaneous simplification falls into a cycle, and its horizontal
-    # homology has rank 3
-    C = random_complex("trefoil_right", 51)
+    # a knot complex whose simplification cycles is inconclusive under basis;
+    # a draw that is no knot complex is refused alike under both algorithms
+    C = io_formats.parse_cfk(UNSIMPLIFIABLE)
+    assert cfk.simultaneous_simplify(cfk.reduce(C)) is None
     assert _check_staged(C, "basis")[0].verdict == "inconclusive"
-    assert _check_staged(C, "basefree") == ["dw homology has rank 3, expected 1"]
+    for (name, seed), says in CYCLING_DRAWS.items():
+        C = random_complex(name, seed)
+        assert cfk.simultaneous_simplify(cfk.reduce(C)) is None, (name, seed)
+        for algo in ("basefree", "basis"):
+            assert _check_staged(C, algo) == [says], (name, seed, algo)
     for name, algo in (("a|8", "basefree"), ("u.1", "basis")):
         assert _check_staged(trefoil_with(name), algo) == [
             f"construction makes two generators named {name!r}"]
