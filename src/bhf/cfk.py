@@ -327,3 +327,10 @@ def cohomology_support(C: KnotComplex, family: str) -> frozenset[str]:
         raise ValueError("no chain functional found")
     f = sum(r & -r for r in rows if r >> n)  # a free coordinate is zero
     return frozenset(g for i, g in enumerate(order) if f >> i & 1)
+
+
+def _rank_one(C: KnotComplex) -> None:
+    """Refuse C, as the base-free construction does, unless dw and dz have
+    rank-one homology: the ValueError names the first family that has not."""
+    cohomology_support(C, "dw")
+    homology_support(C, "dz")

@@ -169,13 +169,12 @@ def _cmd_flip(args) -> int:
 
 def _cmd_simplify(args) -> int:
     C = _load(args.path, "cfk")[1]
-    if args.mode == "v":
-        C = cfk.vertical_simplify(C)
-    elif args.mode == "h":
-        C = cfk.horizontal_simplify(C)
-    elif (C := cfk.simultaneous_simplify(C)) is None:
+    simplify = {"v": cfk.vertical_simplify, "h": cfk.horizontal_simplify,
+                "both": cfk.simultaneous_simplify}[args.mode]
+    if (S := simplify(C)) is None:
+        cfk._rank_one(C)  # a complex that is no knot complex is refused as such
         raise ValueError("simultaneous simplification did not converge")
-    _write(args.output, io_formats.write_cfk(C))
+    _write(args.output, io_formats.write_cfk(S))
     return 0
 
 

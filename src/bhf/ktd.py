@@ -14,10 +14,11 @@ refuse one whose dw or dz homology has rank other than one alike:
     between quotient complexes on the left, one-dimensional columns in
     the middle and subcomplexes on the right, joined by rho23 arrows.
 
-``flip_ktd_direct(C, n)`` builds the base-free module of C at n and
-rewrites it into the one of the flipped complex by a local graph
-transformation, giving an independent construction used to cross-check
-the two.
+``flip_ktd_direct(C, n)`` rewrites the generators and arrows of the
+base-free construction of C at n, reading its column layout, into the
+module of the flipped complex by a local graph transformation, giving an
+independent construction used to cross-check the two.  The tags are made
+for the output only: no construction reads them back.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import cfk
-from .algebra import AlgebraElement, Idempotent, is_idempotent
+from .algebra import AlgebraElement, Idempotent
 from .type_d import (MATCH_CAP, MATCH_DEPTH, DArrow, TypeDModule, _freeze_d, _graph, _Graph,
                      _graph_d, _match_up_to_base_change, _minimize, _reduce, make_module)
 from .type_da import _box_graph, builtin_H, builtin_tau_mu
@@ -41,13 +42,13 @@ META = "__meta__"
 
 def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
     """Type D module of the complement from a simplified basis of C."""
-    return _module(*_construction(cfk._model(C), "basis", framing))
+    gens, arrows, n = _construction(cfk._model(C), "basis", framing)
+    return make_module(gens, map(DArrow._make, arrows), {META: {"algo": "basis", "framing": n}})
 
 
 def _basis(C: cfk.KnotComplex, framing: int | None) -> tuple:
-    """The generators, arrows (source, target, label) and tag maker of
-    ktd_basis: the tags are made only for its output; C is valid, reduced and
-    simultaneously simplified."""
+    """The generators, arrows (source, target, label) and framing of
+    ktd_basis; C is valid, reduced and simultaneously simplified."""
     gens: list[tuple[str, Idempotent]] = [(g.name, Idempotent.I0) for g in C.generators]
     arrows: list[tuple[str, str, A]] = []
 
@@ -75,7 +76,7 @@ def _basis(C: cfk.KnotComplex, framing: int | None) -> tuple:
     xi_v = [g.name for g in C.generators if g.name not in v_touched]
     xi_h = [g.name for g in C.generators if g.name not in h_touched]
     if len(xi_v) != 1 or len(xi_h) != 1:
-        _rank_one(C)  # C is simplified: the counts are the homology ranks, so it raises
+        cfk._rank_one(C)  # C is simplified: the counts are the homology ranks, so it raises
     (xv,), (xh,) = xi_v, xi_h
     # For a genuine knot complex both distinguished generators sit at
     # Alexander level +-tau, so this difference is 2*tau; using the
@@ -89,7 +90,7 @@ def _basis(C: cfk.KnotComplex, framing: int | None) -> tuple:
         arrows.append((xv, xh, A.R12))
     else:
         chain("u", n - two_tau, xv, A.R123, xh, A.R2, False)
-    return _named_once(gens), arrows, lambda: {META: {"algo": "basis", "framing": n}}
+    return _named_once(gens), arrows, n
 
 
 def _named_once(gens: list) -> list:
@@ -99,11 +100,6 @@ def _named_once(gens: list) -> list:
         if k > 1:
             raise ValueError(f"construction makes two generators named {name!r}")
     return gens
-
-
-def _module(gens: list, arrows: list, tags) -> TypeDModule:
-    """The module of a construction's generators, arrows and tag maker."""
-    return make_module(gens, map(DArrow._make, arrows), tags())
 
 
 def _minimal(G: _Graph) -> TypeDModule:
@@ -126,12 +122,15 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     a z column (2*s2 >= n, m = (s2 - n + 1)/2) those of grading >= m, and a
     dot column *|s2 alone; rho23 arrows join each to the one before it.
     """
-    return _module(*_basefree(cfk._model(C), n))
+    C = cfk._model(C)
+    gens, arrows, layout = _basefree(C, n)
+    return make_module(gens, map(DArrow._make, arrows), _basefree_tags(C._alexander, *layout))
 
 
 def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
-    """The generators, arrows (source, target, label) and tag maker of
-    ktd_basefree: the tags are made only for its output; C is valid and reduced."""
+    """The generators, arrows (source, target, label) and column layout of
+    ktd_basefree; C is valid and reduced.  The layout is n, the width and
+    the columns, each (kind, s2, symbol -> name), in s2 order: w, dot, z."""
     # read first: the homologies have rank one, so C has a generator
     f_w = cfk.cohomology_support(C, "dw")
     rep_z = cfk.homology_support(C, "dz")
@@ -145,7 +144,7 @@ def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
     horiz = [a for a in C.arrows if C.is_horizontal(a)]
     vert = [a for a in C.arrows if C.is_vertical(a)]
     gens: list[tuple[str, Idempotent]] = []
-    columns: list[tuple[str, int, dict]] = []  # kind, s2 and symbol -> name, for the tags
+    columns: list[tuple[str, int, dict]] = []  # kind, s2 and symbol -> name
     arrows: list[tuple[str, str, A]] = []
     for g, a in level.items():
         gens.append((g, Idempotent.I0))
@@ -179,68 +178,57 @@ def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
             arrows += [(prev[None], col[sym], A.R23) for sym in rep_z]
         else:  # w -> w, dot -> dot and z -> z join each symbol in both
             arrows += [(prev[sym], col[sym], A.R23) for sym in prev if sym in col]
+    return _named_once(gens), arrows, (n, t, columns)
 
-    def tags() -> dict:
-        made = {META: {"algo": "basefree", "framing": n, "width": t}}
-        made.update((g, {"part": "V0", "col2": 2 * a, "symbol": g, "level": a})
-                    for g, a in level.items())
-        for kind, s2, col in columns:
-            made.update((name, {"part": "V1", "kind": kind, "col2": s2, "symbol": sym,
-                                "level": level.get(sym)}) for sym, name in col.items())
-        return made
-    return _named_once(gens), arrows, tags
+
+def _basefree_tags(level: dict[str, int], n: int, t: int, columns: list) -> dict:
+    """The tags of a base-free module from the Alexander levels of its
+    complex and its column layout (see _basefree)."""
+    tags = {META: {"algo": "basefree", "framing": n, "width": t}}
+    tags.update((g, {"part": "V0", "col2": 2 * a, "symbol": g, "level": a})
+                for g, a in level.items())
+    for kind, s2, col in columns:
+        tags.update((name, {"part": "V1", "kind": kind, "col2": s2, "symbol": sym,
+                            "level": level.get(sym)}) for sym, name in col.items())
+    return tags
 
 
 def flip_ktd_direct(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     """Rewrite the base-free module of C at n into the one of flip(C).
 
-    Builds the base-free module of C's model (cfk._model) at n, by default
-    the least n, and rewrites it by a local graph transformation: negate
-    column labels, reverse the interior rho23 arrows, swap the chain maps
-    around the one-dimensional columns, switch rho1/rho3 at each iota0
-    generator, and rebuild the rho2 / rho123 families from the model's
-    vertical arrows.
+    Takes the generators, arrows and column layout of the base-free
+    construction of C's model (cfk._model) at n, by default the least n,
+    and rewrites the arrows by a local graph transformation: reverse the
+    interior rho23 arrows, swap the chain maps around the one-dimensional
+    columns, switch rho1/rho3 at each iota0 generator, and rebuild the
+    rho2 / rho123 families from the model's vertical arrows.  The result is
+    ktd_basefree(flip(C), n) with each column label s2 negated, tags too:
+    they are made from the mirrored layout.
     """
     C = cfk._model(C)
-    D = _module(*_basefree(C, n))
-    n = D.tags[META]["framing"]
-    level = C._alexander
-    new_tags: dict = {META: dict(D.tags[META])}
-    part, kind = {}, {}  # generator -> its part and its column kind, read once
-    cols: dict[str, set[int]] = {"w": set(), "z": set()}  # col2 of the old w and z columns
-    for name, tg in D.tags.items():
-        if name == META:
-            continue
-        part[name], kind[name] = tg["part"], tg.get("kind", "")
-        ntg = new_tags[name] = dict(tg, col2=-tg["col2"])
-        if tg.get("level") is not None:
-            ntg["level"] = -tg["level"]
-        if kind[name] in ("w", "z"):
-            ntg["kind"] = {"w": "z", "z": "w"}[kind[name]]
-            if part[name] == "V1":
-                cols[kind[name]].add(tg["col2"])
-    arrows: list[DArrow] = []
-    for a in D.arrows:
-        if is_idempotent(a.label):
-            arrows.append(a)
-        elif a.label is A.R23:
-            if (kind[a.source], kind[a.target]) not in (("w", "dot"), ("dot", "z")):
-                arrows.append(DArrow(a.target, a.source, A.R23))
-        elif a.label in (A.R1, A.R3) and part[a.source] == "V0":
-            arrows.append(DArrow(a.source, a.target, A.R3 if a.label is A.R1 else A.R1))
-        # rho2 and rho123 arrows are discarded and rebuilt below
+    gens, arrows, (n, width, columns) = _basefree(C, n)
+    lw = max(s2 for k, s2, _ in columns if k == "w")  # the last w column
+    rz = min(s2 for k, s2, _ in columns if k == "z")  # the first z column
+    first_dot, last_dot = f"*|{lw + 2}", f"*|{rz - 2}"
+    # idempotent arrows stay, rho1 and rho3 switch, rho23 arrows reverse but
+    # the chain maps w -> dot and dot -> z, swapped; rho2, rho123 are rebuilt
+    relabel = {A.I1: A.I1, A.R1: A.R3, A.R3: A.R1}
+    flipped = [(x, y, relabel[c]) for x, y, c in arrows if c in relabel]
+    flipped += [(y, x, c) for x, y, c in arrows
+                if c is A.R23 and y != first_dot and x != last_dot]
     rep_w, f_z = cfk.homology_support(C, "dw"), cfk.cohomology_support(C, "dz")
-    lw, rz = max(cols["w"]), min(cols["z"])
-    arrows.extend(DArrow(f"*|{lw + 2}", f"{sym}|{lw}", A.R23) for sym in rep_w)
-    arrows.extend(DArrow(f"{sym}|{rz}", f"*|{rz - 2}", A.R23) for sym in f_z)
-    for a in filter(C.is_vertical, C.arrows):  # one pass builds rho2 and rho123
+    flipped += [(first_dot, f"{sym}|{lw}", A.R23) for sym in rep_w]
+    flipped += [(f"{sym}|{rz}", last_dot, A.R23) for sym in f_z]
+    level = C._alexander
+    for a in filter(C.is_vertical, C.arrows):
         top, bottom = level[a.source], level[a.target]
-        # rho2 from each z column s2 holding the source whose bound sits just above the target
-        arrows.extend(DArrow(f"{a.source}|{s2}", a.target, A.R2) for s2 in cols["z"]
-                      if bottom + 1 == (s2 - n + 1) // 2 <= top)
+        # rho2 from the one z column whose bound, bottom + 1, sits just above the target
+        flipped.append((f"{a.source}|{2 * bottom + n + 1}", a.target, A.R2))
         if top - bottom == 1:
-            arrows.append(DArrow(a.source, f"{a.target}|{2 * top - n - 1}", A.R123))
-    return make_module(D.generators, arrows, new_tags)
+            flipped.append((a.source, f"{a.target}|{2 * top - n - 1}", A.R123))
+    mirrored = [({"w": "z", "z": "w"}.get(k, k), -s2, col) for k, s2, col in columns]
+    return make_module(gens, map(DArrow._make, flipped),
+                       _basefree_tags({g: -a for g, a in level.items()}, n, width, mirrored))
 
 
 def adjust_framing(D: TypeDModule, k: int) -> TypeDModule:
@@ -252,7 +240,7 @@ def adjust_framing(D: TypeDModule, k: int) -> TypeDModule:
     for _ in range(k):
         G = _box_graph(tau_mu, G)
         _reduce(G, None)
-    return _freeze_d(G)
+    return _freeze_d(G, None if k else D.tags)  # a box makes no tags
 
 
 @dataclass(frozen=True)
@@ -269,20 +257,15 @@ class _Unconverged(ValueError):
     """No simplified basis of a knot complex in cfk.SIMPLIFY_ROUNDS rounds."""
 
 
-def _rank_one(C: cfk.KnotComplex) -> None:
-    """Refuse C, as _basefree does, unless dw and dz have rank-one homology."""
-    cfk.cohomology_support(C, "dw")
-    cfk.homology_support(C, "dz")
-
-
 def _construction(C: cfk.KnotComplex, algo: str, framing: int | None) -> tuple:
-    """The generators, arrows (none repeated) and tag maker of the named
-    construction on a valid, reduced C; _basefree's ValueError when C is not
-    a knot complex, _Unconverged when ``basis`` finds no simplified basis."""
+    """The generators, arrows (none repeated) and framing (``basis``) or
+    column layout (``basefree``) of the named construction on a valid,
+    reduced C; cfk._rank_one's ValueError when C is not a knot complex,
+    _Unconverged when ``basis`` finds no simplified basis."""
     if algo == "basis":
         Cs = cfk.simultaneous_simplify(C)
         if Cs is None:
-            _rank_one(C)
+            cfk._rank_one(C)
             raise _Unconverged("simultaneous simplification did not converge")
         return _basis(Cs, framing)
     if algo == "basefree":

@@ -117,17 +117,17 @@ class _Graph:
     An edge is (source, target, label) with label = (args, coeff), so a
     type D arrow is a DA action without inputs.  ``diff`` holds the sorted
     (source, target) pairs of the differential edges: no inputs and an
-    idempotent coefficient.
+    idempotent coefficient.  The graph carries no tags: _freeze_d takes a
+    module's tags back at the end.
     """
 
-    def __init__(self, generators, edges, tags):
+    def __init__(self, generators, edges):
         self.generators = generators
         # generator tuples start (name, left idempotent, ...)
         self.left = {g[0]: g[1] for g in generators}
         self.out: dict[str, set] = defaultdict(set)
         self.inc: dict[str, set] = defaultdict(set)
         self.diff: list[tuple[str, str]] = []
-        self.tags = tags
         # the edges are distinct (make_module, make_da, the constructions'
         # graphs and the box drop repeats), so this is what toggling each one
         # in would build
@@ -243,27 +243,31 @@ class _Graph:
         return len(odd) - 2 * sum((t, lab) in self.out[s] for s, t, lab in odd)
 
     def freeze(self) -> tuple:
-        """Sorted generators and edges, and the tags of live generators."""
-        gone = {g[0] for g in self.generators} - self.left.keys()
+        """The sorted live generators and edges."""
         gens = tuple(sorted(g for g in self.generators if g[0] in self.left))
         edges = sorted((s, t, lab) for s, out in self.out.items() for t, lab in out)
-        return gens, edges, {n: v for n, v in self.tags.items() if n not in gone}
+        return gens, edges
 
 
-def _graph(gens, arrows, tags=None) -> _Graph:
+def _graph(gens, arrows) -> _Graph:
     """The module graph of generator tuples and distinct plain (source,
     target, coeff) arrows: the one reader of type D edges."""
-    return _Graph(gens, ((s, t, _D_LABEL[c]) for s, t, c in arrows), tags or {})
+    return _Graph(gens, ((s, t, _D_LABEL[c]) for s, t, c in arrows))
 
 
 def _graph_d(M: TypeDModule) -> _Graph:
-    return _graph(M.generators, M.arrows, M.tags)
+    return _graph(M.generators, M.arrows)
 
 
-def _freeze_d(G: _Graph) -> TypeDModule:
-    gens, edges, tags = G.freeze()
+def _freeze_d(G: _Graph, tags: dict | None = None) -> TypeDModule:
+    """The type D module of G, with the entries of ``tags`` (the tags of
+    the module G was built from) that name no generator G lost."""
+    gens, edges = G.freeze()
+    if tags:
+        gone = {g[0] for g in G.generators} - G.left.keys()
+        tags = {n: v for n, v in tags.items() if n not in gone}
     # the edges are distinct and already in arrow order
-    return TypeDModule(gens, tuple(DArrow(s, t, c) for s, t, (_, c) in edges), tags)
+    return TypeDModule(gens, tuple(DArrow(s, t, c) for s, t, (_, c) in edges), tags or {})
 
 
 @dataclass(frozen=True)
@@ -294,7 +298,7 @@ def reduce_d(M: TypeDModule, order=None) -> tuple[TypeDModule, ReductionTrace]:
     """
     G = _graph_d(M)
     trace = _reduce(G, order)
-    return _freeze_d(G), trace
+    return _freeze_d(G, M.tags), trace
 
 
 # nonzero coefficients by (left, right) idempotent, in search order
@@ -358,7 +362,7 @@ def minimize_d(M: TypeDModule) -> TypeDModule:
     """
     G = _graph_d(M)
     _minimize(G)
-    return _freeze_d(G)
+    return _freeze_d(G, M.tags)
 
 
 def _minimize(G: _Graph) -> None:

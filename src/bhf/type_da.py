@@ -289,10 +289,9 @@ def reduce_da(B: TypeDAModule, order=None) -> tuple[TypeDAModule, ReductionTrace
     order: None (lexicographic), an int seed, or a replay list of
     (source, target) pairs.
     """
-    G = _Graph(B.generators, ((a.source, a.target, (a.args, a.coeff))
-                              for a in B.actions), {})
+    G = _Graph(B.generators, ((a.source, a.target, (a.args, a.coeff)) for a in B.actions))
     trace = _reduce(G, order)
-    gens, edges, _ = G.freeze()
+    gens, edges = G.freeze()
     return make_da(gens, [DAAction(s, args, c, t) for s, t, (args, c) in edges]), trace
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from bhf import cfk, io_formats, type_d, type_da
-from bhf.algebra import _UNITS
+from bhf.algebra import _UNITS, Idempotent
 
 ACCEPTANCE_CRITERIA = {
     1: "involution bimodule recovered from the sixfold twist tensor, "
@@ -152,6 +152,19 @@ def base_change(M, gen, other, coeff):
     G = type_d._graph_d(M)
     G.base_change(gen, other, coeff)
     return type_d._freeze_d(G)
+
+
+def negated_columns(M):
+    """M with each iota1 generator sym|s2 renamed sym|-s2, in its generators,
+    arrows and tags: flip_ktd_direct(C, n) so renamed is ktd_basefree(flip(C), n)."""
+    ren = {n: n for n, _ in M.generators}
+    for n, i in M.generators:
+        if i is Idempotent.I1:
+            sym, _, s2 = n.rpartition("|")
+            ren[n] = f"{sym}|{-int(s2)}"
+    return type_d.make_module([(ren[n], i) for n, i in M.generators],
+                              [type_d.DArrow(ren[s], ren[t], c) for s, t, c in M.arrows],
+                              {ren.get(k, k): v for k, v in M.tags.items()})
 
 
 def every_change(idems):

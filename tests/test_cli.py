@@ -260,6 +260,21 @@ UNSIMPLIFIABLE = ("a: A=1 M=2\nb: A=0 M=1\nc: A=-1 M=0\npa: A=-1 M=-1\n"
                   "a -> b\nc -> U^1 b\npa -> U^2 a\npa -> pb\npa -> U^2 pc\n"
                   "pb -> U^2 b\npb -> U^2 pd\npc -> pd\n")
 
+# the nine random draws, seeds 0-199, whose simultaneous simplification
+# falls into a cycle; none is a knot complex, and this is what both
+# algorithms, and simplify, refuse it with
+CYCLING_DRAWS = {
+    ("unknot", 132): "dw homology has rank 5, expected 1",
+    ("trefoil_right", 45): "dw homology has rank 3, expected 1",
+    ("trefoil_right", 51): "dw homology has rank 3, expected 1",
+    ("trefoil_right", 148): "dw homology has rank 5, expected 1",
+    ("trefoil_left", 16): "dw homology has rank 3, expected 1",
+    ("trefoil_left", 186): "dw homology has rank 3, expected 1",
+    ("figure_eight", 82): "dz homology has rank 3, expected 1",
+    ("figure_eight", 88): "dw homology has rank 7, expected 1",
+    ("figure_eight", 132): "dw homology has rank 5, expected 1",
+}
+
 
 def test_verify_basis_unconverged_is_inconclusive(tmp_path, capsys):
     p = tmp_path / "box.cfk"
@@ -273,6 +288,14 @@ def test_verify_basis_unconverged_is_inconclusive(tmp_path, capsys):
     for argv in (["cfd", str(p)], ["simplify", str(p)]):
         assert run(capsys, *argv) == (
             1, "", "error: simultaneous simplification did not converge\n")
+
+
+def test_simplify_refuses_a_cycling_draw_as_no_knot_complex(tmp_path, capsys):
+    # its simplification cycles too, but the error names the homology, not a budget
+    p = tmp_path / "draw.cfk.json"
+    for (name, seed), says in CYCLING_DRAWS.items():
+        p.write_text(io_formats.write_cfk(random_complex(name, seed)))
+        assert run(capsys, "simplify", str(p)) == (1, "", f"error: {says}\n"), (name, seed)
 
 
 def test_parser_is_built_once(capsys):

@@ -7,9 +7,9 @@ import pytest
 from bhf import cfk, cli, io_formats, ktd, type_d, type_da
 from bhf.algebra import AlgebraElement as A, Idempotent as I
 from conftest import (FIXTURE_NAMES, FIXTURES, base_change, boxed_complex, every_change,
-                      load_cfk, random_complex)
+                      load_cfk, negated_columns, random_complex)
 from staircase import mirror, staircase, torus_knot
-from test_cli import UNSIMPLIFIABLE
+from test_cli import CYCLING_DRAWS, UNSIMPLIFIABLE
 
 # frozen oracle for the five-generator example at n=7: column populations,
 # arrow label inventory and the distinguished homology representatives
@@ -107,12 +107,17 @@ def test_basis_unknot_self_framing():
     assert D.arrows[0].source == D.arrows[0].target
 
 
-def test_flip_direct_matches_flip(any_complex):
-    C = any_complex
-    F = ktd.flip_ktd_direct(C)
-    assert type_d.validate_d(F) == []
-    E = ktd.ktd_basefree(cfk.flip(C))
-    assert type_d.isomorphic_d(F, E) is not None
+@pytest.mark.parametrize("name", FIXTURE_NAMES + [f"{m}T({p},{p + 1})" for p in range(2, 8)
+                                                  for m in ("", "mirror ")])
+def test_flip_direct_matches_flip(name):
+    # exactly the base-free module of the flipped complex, generators,
+    # arrows and tags, once each column label s2 is negated
+    C = _knot(name)
+    for n in (None, 4 * ktd._width(C) + 6):
+        F = ktd.flip_ktd_direct(C, n)
+        assert type_d.validate_d(F) == []
+        E, R = ktd.ktd_basefree(cfk.flip(C), n), negated_columns(F)
+        assert (R.generators, R.arrows, R.tags) == (E.generators, E.arrows, E.tags), n
 
 
 def test_constructions_make_each_arrow_once():
@@ -875,22 +880,6 @@ def test_verify_never_fails_on_boxed_complexes(algo):
             assert res.verdict != "failed", (name, seed, res.detail)
             if res.verdict == "inconclusive":
                 assert res.detail.startswith(BUDGETS), (name, seed, res.detail)
-
-
-# the nine random draws, seeds 0-199, whose simultaneous simplification
-# falls into a cycle; none is a knot complex, and this is what both
-# algorithms refuse it with
-CYCLING_DRAWS = {
-    ("unknot", 132): "dw homology has rank 5, expected 1",
-    ("trefoil_right", 45): "dw homology has rank 3, expected 1",
-    ("trefoil_right", 51): "dw homology has rank 3, expected 1",
-    ("trefoil_right", 148): "dw homology has rank 5, expected 1",
-    ("trefoil_left", 16): "dw homology has rank 3, expected 1",
-    ("trefoil_left", 186): "dw homology has rank 3, expected 1",
-    ("figure_eight", 82): "dz homology has rank 3, expected 1",
-    ("figure_eight", 88): "dw homology has rank 7, expected 1",
-    ("figure_eight", 132): "dw homology has rank 5, expected 1",
-}
 
 
 def test_verify_equals_the_staged_reference_where_it_cannot_verify():

@@ -662,7 +662,7 @@ def _check_cancel_against_oracle(make_graph, seed):
 
 def _da_graph(B):
     return type_d._Graph(B.generators, ((a.source, a.target, (a.args, a.coeff))
-                                        for a in B.actions), {})
+                                        for a in B.actions))
 
 
 def _oracle_inputs():
@@ -710,12 +710,12 @@ def test_cancel_raises_as_the_frozen_oracle():
     cases = [(functools.partial(type_d._graph_d, D), pair, "no idempotent arrow")
              for pair in [(x, y), (x, "nowhere"), ("nowhere", y), (y, y)]]
     cases.append((lambda: type_d._Graph([("s", I.I0), ("t", I.I0), ("x", I.I0), ("y", I.I1)],
-                                        wide, {}), ("s", "t"), "arity cap"))
+                                        wide), ("s", "t"), "arity cap"))
     # a mid with an input and an idempotent output can be passed through
     # again and again: the cap ends it
     looping = wide[:2] + [("s", "t", ((A.R12,), A.I0)), ("s", "y", ((), A.R1))]
     cases.append((lambda: type_d._Graph([("s", I.I0), ("t", I.I0), ("x", I.I0), ("y", I.I1)],
-                                        looping, {}), ("s", "t"), "arity cap"))
+                                        looping), ("s", "t"), "arity cap"))
     for make_graph, (s, t), message in cases:
         G, H = make_graph(), make_graph()
         with pytest.raises(ValueError, match=message) as new:
