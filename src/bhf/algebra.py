@@ -4,24 +4,12 @@ Eight nonzero basis elements (two idempotents iota0, iota1 and six Reeb
 chords rho1, rho2, rho3, rho12, rho23, rho123) plus zero.  Multiplication
 is the concatenation of chord intervals; everything not forced by the unit
 laws or the four chord concatenations is zero.  The algebra carries no
-differential.
+differential.  An idempotent is an algebra element: a generator of a
+module carries AlgebraElement.I0 or AlgebraElement.I1.
 """
 from __future__ import annotations
 
 from enum import Enum
-
-
-class Idempotent(Enum):
-    I0 = "iota0"
-    I1 = "iota1"
-
-    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
-
-    def __repr__(self) -> str:
-        return self.value
-
-    def __lt__(self, other: "Idempotent") -> bool:
-        return self.value < other.value
 
 
 class AlgebraElement(Enum):
@@ -35,7 +23,7 @@ class AlgebraElement(Enum):
     R23 = "rho23"
     R123 = "rho123"
 
-    __hash__ = object.__hash__  # see Idempotent
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
     def __repr__(self) -> str:
         return self.value
@@ -45,18 +33,20 @@ class AlgebraElement(Enum):
 
 
 _BY_NAME = {e.value: e for e in AlgebraElement}
-_IDEM_BY_NAME = {i.value: i for i in Idempotent}
+_I0, _I1 = AlgebraElement.I0, AlgebraElement.I1
+_UNITS = frozenset((_I0, _I1))
+_IDEM_BY_NAME = {e.value: e for e in _UNITS}
 
 # (left idempotent, right idempotent) of each nonzero element.
 _IDEMS = {
-    AlgebraElement.I0: (Idempotent.I0, Idempotent.I0),
-    AlgebraElement.I1: (Idempotent.I1, Idempotent.I1),
-    AlgebraElement.R1: (Idempotent.I0, Idempotent.I1),
-    AlgebraElement.R2: (Idempotent.I1, Idempotent.I0),
-    AlgebraElement.R3: (Idempotent.I0, Idempotent.I1),
-    AlgebraElement.R12: (Idempotent.I0, Idempotent.I0),
-    AlgebraElement.R23: (Idempotent.I1, Idempotent.I1),
-    AlgebraElement.R123: (Idempotent.I0, Idempotent.I1),
+    _I0: (_I0, _I0),
+    _I1: (_I1, _I1),
+    AlgebraElement.R1: (_I0, _I1),
+    AlgebraElement.R2: (_I1, _I0),
+    AlgebraElement.R3: (_I0, _I1),
+    AlgebraElement.R12: (_I0, _I0),
+    AlgebraElement.R23: (_I1, _I1),
+    AlgebraElement.R123: (_I0, _I1),
 }
 
 # Nonzero chord concatenations.
@@ -68,15 +58,13 @@ _PRODUCTS = {
 }
 
 NONZERO = tuple(e for e in AlgebraElement if e is not AlgebraElement.ZERO)
-CHORDS = tuple(e for e in NONZERO if e not in (AlgebraElement.I0, AlgebraElement.I1))
-_UNIT = {Idempotent.I0: AlgebraElement.I0, Idempotent.I1: AlgebraElement.I1}
-_UNITS = frozenset(_UNIT.values())
+CHORDS = tuple(e for e in NONZERO if e not in _UNITS)
 
 # _MUL[a][b] = ab: zero but for _PRODUCTS and the unit laws
 _MUL = {a: {b: _PRODUCTS.get((a, b), AlgebraElement.ZERO) for b in AlgebraElement}
         for a in AlgebraElement}
 for _a, (_left, _right) in _IDEMS.items():
-    _MUL[_UNIT[_left]][_a] = _MUL[_a][_UNIT[_right]] = _a
+    _MUL[_left][_a] = _MUL[_a][_right] = _a
 
 
 def element_from_name(name: str) -> AlgebraElement:
@@ -86,7 +74,8 @@ def element_from_name(name: str) -> AlgebraElement:
         raise ValueError(f"unknown algebra element {name!r}") from None
 
 
-def idem_from_name(name: str) -> Idempotent:
+def idem_from_name(name: str) -> AlgebraElement:
+    """The idempotent named iota0 or iota1; any other name is refused."""
     try:
         return _IDEM_BY_NAME[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
@@ -97,17 +86,13 @@ def is_idempotent(a: AlgebraElement) -> bool:
     return a in _UNITS
 
 
-def idem_element(i: Idempotent) -> AlgebraElement:
-    return _UNIT[i]
-
-
-def left_idem(a: AlgebraElement) -> Idempotent:
+def left_idem(a: AlgebraElement) -> AlgebraElement:
     if a is AlgebraElement.ZERO:
         raise ValueError("zero has no left idempotent")
     return _IDEMS[a][0]
 
 
-def right_idem(a: AlgebraElement) -> Idempotent:
+def right_idem(a: AlgebraElement) -> AlgebraElement:
     if a is AlgebraElement.ZERO:
         raise ValueError("zero has no right idempotent")
     return _IDEMS[a][1]

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import cfk
-from .algebra import AlgebraElement, Idempotent
+from .algebra import AlgebraElement
 from .type_d import (MATCH_CAP, MATCH_DEPTH, DArrow, TypeDModule, _freeze_d, _graph, _Graph,
                      _graph_d, _match_up_to_base_change, _minimize, _reduce, make_module)
 from .type_da import _box_graph, builtin_H, builtin_tau_mu
@@ -49,7 +49,7 @@ def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
 def _basis(C: cfk.KnotComplex, framing: int | None) -> tuple:
     """The generators, arrows (source, target, label) and framing of
     ktd_basis; C is valid, reduced and simultaneously simplified."""
-    gens: list[tuple[str, Idempotent]] = [(g.name, Idempotent.I0) for g in C.generators]
+    gens: list[tuple[str, A]] = [(g.name, A.I0) for g in C.generators]
     arrows: list[tuple[str, str, A]] = []
 
     def chain(prefix: str, length: int, head: str, first: A, tail: str, last: A,
@@ -58,7 +58,7 @@ def _basis(C: cfk.KnotComplex, framing: int | None) -> tuple:
         arrows, which point toward prefix.1 when down; head -first-> the
         first, and tail -last-> the last when down, else the last -last-> tail."""
         ks = [f"{prefix}.{i}" for i in range(1, length + 1)]
-        gens.extend((k, Idempotent.I1) for k in ks)
+        gens.extend((k, A.I1) for k in ks)
         arrows.append((head, ks[0], first))
         arrows.extend((y, x, A.R23) if down else (x, y, A.R23) for x, y in zip(ks, ks[1:]))
         arrows.append((tail, ks[-1], last) if down else (ks[-1], tail, last))
@@ -143,11 +143,11 @@ def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
     # C is reduced: a horizontal arrow raises the grading, a vertical one lowers it
     horiz = [a for a in C.arrows if C.is_horizontal(a)]
     vert = [a for a in C.arrows if C.is_vertical(a)]
-    gens: list[tuple[str, Idempotent]] = []
+    gens: list[tuple[str, A]] = []
     columns: list[tuple[str, int, dict]] = []  # kind, s2 and symbol -> name
     arrows: list[tuple[str, str, A]] = []
     for g, a in level.items():
-        gens.append((g, Idempotent.I0))
+        gens.append((g, A.I0))
         arrows += [(g, f"{g}|{2 * a + n - 1}", A.R1), (g, f"{g}|{2 * a - n + 1}", A.R3)]
     # rho123 arrows come from horizontal arrows of length one
     arrows += [(a.source, f"{a.target}|{2 * level[a.source] + n + 1}", A.R123)
@@ -170,7 +170,7 @@ def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
                        for a in vert if level[a.target] >= m]
         else:
             kind, col = "dot", {None: f"*|{s2}"}
-        gens += [(name, Idempotent.I1) for name in col.values()]
+        gens += [(name, A.I1) for name in col.values()]
         columns.append((kind, s2, col))
         if (prev_kind, kind) == ("w", "dot"):
             arrows += [(prev[sym], col[None], A.R23) for sym in f_w]

@@ -1,11 +1,11 @@
 """Left type D modules over the genus-1 surface algebra.
 
-A module is a set of generators, each carrying an idempotent, and a set of
-labelled arrows x -> a y with a a nonzero algebra element satisfying
-iota(x) a iota(y) = a.  The structure equation is d^2 = 0: for every pair
-of composable arrows the products along two-step paths cancel mod 2.
-Arrows labelled by an idempotent are the differential part and are the
-ones removed by homotopy reduction.
+A module is a set of generators, each carrying an idempotent (the algebra
+element iota0 or iota1), and a set of labelled arrows x -> a y with a a
+nonzero algebra element satisfying iota(x) a iota(y) = a.  The structure
+equation is d^2 = 0: for every pair of composable arrows the products
+along two-step paths cancel mod 2.  Arrows labelled by an idempotent are
+the differential part and are the ones removed by homotopy reduction.
 """
 from __future__ import annotations
 
@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
-from .algebra import (_MUL, _UNIT, _UNITS, NONZERO, AlgebraElement, Idempotent,
-                      left_idem, right_idem)
+from .algebra import _MUL, _UNITS, NONZERO, AlgebraElement, is_idempotent, left_idem, right_idem
 
 __all__ = [
     "DArrow", "TypeDModule", "ReductionTrace", "make_module",
@@ -33,11 +32,11 @@ class DArrow(NamedTuple):  # a tuple: hashed, compared and ordered in C
 
 @dataclass(frozen=True)
 class TypeDModule:
-    generators: tuple[tuple[str, Idempotent], ...]
+    generators: tuple[tuple[str, AlgebraElement], ...]
     arrows: tuple[DArrow, ...]
     tags: dict = field(default_factory=dict, compare=False)
 
-    def idems(self) -> dict[str, Idempotent]:
+    def idems(self) -> dict[str, AlgebraElement]:
         return dict(self.generators)
 
     def names(self) -> list[str]:
@@ -52,13 +51,16 @@ def make_module(gens, arrows, tags=None) -> TypeDModule:
 
 # (idempotent of source, label, idempotent of target) of each well-formed arrow
 _WELL_FORMED = frozenset((left_idem(c), c, right_idem(c)) for c in NONZERO)
+# the two idempotents in a fixed order, which a frozenset does not have
+_IDEMPOTENTS = (AlgebraElement.I0, AlgebraElement.I1)
 
 
 def validate_d(M: TypeDModule) -> list[str]:
-    out: list[str] = []
     idems = M.idems()
     if len(idems) != len(M.generators):
         return ["duplicate generator names"]
+    out = [f"generator {n}: idempotent {i!r} is not iota0 or iota1"
+           for n, i in M.generators if not is_idempotent(i)]
     for a in M.arrows:
         if (idems.get(a.source), a.label, idems.get(a.target)) in _WELL_FORMED:
             continue
@@ -70,10 +72,10 @@ def validate_d(M: TypeDModule) -> list[str]:
             continue
         if left_idem(a.label) is not idems[a.source]:
             out.append(f"arrow {a.source}->{a.target}: label {a.label.value} "
-                       f"does not start at {idems[a.source].value}")
+                       f"does not start at {idems[a.source]!r}")
         if right_idem(a.label) is not idems[a.target]:
             out.append(f"arrow {a.source}->{a.target}: label {a.label.value} "
-                       f"does not end at {idems[a.target].value}")
+                       f"does not end at {idems[a.target]!r}")
     if out:
         return out
     odd = [(s, t, c) for s, _, c, t in _odd_terms([(s, (), c, t) for s, t, c in M.arrows])]
@@ -162,7 +164,7 @@ class _Graph:
         idempotent to itself.
         """
         left, out, inc, diff = self.left, self.out, self.inc, self.diff
-        edge = _D_LABEL[_UNIT[left[s]]] if s in left else None
+        edge = _D_LABEL[left[s]] if s in left else None
         if edge is None or t not in left or (t, edge) not in out[s]:
             raise ValueError(f"no idempotent arrow {s} -> {t}")
         ends = (s, t)
@@ -304,7 +306,7 @@ def reduce_d(M: TypeDModule, order=None) -> tuple[TypeDModule, ReductionTrace]:
 # nonzero coefficients by (left, right) idempotent, in search order
 _COEFFS = {(l, r): [c for c in sorted(NONZERO, key=lambda e: e.value)
                     if left_idem(c) is l and right_idem(c) is r]
-           for l in Idempotent for r in Idempotent}
+           for l, r in product(_IDEMPOTENTS, repeat=2)}
 
 
 # _LEFT_FACTOR[l][m] = c with c*l = m, _RIGHT_FACTOR[l][m] = c with l*c = m:
@@ -433,8 +435,8 @@ def isomorphic_d(M: TypeDModule, N: TypeDModule) -> dict[str, str] | None:
 
 # a small int per algebra element and per generator's idempotents, one or
 # two of them: signatures sort in C
-_CODE = {x: i for i, x in enumerate((*AlgebraElement, *product(Idempotent, repeat=1),
-                                     *product(Idempotent, repeat=2)))}
+_CODE = {x: i for i, x in enumerate((*AlgebraElement, *product(_IDEMPOTENTS, repeat=1),
+                                     *product(_IDEMPOTENTS, repeat=2)))}
 
 
 def _index(gens, edges) -> tuple:

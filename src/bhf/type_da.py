@@ -1,7 +1,7 @@
 """Type DA bimodules over the genus-1 surface algebra.
 
 A bimodule generator carries a left (type D side) and a right (type A
-side) idempotent.  An action
+side) idempotent, each the algebra element iota0 or iota1.  An action
 
     (x, a_1, ..., a_k)  ->  c (x')
 
@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import (AlgebraElement, CHORDS, Idempotent, idem_element,
-                      is_idempotent, left_idem, multiply, right_idem)
+from .algebra import AlgebraElement, CHORDS, is_idempotent, left_idem, multiply, right_idem
 from .type_d import (DArrow, ReductionTrace, TypeDModule, _graph, _Graph, _isomorphic,
                      _odd_terms, _reduce, make_module)
 
@@ -41,10 +40,10 @@ class DAAction(NamedTuple):  # a tuple, as DArrow
 
 @dataclass(frozen=True)
 class TypeDAModule:
-    generators: tuple[tuple[str, Idempotent, Idempotent], ...]
+    generators: tuple[tuple[str, AlgebraElement, AlgebraElement], ...]
     actions: tuple[DAAction, ...]
 
-    def idems(self) -> dict[str, tuple[Idempotent, Idempotent]]:
+    def idems(self) -> dict[str, tuple[AlgebraElement, AlgebraElement]]:
         return {n: (l, r) for n, l, r in self.generators}
 
     def names(self) -> list[str]:
@@ -62,7 +61,7 @@ def _act(src, args, coeff, tgt) -> DAAction:
 
 def builtin_tau_mu() -> TypeDAModule:
     """Bimodule of one negative meridional Dehn twist (framing change +1)."""
-    I0, I1 = Idempotent.I0, Idempotent.I1
+    I0, I1 = A.I0, A.I1
     gens = [("p", I0, I0), ("q", I1, I1), ("r", I1, I0)]
     acts = [
         _act("p", [A.R1], A.R1, "q"),
@@ -80,7 +79,7 @@ def builtin_tau_mu() -> TypeDAModule:
 
 def builtin_tau_lambda() -> TypeDAModule:
     """Bimodule of one longitudinal Dehn twist."""
-    I0, I1 = Idempotent.I0, Idempotent.I1
+    I0, I1 = A.I0, A.I1
     gens = [("p", I0, I0), ("q", I1, I1), ("s", I0, I1)]
     acts = [
         _act("q", [A.R2, A.R1], A.R2, "s"),
@@ -101,7 +100,7 @@ def builtin_tau_lambda() -> TypeDAModule:
 
 def builtin_identity() -> TypeDAModule:
     """Identity bimodule: one generator per idempotent, one action per chord."""
-    I0, I1 = Idempotent.I0, Idempotent.I1
+    I0, I1 = A.I0, A.I1
     gens = [("i0", I0, I0), ("i1", I1, I1)]
     name = {I0: "i0", I1: "i1"}
     acts = [_act(name[left_idem(c)], [c], c, name[right_idem(c)]) for c in CHORDS]
@@ -110,7 +109,7 @@ def builtin_identity() -> TypeDAModule:
 
 def builtin_H() -> TypeDAModule:
     """Bimodule of the elliptic involution of the torus boundary."""
-    I0, I1 = Idempotent.I0, Idempotent.I1
+    I0, I1 = A.I0, A.I1
     gens = [
         ("x1", I1, I0), ("x2", I0, I0), ("x3", I1, I0),
         ("u", I0, I1), ("v", I1, I1), ("y1", I1, I1),
@@ -137,7 +136,7 @@ def builtin_H() -> TypeDAModule:
     return make_da(gens, acts)
 
 
-def _chain_end(start: Idempotent, args: tuple[AlgebraElement, ...]) -> Idempotent | None:
+def _chain_end(start: AlgebraElement, args: tuple[AlgebraElement, ...]) -> AlgebraElement | None:
     """The right idempotent where the inputs args, chained from start, end;
     None when they do not chain or one is an idempotent or zero."""
     for a in args:
@@ -160,10 +159,12 @@ def validate_da(B: TypeDAModule) -> list[str]:
     input split into two chords.  There is no length bound.  Failures are
     listed by generator, then by input length, then by chords in order.
     """
-    out: list[str] = []
     names = B.names()
     if len(set(names)) != len(names):
         return ["duplicate generator names"]
+    out = [f"generator {n}: {side} idempotent {i!r} is not iota0 or iota1"
+           for n, l, r in B.generators for side, i in (("left", l), ("right", r))
+           if not is_idempotent(i)]
     idems = B.idems()
     for act in B.actions:
         if act.source not in idems or act.target not in idems:
@@ -209,16 +210,16 @@ def _box(B: TypeDAModule, generators, edges) -> tuple[list, list]:
     whose inputs become those of the product; an action without inputs
     consumes the empty path.  A right-factor edge with an idempotent output
     feeds no action (strict unitality: no action consumes an idempotent
-    input) and passes through each compatible generator of B.  Returns the
-    product's generator tuples (b⊗x, left idempotent of b, ...) and its
-    edges, summed mod 2.  Raises ValueError when two products share a name,
+    input) and passes through each compatible generator of B, whose own
+    left idempotent becomes its output.  Returns the product's generator
+    tuples (b⊗x, left idempotent of b, ...) and its edges, summed mod 2.  Raises ValueError when two products share a name,
     and AssertionError on an edge outside the idempotent-compatible products.
     """
-    by_left: dict[Idempotent, list[tuple[str, tuple]]] = {}
+    by_left: dict[AlgebraElement, list[tuple[str, tuple]]] = {}
     for g in generators:
         by_left.setdefault(g[1], []).append((g[0], g[2:]))
-    right: dict[str, Idempotent] = {}
-    by_right: dict[Idempotent, list[tuple[str, Idempotent]]] = {}
+    right: dict[str, AlgebraElement] = {}
+    by_right: dict[AlgebraElement, list[tuple[str, AlgebraElement]]] = {}
     gens: dict[str, tuple] = {}  # B outer: names come nearly sorted
     # name[b][x] is b⊗x, made once, so that every edge shares one string
     # (its hash cached, equal by identity); an end that misses the table is
@@ -240,7 +241,7 @@ def _box(B: TypeDAModule, generators, edges) -> tuple[list, list]:
         if is_idempotent(c):
             for bn, bl in by_right.get(left_idem(c), ()):
                 row = name[bn]
-                key = (row.get(s) or f"{bn}{_SEP}{s}", args, idem_element(bl),
+                key = (row.get(s) or f"{bn}{_SEP}{s}", args, bl,
                        row.get(t) or f"{bn}{_SEP}{t}")
                 toggles[key] = toggles.get(key, 0) ^ 1
     for act in B.actions:

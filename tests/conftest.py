@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from bhf import cfk, io_formats, type_d, type_da
-from bhf.algebra import _UNITS, Idempotent
+from bhf.algebra import _UNITS, AlgebraElement
 
 ACCEPTANCE_CRITERIA = {
     1: "involution bimodule recovered from the sixfold twist tensor, "
@@ -159,7 +159,7 @@ def negated_columns(M):
     arrows and tags: flip_ktd_direct(C, n) so renamed is ktd_basefree(flip(C), n)."""
     ren = {n: n for n, _ in M.generators}
     for n, i in M.generators:
-        if i is Idempotent.I1:
+        if i is AlgebraElement.I1:
             sym, _, s2 = n.rpartition("|")
             ren[n] = f"{sym}|{-int(s2)}"
     return type_d.make_module([(ren[n], i) for n, i in M.generators],

@@ -8,7 +8,7 @@ import collections
 import random
 
 from bhf import cfk, io_formats, ktd, type_d, type_da
-from bhf.algebra import AlgebraElement as A, Idempotent as I, multiply
+from bhf.algebra import AlgebraElement as A, multiply
 from conftest import FIXTURES, FIXTURE_NAMES, SIXFOLD, box_word, check_graph, load_cfk
 
 
@@ -64,7 +64,7 @@ def test_criterion_2_worked_example_oracle():
     assert dict(v0) == {-1: 1, 0: 2, 1: 2}
     assert dict(v1) == {-4: 1, -3: 3, -2: 5, -1: 1, 0: 1, 1: 1,
                         2: 5, 3: 4, 4: 2}
-    assert sum(i is I.I0 for _, i in D.generators) == 5
+    assert sum(i is A.I0 for _, i in D.generators) == 5
     assert not any(a.label is A.R12 for a in D.arrows)
     labels = collections.Counter(a.label.value for a in D.arrows)
     assert dict(labels) == {"iota1": 8, "rho1": 5, "rho2": 2, "rho3": 5,
@@ -120,7 +120,7 @@ def test_criterion_5_flip_fidelity():
 def test_criterion_6_string_reversal():
     H = type_da.builtin_H()
     for k in range(1, 7):
-        gens = [(f"s{i}", I.I1) for i in range(k)]
+        gens = [(f"s{i}", A.I1) for i in range(k)]
         fwd = type_d.make_module(
             gens, [type_d.DArrow(f"s{i}", f"s{(i+1) % k}", A.R23)
                    for i in range(k)])

@@ -4,9 +4,8 @@ import pickle
 
 import pytest
 
-from bhf.algebra import (AlgebraElement, Idempotent, element_from_name,
-                         idem_element, idem_from_name, is_idempotent,
-                         left_idem, multiply, right_idem)
+from bhf.algebra import (AlgebraElement, element_from_name, idem_from_name,
+                         is_idempotent, left_idem, multiply, right_idem)
 
 A = AlgebraElement
 
@@ -14,8 +13,8 @@ A = AlgebraElement
 def test_element_names_round_trip():
     for e in A:
         assert element_from_name(e.value) is e
-    assert idem_from_name("iota0") is Idempotent.I0
-    assert idem_from_name("iota1") is Idempotent.I1
+    assert idem_from_name("iota0") is A.I0
+    assert idem_from_name("iota1") is A.I1
 
 
 def test_unknown_names_rejected():
@@ -32,12 +31,12 @@ def test_idempotent_predicates():
 
 
 def test_chord_idempotents():
-    assert (left_idem(A.R1), right_idem(A.R1)) == (Idempotent.I0, Idempotent.I1)
-    assert (left_idem(A.R2), right_idem(A.R2)) == (Idempotent.I1, Idempotent.I0)
-    assert (left_idem(A.R3), right_idem(A.R3)) == (Idempotent.I0, Idempotent.I1)
-    assert (left_idem(A.R12), right_idem(A.R12)) == (Idempotent.I0, Idempotent.I0)
-    assert (left_idem(A.R23), right_idem(A.R23)) == (Idempotent.I1, Idempotent.I1)
-    assert (left_idem(A.R123), right_idem(A.R123)) == (Idempotent.I0, Idempotent.I1)
+    assert (left_idem(A.R1), right_idem(A.R1)) == (A.I0, A.I1)
+    assert (left_idem(A.R2), right_idem(A.R2)) == (A.I1, A.I0)
+    assert (left_idem(A.R3), right_idem(A.R3)) == (A.I0, A.I1)
+    assert (left_idem(A.R12), right_idem(A.R12)) == (A.I0, A.I0)
+    assert (left_idem(A.R23), right_idem(A.R23)) == (A.I1, A.I1)
+    assert (left_idem(A.R123), right_idem(A.R123)) == (A.I0, A.I1)
 
 
 def test_nonzero_products():
@@ -56,8 +55,8 @@ def test_unit_laws():
     for e in A:
         if e is A.ZERO:
             continue
-        assert multiply(idem_element(left_idem(e)), e) is e
-        assert multiply(e, idem_element(right_idem(e))) is e
+        assert multiply(left_idem(e), e) is e
+        assert multiply(e, right_idem(e)) is e
 
 
 def test_mismatched_idempotents_give_zero():
@@ -85,10 +84,10 @@ def test_associativity_all_triples():
 # The rule-based algebra the tables are built to agree with: the
 # (left, right) idempotents of each nonzero element, the unit laws and the
 # four chord concatenations.
-IDEMS = {A.I0: (Idempotent.I0, Idempotent.I0), A.I1: (Idempotent.I1, Idempotent.I1),
-         A.R1: (Idempotent.I0, Idempotent.I1), A.R2: (Idempotent.I1, Idempotent.I0),
-         A.R3: (Idempotent.I0, Idempotent.I1), A.R12: (Idempotent.I0, Idempotent.I0),
-         A.R23: (Idempotent.I1, Idempotent.I1), A.R123: (Idempotent.I0, Idempotent.I1)}
+IDEMS = {A.I0: (A.I0, A.I0), A.I1: (A.I1, A.I1),
+         A.R1: (A.I0, A.I1), A.R2: (A.I1, A.I0),
+         A.R3: (A.I0, A.I1), A.R12: (A.I0, A.I0),
+         A.R23: (A.I1, A.I1), A.R123: (A.I0, A.I1)}
 CONCATENATIONS = {(A.R1, A.R2): A.R12, (A.R2, A.R3): A.R23,
                   (A.R1, A.R23): A.R123, (A.R12, A.R3): A.R123}
 
@@ -118,6 +117,6 @@ def test_tables_match_the_rules():
 
 
 def test_members_survive_pickle_and_deepcopy():
-    for e in [*A, *Idempotent]:
+    for e in A:
         for again in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
             assert again is e and hash(again) == hash(e)

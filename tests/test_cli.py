@@ -12,7 +12,7 @@ import pytest
 
 import bhf
 from bhf import cfk, cli, io_formats, ktd, type_d, type_da
-from bhf.algebra import Idempotent as I
+from bhf.algebra import AlgebraElement as A
 from conftest import FIXTURE_NAMES, FIXTURES, ROOT, TERSE_TREFOIL, load_cfk, random_complex
 
 
@@ -129,8 +129,8 @@ def test_tensor_with_builtin(tmp_path, capsys):
 
 
 # a⊗(b⊗c) and (a⊗b)⊗c are both named a⊗b⊗c
-CLASHING_BIMODULE = type_da.make_da([("a", I.I0, I.I0), ("a⊗b", I.I0, I.I0)], [])
-CLASHING_MODULE = type_d.make_module([("b⊗c", I.I0), ("c", I.I0)], [])
+CLASHING_BIMODULE = type_da.make_da([("a", A.I0, A.I0), ("a⊗b", A.I0, A.I0)], [])
+CLASHING_MODULE = type_d.make_module([("b⊗c", A.I0), ("c", A.I0)], [])
 
 
 def test_tensor_rejects_duplicate_product_names(tmp_path, capsys):

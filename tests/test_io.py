@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bhf import cfk, io_formats, ktd, type_d, type_da
-from bhf.algebra import CHORDS, NONZERO, Idempotent
+from bhf.algebra import CHORDS, NONZERO, AlgebraElement as A
 from conftest import FIXTURES, FIXTURE_NAMES, TERSE_TREFOIL, load_cfk
 
 
@@ -138,8 +138,9 @@ def test_bad_entries_rejected():
                                      "label": "sigma"}]}}))
 
 
+# a chord or zero is an algebra element but no idempotent
 @pytest.mark.parametrize("value, shown", [
-    ("iota2", "'iota2'"), (5, "5"), (["iota0"], "['iota0']")])
+    ("iota2", "'iota2'"), (5, "5"), (["iota0"], "['iota0']"), ("rho1", "'rho1'"), ("0", "'0'")])
 def test_unknown_idempotents_rejected(value, shown):
     gen = {"name": "x", "idempotent": value}
     with pytest.raises(io_formats.ParseError) as err:
@@ -164,7 +165,7 @@ def test_arrows_and_actions_in_dataclass_order():
               for _ in range(60)]
     pairs = collections.Counter((a.source, a.target) for a in set(arrows))
     assert max(pairs.values()) >= 3
-    M = type_d.make_module([(n, Idempotent.I0) for n in names], arrows)
+    M = type_d.make_module([(n, A.I0) for n in names], arrows)
     assert M.arrows == tuple(sorted(set(arrows)))
     rng.shuffle(arrows)
     text = io_formats.write_typed(type_d.TypeDModule(M.generators, tuple(arrows)))
@@ -175,7 +176,7 @@ def test_arrows_and_actions_in_dataclass_order():
                                 tuple(rng.choice(CHORDS) for _ in range(rng.randrange(3))),
                                 rng.choice(NONZERO), rng.choice(names))
                for _ in range(80)]
-    gens = [(n, Idempotent.I0, Idempotent.I1) for n in names]
+    gens = [(n, A.I0, A.I1) for n in names]
     B = type_da.make_da(gens, actions)
     assert B.actions == tuple(sorted(set(actions)))
     rng.shuffle(actions)

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from bhf import cfk, cli, io_formats, ktd, type_d, type_da
-from bhf.algebra import AlgebraElement as A, Idempotent as I
+from bhf.algebra import AlgebraElement as A
 from conftest import (FIXTURE_NAMES, FIXTURES, base_change, boxed_complex, every_change,
                       load_cfk, negated_columns, random_complex)
 from staircase import mirror, staircase, torus_knot
@@ -65,7 +65,7 @@ def test_basefree_iota0_count_matches_complex(any_complex):
     D = ktd.ktd_basefree(any_complex)
     v0 = [n for n, i in D.generators if D.tags[n]["part"] == "V0"]
     assert len(v0) == len(any_complex.generators)
-    assert all(D.idems()[n] is I.I0 for n in v0)
+    assert all(D.idems()[n] is A.I0 for n in v0)
 
 
 def test_basefree_rejects_small_parameter(five_gen):
@@ -393,7 +393,7 @@ def test_match_reports_the_cap_only_when_a_candidate_is_dropped(monkeypatch):
 
 
 def test_carries_rejects_a_wrong_mapping():
-    M = type_d.make_module([("x", I.I0), ("y", I.I1), ("z", I.I1)],
+    M = type_d.make_module([("x", A.I0), ("y", A.I1), ("z", A.I1)],
                            [type_d.DArrow("x", "y", A.R1),
                             type_d.DArrow("y", "z", A.R23)])
     ident = {"x": "x", "y": "y", "z": "z"}

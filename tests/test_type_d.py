@@ -7,15 +7,14 @@ import random
 import pytest
 
 from bhf import cfk, io_formats, ktd, type_d, type_da
-from bhf.algebra import (_UNITS, NONZERO, AlgebraElement as A, Idempotent as I,
-                         idem_element, left_idem, multiply, right_idem)
+from bhf.algebra import _UNITS, NONZERO, AlgebraElement as A, left_idem, multiply, right_idem
 from conftest import FIXTURE_NAMES, base_change, every_change, load_cfk
 from staircase import mirror, torus_knot
 
 DArrow = type_d.DArrow
 
 
-def chain(n, label=A.R23, idem=I.I1, loop=False):
+def chain(n, label=A.R23, idem=A.I1, loop=False):
     gens = [(f"s{i}", idem) for i in range(n)]
     arrows = [DArrow(f"s{i}", f"s{i+1}", label) for i in range(n - 1)]
     if loop:
@@ -36,14 +35,27 @@ def test_validate_accepts_chain():
 
 
 def test_validate_rejects_idempotent_mismatch():
-    M = type_d.make_module([("x", I.I1), ("y", I.I1)],
+    M = type_d.make_module([("x", A.I1), ("y", A.I1)],
                            [DArrow("x", "y", A.R2)])
     assert type_d.validate_d(M)
 
 
+def test_validate_reports_a_generator_without_an_idempotent():
+    # a chord is an algebra element but no idempotent, and a name is neither:
+    # no document could carry v or x
+    M = type_d.make_module([("v", "iota0"), ("w", A.I0), ("x", A.R1), ("y", A.I1)],
+                           [DArrow("v", "y", A.R1), DArrow("x", "y", A.R23)])
+    assert type_d.validate_d(M) == [
+        "generator v: idempotent 'iota0' is not iota0 or iota1",
+        "generator x: idempotent rho1 is not iota0 or iota1",
+        "arrow v->y: label rho1 does not start at 'iota0'",
+        "arrow x->y: label rho23 does not start at rho1",
+    ]
+
+
 def test_validate_rejects_d_squared():
     M = type_d.make_module(
-        [("x", I.I0), ("y", I.I1), ("z", I.I1)],
+        [("x", A.I0), ("y", A.I1), ("z", A.I1)],
         [DArrow("x", "y", A.R1), DArrow("y", "z", A.R23)])
     assert any("d^2" in e for e in type_d.validate_d(M))
 
@@ -51,7 +63,7 @@ def test_validate_rejects_d_squared():
 def test_validate_lists_odd_counts_in_order():
     # x->b->d and x->c->d give rho12 twice, which cancels; the rest is odd
     M = type_d.make_module(
-        [("x", I.I0), ("c", I.I1), ("b", I.I1), ("d", I.I0), ("a", I.I1)],
+        [("x", A.I0), ("c", A.I1), ("b", A.I1), ("d", A.I0), ("a", A.I1)],
         [DArrow("x", "c", A.R1), DArrow("x", "b", A.R1), DArrow("c", "d", A.R2),
          DArrow("b", "d", A.R2), DArrow("d", "a", A.R3), DArrow("x", "d", A.R12)])
     assert type_d.validate_d(M) == [
@@ -109,7 +121,7 @@ def _corrupt_d(M, rng):
         edit = rng.choice(("unknown", "zero", "idempotent", "drop", "duplicate"))
         if edit == "duplicate":
             n, i = rng.choice(gens)
-            gens.append((n, I.I1 if i is I.I0 else I.I0))
+            gens.append((n, A.I1 if i is A.I0 else A.I0))
             continue
         if not arrows:
             continue
@@ -146,7 +158,7 @@ def test_validate_d_matches_field_oracle():
 
 def test_cancel_basic():
     M = type_d.make_module(
-        [("x", I.I1), ("y", I.I1), ("s", I.I0), ("t", I.I0)],
+        [("x", A.I1), ("y", A.I1), ("s", A.I0), ("t", A.I0)],
         [DArrow("x", "y", A.I1), DArrow("s", "y", A.R1),
          DArrow("x", "t", A.R2)])
     R = type_d.reduce_d(M, [("x", "y")])[0]
@@ -158,7 +170,7 @@ def test_cancel_parallel_arrow_correction():
     # cancelling x->y in the presence of a parallel labelled arrow keeps
     # the correction path s -> x -> y -> t alive
     M = type_d.make_module(
-        [("x", I.I1), ("y", I.I1), ("s", I.I1), ("t", I.I1)],
+        [("x", A.I1), ("y", A.I1), ("s", A.I1), ("t", A.I1)],
         [DArrow("x", "y", A.I1), DArrow("x", "y", A.R23),
          DArrow("s", "x", A.R23), DArrow("y", "t", A.R23)])
     R = type_d.reduce_d(M, [("x", "y")])[0]
@@ -206,7 +218,7 @@ def test_isomorphic_identity():
 def test_isomorphic_relabelled():
     M = chain(4)
     N = type_d.make_module(
-        [(f"t{i}", I.I1) for i in range(4)],
+        [(f"t{i}", A.I1) for i in range(4)],
         [DArrow(f"t{i}", f"t{i+1}", A.R23) for i in range(3)])
     mapping = type_d.isomorphic_d(M, N)
     assert mapping == {f"s{i}": f"t{i}" for i in range(4)}
@@ -222,10 +234,10 @@ def test_isomorphic_places_a_long_chain():
 
 def test_isomorphic_distinguishes_direction():
     M = type_d.make_module(
-        [("x", I.I0), ("y", I.I1), ("z", I.I1)],
+        [("x", A.I0), ("y", A.I1), ("z", A.I1)],
         [DArrow("x", "y", A.R1), DArrow("z", "y", A.R23)])
     N = type_d.make_module(
-        [("x", I.I0), ("y", I.I1), ("z", I.I1)],
+        [("x", A.I0), ("y", A.I1), ("z", A.I1)],
         [DArrow("x", "y", A.R1), DArrow("y", "z", A.R23)])
     assert type_d.isomorphic_d(M, N) is None
 
@@ -237,7 +249,7 @@ def test_isomorphic_rejects_two_cycles_against_one(step):
     # search can tell them apart, by rejecting a candidate in kept; the
     # cycles' direction decides whether an arrow in or an arrow out does
     two = type_d.make_module(
-        [(f"{c}{i}", I.I1) for c in "ab" for i in range(3)],
+        [(f"{c}{i}", A.I1) for c in "ab" for i in range(3)],
         [DArrow(f"{c}{i}", f"{c}{(i + step) % 3}", A.R23) for c in "ab" for i in range(3)])
     one = chain(6, loop=True)
     assert type_d.isomorphic_d(two, one) is None
@@ -309,7 +321,7 @@ def test_isomorphic_rejects_a_changed_copy(name, change):
     else:
         i = rng.randrange(len(gens))
         n, left, *right = gens[i]
-        gens[i] = (n, I.I1 if left is I.I0 else I.I0, *right)
+        gens[i] = (n, A.I1 if left is A.I0 else A.I0, *right)
     build = type_d.make_module if is_d else type_da.make_da
     assert _iso(X)(X, build(gens, edges)) is None
 
@@ -329,7 +341,7 @@ def test_base_change_preserves_validity(boxed):
     for g in names:
         for h in names:
             if g != h and idems[g] is idems[h]:
-                B = base_change(R, g, h, A.I1 if idems[g] is I.I1 else A.I0)
+                B = base_change(R, g, h, A.I1 if idems[g] is A.I1 else A.I0)
                 assert type_d.validate_d(B) == []
                 done += 1
                 if done >= 10:
@@ -339,7 +351,7 @@ def test_base_change_preserves_validity(boxed):
 def test_minimize_removes_spurious_arrow():
     # replacing k1 by k1 + k2 merges the two parallel rho1 arrows
     M = type_d.make_module(
-        [("x", I.I0), ("k1", I.I1), ("k2", I.I1)],
+        [("x", A.I0), ("k1", A.I1), ("k2", A.I1)],
         [DArrow("x", "k1", A.R1), DArrow("x", "k2", A.R1)])
     R = type_d.minimize_d(M)
     assert len(R.arrows) == 1
@@ -566,7 +578,7 @@ def test_change_delta_reads_the_loop_toggled_at_gen():
     # loops at the iota1 generators and rho12 loops at the iota0 ones; with
     # loops at both gen and other, it toggles gen -> other twice, as for
     # z -> z + x and q -> q + p, which share no arrow other -> gen
-    gens = [("x", I.I1), ("y", I.I1), ("z", I.I1), ("p", I.I0), ("q", I.I0)]
+    gens = [("x", A.I1), ("y", A.I1), ("z", A.I1), ("p", A.I0), ("q", A.I0)]
     arrows = [DArrow("y", "x", A.R23), DArrow("x", "y", A.R23),
               DArrow("z", "x", A.R23), DArrow("q", "p", A.R12),
               DArrow("p", "x", A.R1), DArrow("q", "y", A.R3)]
@@ -587,7 +599,7 @@ def _oracle_cancel(G, s, t):
     def differential(lab):
         return not lab[0] and lab[1] in _UNITS
 
-    edge = ((), idem_element(G.left[s])) if s in G.left else None
+    edge = ((), G.left[s]) if s in G.left else None
     if edge is None or t not in G.left or (t, edge) not in G.out[s]:
         raise ValueError(f"no idempotent arrow {s} -> {t}")
     ends = (s, t)
@@ -683,11 +695,11 @@ def _oracle_inputs():
     yield functools.partial(_da_graph, sixfold)
     # zig-zags x -> t <- s -> y that also pass through a chord mid s -> t
     yield lambda: type_d._graph_d(type_d.make_module(
-        [("x", I.I0), ("s", I.I1), ("t", I.I1), ("y", I.I1)],
+        [("x", A.I0), ("s", A.I1), ("t", A.I1), ("y", A.I1)],
         [DArrow("x", "t", A.R1), DArrow("s", "t", A.I1), DArrow("s", "t", A.R23),
          DArrow("s", "y", A.I1)]))
     yield functools.partial(_da_graph, type_da.make_da(
-        [("x", I.I0, I.I0), ("s", I.I0, I.I1), ("t", I.I0, I.I1), ("y", I.I1, I.I1)],
+        [("x", A.I0, A.I0), ("s", A.I0, A.I1), ("t", A.I0, A.I1), ("y", A.I1, A.I1)],
         [type_da.DAAction("s", (), A.I0, "t"), type_da.DAAction("x", (A.R1,), A.I0, "t"),
          type_da.DAAction("s", (A.R23,), A.R12, "t"), type_da.DAAction("s", (), A.R3, "y")]))
 
@@ -709,12 +721,12 @@ def test_cancel_raises_as_the_frozen_oracle():
     wide = [("s", "t", ((), A.I0)), ("x", "t", (many[0], A.I0)), ("s", "y", (many[1], A.R1))]
     cases = [(functools.partial(type_d._graph_d, D), pair, "no idempotent arrow")
              for pair in [(x, y), (x, "nowhere"), ("nowhere", y), (y, y)]]
-    cases.append((lambda: type_d._Graph([("s", I.I0), ("t", I.I0), ("x", I.I0), ("y", I.I1)],
+    cases.append((lambda: type_d._Graph([("s", A.I0), ("t", A.I0), ("x", A.I0), ("y", A.I1)],
                                         wide), ("s", "t"), "arity cap"))
     # a mid with an input and an idempotent output can be passed through
     # again and again: the cap ends it
     looping = wide[:2] + [("s", "t", ((A.R12,), A.I0)), ("s", "y", ((), A.R1))]
-    cases.append((lambda: type_d._Graph([("s", I.I0), ("t", I.I0), ("x", I.I0), ("y", I.I1)],
+    cases.append((lambda: type_d._Graph([("s", A.I0), ("t", A.I0), ("x", A.I0), ("y", A.I1)],
                                         looping), ("s", "t"), "arity cap"))
     for make_graph, (s, t), message in cases:
         G, H = make_graph(), make_graph()

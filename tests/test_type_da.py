@@ -5,8 +5,7 @@ import pytest
 
 from bhf import cfk, io_formats, ktd, type_d, type_da
 from bhf.algebra import (CHORDS, NONZERO, AlgebraElement, AlgebraElement as A,
-                         Idempotent as I, idem_element, is_idempotent, left_idem,
-                         multiply, right_idem)
+                         is_idempotent, left_idem, multiply, right_idem)
 from bhf.type_d import DArrow, TypeDModule, make_module
 from bhf.type_da import DAAction, TypeDAModule, _act, make_da
 from conftest import FIXTURE_NAMES, FIXTURES, SIXFOLD, box_word, load_cfk
@@ -32,7 +31,7 @@ def _relation_failures_by_sequences(B):
     product = {(number[a], number[b]): number.get(multiply(a, b))
                for a in CHORDS for b in CHORDS}
     leaving = {i: [(k, right_idem(c)) for k, c in enumerate(CHORDS)
-                   if left_idem(c) is i] for i in I}
+                   if left_idem(c) is i] for i in (A.I0, A.I1)}
     idems = B.idems()
     for x in B.names():
         level = [((), idems[x][1])]
@@ -185,6 +184,16 @@ def test_validate_reports_a_zero_coefficient():
         "action x2->x1: zero coefficient"]
 
 
+def test_validate_reports_a_generator_without_an_idempotent():
+    # a chord or zero is an algebra element but no idempotent
+    B = make_da([("x", A.I0, A.R12), ("y", A.ZERO, A.I1)], [_act("x", [A.R1], A.R1, "y")])
+    assert type_da.validate_da(B) == [
+        "generator x: right idempotent rho12 is not iota0 or iota1",
+        "generator y: left idempotent 0 is not iota0 or iota1",
+        "action x('rho1',): inputs do not chain from the right idempotent",
+    ]
+
+
 def test_box_da_da_two_twists():
     prod = type_da.box_da_da(type_da.builtin_tau_mu(),
                              type_da.builtin_tau_lambda())
@@ -245,7 +254,7 @@ def _generators_per_idempotent_pair(B):
     assert not any(not a.args and is_idempotent(a.coeff) for a in R.actions)
     pairs = [(l, r) for _, l, r in R.generators]
     return len(R.generators), len(R.actions), tuple(
-        pairs.count((l, r)) for l in (I.I0, I.I1) for r in (I.I0, I.I1))
+        pairs.count((l, r)) for l in (A.I0, A.I1) for r in (A.I0, A.I1))
 
 
 def test_the_boundary_dehn_twist_is_not_the_identity_bimodule():
@@ -314,7 +323,7 @@ def test_involution_commutes_with_twist():
 def test_string_reversal_loops():
     H = type_da.builtin_H()
     for k in range(1, 7):
-        gens = [(f"s{i}", I.I1) for i in range(k)]
+        gens = [(f"s{i}", A.I1) for i in range(k)]
         fwd = type_d.make_module(
             gens, [type_d.DArrow(f"s{i}", f"s{(i+1)%k}", A.R23)
                    for i in range(k)])
@@ -336,8 +345,8 @@ def test_cancel_da_arity_cap_on_pass_through(monkeypatch):
     # x -[rho1]-> t <- s -> y exits within a cap of one input; passing
     # through the second action s -[rho23]-> t first needs two
     B = type_da.make_da(
-        [("x", I.I0, I.I0), ("s", I.I0, I.I1), ("t", I.I0, I.I1),
-         ("y", I.I1, I.I1)],
+        [("x", A.I0, A.I0), ("s", A.I0, A.I1), ("t", A.I0, A.I1),
+         ("y", A.I1, A.I1)],
         [type_da.DAAction("s", (), A.I0, "t"),
          type_da.DAAction("x", (A.R1,), A.I0, "t"),
          type_da.DAAction("s", (A.R23,), A.R12, "t"),
@@ -382,8 +391,7 @@ def oracle_box_da_d(B: TypeDAModule, M: TypeDModule, sep: str = "⊗") -> TypeDM
             continue
         for (bn, (bl, br)) in b_idems.items():
             if br is m_idems[arr.source]:
-                key = (f"{bn}{sep}{arr.source}", f"{bn}{sep}{arr.target}",
-                       idem_element(bl))
+                key = (f"{bn}{sep}{arr.source}", f"{bn}{sep}{arr.target}", bl)
                 toggles[key] = toggles.get(key, 0) ^ 1
     for act in B.actions:
         for mn in m_idems:
@@ -440,8 +448,7 @@ def oracle_box_da_da(B: TypeDAModule, C: TypeDAModule, sep: str = "⊗") -> Type
             # single C action with idempotent output: differential term
             for cact in c_by_src.get(cn, ()):
                 if is_idempotent(cact.coeff):
-                    emit(_act(src, cact.args, idem_element(bl),
-                              f"{bn}{sep}{cact.target}"))
+                    emit(_act(src, cact.args, bl, f"{bn}{sep}{cact.target}"))
 
             # chains of C actions with non-idempotent outputs
             def chains(cur: str, outs: tuple, args: tuple, depth: int):
@@ -482,7 +489,7 @@ def _random_module(seed):
     """Up to 12 generators and 30 well-formed arrows, idempotent or not;
     d^2 need not vanish, so paths of every label sequence occur."""
     rng = random.Random(seed)
-    gens = [(f"g{i}", rng.choice(list(I))) for i in range(rng.randint(1, 12))]
+    gens = [(f"g{i}", rng.choice([A.I0, A.I1])) for i in range(rng.randint(1, 12))]
     arrows = []
     for _ in range(rng.randint(0, 30)):
         (s, i), (t, j) = rng.choice(gens), rng.choice(gens)
@@ -543,8 +550,8 @@ def test_the_graph_reader_boxes_as_box_da_d(name):
 
 def test_both_box_readers_reject_a_repeated_product_name():
     # a⊗(b⊗c) and (a⊗b)⊗c are both named a⊗b⊗c
-    B = make_da([("a", I.I0, I.I0), ("a⊗b", I.I0, I.I0)], [])
-    M = make_module([("b⊗c", I.I0), ("c", I.I0)], [])
+    B = make_da([("a", A.I0, A.I0), ("a⊗b", A.I0, A.I0)], [])
+    M = make_module([("b⊗c", A.I0), ("c", A.I0)], [])
     for box in (type_da.box_da_d, lambda B, M: _graph_box(B, type_d._graph_d(M))):
         with pytest.raises(ValueError, match="two generators named 'a⊗b⊗c'"):
             box(B, M)
@@ -555,7 +562,7 @@ def test_both_box_readers_reject_a_repeated_product_name():
 def test_both_box_readers_reject_an_arrow_outside_the_products(arrow):
     # a module that was never validated: the arrow's image in the box ends at
     # a product that the idempotents do not make
-    M = make_module([("x", I.I0), ("y", I.I1)], [arrow])
+    M = make_module([("x", A.I0), ("y", A.I1)], [arrow])
     for box in (type_da.box_da_d, lambda B, M: _graph_box(B, type_d._graph_d(M))):
         with pytest.raises(AssertionError, match="outside the idempotent-compatible"):
             box(type_da.builtin_H(), M)

@@ -7,7 +7,7 @@ from operator import attrgetter
 import pytest
 
 from bhf import cfk, io_formats, ktd, type_d, type_da
-from bhf.algebra import CHORDS, NONZERO, Idempotent
+from bhf.algebra import CHORDS, NONZERO, AlgebraElement as A
 from conftest import FIXTURE_NAMES, load_cfk, random_complex
 from staircase import mirror, torus_knot
 
@@ -71,12 +71,12 @@ def _modules():
             yield type_d.reduce_d(type_da.box_da_d(H, D))[0]
     yield type_d.reduce_d(type_da.box_da_d(H, ktd.ktd_basefree(torus_knot(3, 4))))[0]
     yield type_d.make_module([], [])
-    yield type_d.make_module([("x", Idempotent.I0)], [], {})
-    yield type_d.make_module([("x", Idempotent.I0)], [], {"x": {}})
+    yield type_d.make_module([("x", A.I0)], [], {})
+    yield type_d.make_module([("x", A.I0)], [], {"x": {}})
     for seed in range(12):
         rng = random.Random(seed)
         names = rng.sample(NAMES, rng.randint(1, len(NAMES)))
-        gens = [(n, rng.choice(list(Idempotent))) for n in names]
+        gens = [(n, rng.choice([A.I0, A.I1])) for n in names]
         arrows = [type_d.DArrow(rng.choice(names), rng.choice(names), rng.choice(NONZERO))
                   for _ in range(rng.randint(0, 20))]
         tags = {k: TAGS[k] for k in rng.sample(sorted(TAGS), rng.randint(0, 3))}
@@ -90,12 +90,11 @@ def _bimodules():
     B, L = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
     yield type_da.reduce_da(type_da.box_da_da(B, L))[0]
     yield type_da.make_da([], [])
-    yield type_da.make_da([("x", Idempotent.I0, Idempotent.I1)], [])
+    yield type_da.make_da([("x", A.I0, A.I1)], [])
     for seed in range(12):
         rng = random.Random(seed)
         names = rng.sample(NAMES, rng.randint(1, len(NAMES)))
-        gens = [(n, rng.choice(list(Idempotent)), rng.choice(list(Idempotent)))
-                for n in names]
+        gens = [(n, rng.choice([A.I0, A.I1]), rng.choice([A.I0, A.I1])) for n in names]
         actions = [type_da.DAAction(rng.choice(names),
                                     tuple(rng.sample(CHORDS, rng.randint(0, 3))),
                                     rng.choice(NONZERO), rng.choice(names))
