@@ -207,13 +207,22 @@ def _box(B: TypeDAModule, generators, edges) -> tuple[list, list]:
     generators and edges of a type D module graph.
 
     An action of B consumes the outputs of a path of right-factor edges,
-    whose inputs become those of the product; an action without inputs
-    consumes the empty path.  A right-factor edge with an idempotent output
-    feeds no action (strict unitality: no action consumes an idempotent
-    input) and passes through each compatible generator of B, whose own
-    left idempotent becomes its output.  Returns the product's generator
-    tuples (b⊗x, left idempotent of b, ...) and its edges, summed mod 2.  Raises ValueError when two products share a name,
-    and AssertionError on an edge outside the idempotent-compatible products.
+    whose inputs become those of the product.  The walk starts from the
+    edges whose output is the action's first input, read from an index of
+    the edges by output, and extends each path through an index by (source,
+    output), built only when some action takes two or more inputs; so its
+    cost follows the edges it reads, not the generators.  An action without
+    inputs consumes the empty path at each compatible generator.  A
+    right-factor edge with an idempotent output feeds no action (strict
+    unitality: no action consumes an idempotent input) and passes through
+    each compatible generator of B, whose own left idempotent becomes its
+    output.  Returns the product's generator tuples (b⊗x, left idempotent of
+    b, ...) and its edges, summed mod 2.
+
+    Raises ValueError when two products share a name, and AssertionError
+    when an edge ends outside the idempotent-compatible products: an edge of
+    an unvalidated right factor whose output does not start at its source's
+    idempotent is refused, not dropped.
     """
     by_left: dict[AlgebraElement, list[tuple[str, tuple]]] = {}
     for g in generators:
@@ -223,7 +232,8 @@ def _box(B: TypeDAModule, generators, edges) -> tuple[list, list]:
     gens: dict[str, tuple] = {}  # B outer: names come nearly sorted
     # name[b][x] is b⊗x, made once, so that every edge shares one string
     # (its hash cached, equal by identity); an end that misses the table is
-    # no product, and its formatted name fails the check below
+    # no product and stands as the pair (b, x), which no product name equals
+    # however the names contain ⊗, so it fails the check below
     name: dict[str, dict[str, str]] = {}
     for bn, bl, br in B.generators:
         right[bn] = br
@@ -234,26 +244,34 @@ def _box(B: TypeDAModule, generators, edges) -> tuple[list, list]:
             if n in gens:
                 raise ValueError(f"box product has two generators named {n!r}")
             gens[n] = (n, bl, *rest)
-    out: dict[str, list] = {}
+    by_output: dict[AlgebraElement, list[tuple[str, tuple, str]]] = {}
     toggles: dict[tuple, int] = {}
     for s, args, c, t in edges:
-        out.setdefault(s, []).append((args, c, t))
+        by_output.setdefault(c, []).append((s, args, t))
         if is_idempotent(c):
             for bn, bl in by_right.get(left_idem(c), ()):
                 row = name[bn]
-                key = (row.get(s) or f"{bn}{_SEP}{s}", args, bl,
-                       row.get(t) or f"{bn}{_SEP}{t}")
+                key = (row.get(s) or (bn, s), args, bl, row.get(t) or (bn, t))
                 toggles[key] = toggles.get(key, 0) ^ 1
+    step: dict[tuple[str, AlgebraElement], list[tuple[tuple, str]]] | None = None
     for act in B.actions:
+        if not act.args:
+            paths = [(x, (), x) for x, _ in by_left.get(right[act.source], ())]
+        else:
+            paths = by_output.get(act.args[0], ())  # (start, inputs, end)
+            for a in act.args[1:]:
+                if step is None:
+                    step = {}
+                    for c, es in by_output.items():
+                        for s, args, t in es:
+                            step.setdefault((s, c), []).append((args, t))
+                paths = [(s, args + more, t) for s, args, y in paths
+                         for more, t in step.get((y, a), ())]
         row, ends = name[act.source], name.get(act.target, {})
-        for x, _ in by_left.get(right[act.source], ()):
-            paths = [(x, ())]  # (end, inputs) of the paths that read act.args
-            for a in act.args:
-                paths = [(t, args + more) for y, args in paths
-                         for more, c, t in out.get(y, ()) if c is a]
-            for end, args in paths:
-                key = (row[x], args, act.coeff, ends.get(end) or f"{act.target}{_SEP}{end}")
-                toggles[key] = toggles.get(key, 0) ^ 1
+        for s, args, t in paths:
+            key = (row.get(s) or (act.source, s), args, act.coeff,
+                   ends.get(t) or (act.target, t))
+            toggles[key] = toggles.get(key, 0) ^ 1
     kept = [key for key, p in toggles.items() if p]
     for s, _, _, t in kept:
         if s not in gens or t not in gens:

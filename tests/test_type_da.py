@@ -533,17 +533,22 @@ def _graph_box(B, G):
     return type_d._freeze_d(type_da._box_graph(B, G))
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "random"])
 def test_the_graph_reader_boxes_as_box_da_d(name):
     # the box reads a module graph's live generators and edges as it reads
-    # a frozen module, cancelled generators included in neither
-    D = ktd.ktd_basefree(load_cfk(name))
-    R = type_d.reduce_d(D)[0]
-    reduced = type_d._graph_d(D)
-    type_d._reduce(reduced, None)
+    # a frozen module, cancelled generators included in neither; the random
+    # modules carry paths of every label sequence, so the two-input actions
+    # of tau_mu and tau_lambda walk them too
+    if name == "random":
+        pairs = [(M, type_d._graph_d(M)) for M in map(_random_module, range(50))]
+    else:
+        D = ktd.ktd_basefree(load_cfk(name))
+        reduced = type_d._graph_d(D)
+        type_d._reduce(reduced, None)
+        pairs = [(D, type_d._graph_d(D)), (type_d.reduce_d(D)[0], reduced)]
     for make in BUILTINS:
         B = make()
-        for M, G in ((D, type_d._graph_d(D)), (R, reduced)):
+        for M, G in pairs:
             assert (io_formats.write_typed(_graph_box(B, G))
                     == io_formats.write_typed(type_da.box_da_d(B, M)))
 
@@ -558,7 +563,8 @@ def test_both_box_readers_reject_a_repeated_product_name():
 
 
 @pytest.mark.parametrize("arrow", [DArrow("x", "y", A.I0),  # iota0 out of x, but y is iota1
-                                   DArrow("x", "nowhere", A.R1)])  # an unknown target
+                                   DArrow("x", "nowhere", A.R1),  # an unknown target
+                                   DArrow("y", "y", A.R3)])  # rho3 starts at iota0, y is iota1
 def test_both_box_readers_reject_an_arrow_outside_the_products(arrow):
     # a module that was never validated: the arrow's image in the box ends at
     # a product that the idempotents do not make
@@ -566,3 +572,16 @@ def test_both_box_readers_reject_an_arrow_outside_the_products(arrow):
     for box in (type_da.box_da_d, lambda B, M: _graph_box(B, type_d._graph_d(M))):
         with pytest.raises(AssertionError, match="outside the idempotent-compatible"):
             box(type_da.builtin_H(), M)
+
+
+@pytest.mark.parametrize("arrow", [DArrow("b⊗c", "c", A.R1),  # rho1 starts at iota0, b⊗c is iota1
+                                   DArrow("x", "b⊗c", A.I0)])  # iota0 into the iota1 b⊗c
+def test_both_box_readers_reject_an_end_that_spells_a_product(arrow):
+    # a⊗(b⊗c) is no product, yet its name a⊗b⊗c is that of the product of
+    # a⊗b and c: the arrow is refused, not credited to that product
+    B = make_da([("a", A.I0, A.I0), ("a⊗b", A.I0, A.I1), ("z", A.I1, A.I1)],
+                [_act("a", [A.R1], A.R1, "z")])
+    M = make_module([("b⊗c", A.I1), ("c", A.I1), ("x", A.I0)], [arrow])
+    for box in (type_da.box_da_d, lambda B, M: _graph_box(B, type_d._graph_d(M))):
+        with pytest.raises(AssertionError, match="outside the idempotent-compatible"):
+            box(B, M)
