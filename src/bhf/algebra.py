@@ -32,6 +32,8 @@ class AlgebraElement(Enum):
         return self.value < other.value
 
 
+# each element by its name, and each idempotent: the readers of documents look
+# names up here, and refuse one that is not a key
 _BY_NAME = {e.value: e for e in AlgebraElement}
 _I0, _I1 = AlgebraElement.I0, AlgebraElement.I1
 _UNITS = frozenset((_I0, _I1))
@@ -65,21 +67,6 @@ _MUL = {a: {b: _PRODUCTS.get((a, b), AlgebraElement.ZERO) for b in AlgebraElemen
         for a in AlgebraElement}
 for _a, (_left, _right) in _IDEMS.items():
     _MUL[_left][_a] = _MUL[_a][_right] = _a
-
-
-def element_from_name(name: str) -> AlgebraElement:
-    try:
-        return _BY_NAME[name]
-    except (KeyError, TypeError):  # TypeError: an unhashable name
-        raise ValueError(f"unknown algebra element {name!r}") from None
-
-
-def idem_from_name(name: str) -> AlgebraElement:
-    """The idempotent named iota0 or iota1; any other name is refused."""
-    try:
-        return _IDEM_BY_NAME[name]
-    except (KeyError, TypeError):  # TypeError: an unhashable name
-        raise ValueError(f"unknown idempotent {name!r}") from None
 
 
 def is_idempotent(a: AlgebraElement) -> bool:

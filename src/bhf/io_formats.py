@@ -6,18 +6,22 @@ Every structured document is a JSON envelope::
 
 with kind one of "cfk", "type_d", "type_da", "script".  Knot complexes
 also accept a terse line format ("x: A=1 M=0", "x -> U^2 y"); scripts
-also accept plain lines "from -> to".  Writers are canonical: sorted
-objects, two-space indentation, LF line endings, so equal objects always
-serialize to identical bytes: those of json.dumps(indent=2, sort_keys=True,
-ensure_ascii=False), filled into templates by the C string encoder.
+also accept plain lines "from -> to".  Readers read each entry once and
+name the first bad one; they refuse a field the format does not name, at
+every level, and an integer too long to convert, at its line.  Writers
+are canonical: sorted objects, two-space indentation, LF line endings, so
+equal objects always serialize to identical bytes: those of json.dumps(
+indent=2, sort_keys=True, ensure_ascii=False), filled into templates by
+the C string encoder.
 """
 from __future__ import annotations
 
 import json
 import re
+import sys
 from json.encoder import encode_basestring as _q  # json.dumps's escaper, in C
 
-from .algebra import element_from_name, idem_from_name
+from .algebra import _BY_NAME, _IDEM_BY_NAME, AlgebraElement
 from .cfk import KnotArrow, KnotComplex, KnotGenerator, make_complex
 from .type_d import DArrow, TypeDModule, make_module
 from .type_da import DAAction, TypeDAModule, make_da
@@ -43,11 +47,11 @@ def _open_envelope(text: str, kind: str | None) -> tuple[str, dict]:
         raise ParseError(f"not valid JSON: {e}") from None
     except RecursionError:
         raise ParseError("not valid JSON: nested too deeply") from None
+    except ValueError:  # an integer longer than the interpreter converts
+        raise _too_long(text) from None
     if not isinstance(doc, dict):
         raise ParseError("document is not a JSON object")
-    extra = set(doc) - {"format_version", "kind", "payload"}
-    if extra:
-        raise ParseError(f"unknown envelope fields: {sorted(extra)}")
+    _no_extra(doc, "envelope", {"format_version", "kind", "payload"})
     if doc.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
     k = doc.get("kind")
@@ -61,20 +65,36 @@ def _open_envelope(text: str, kind: str | None) -> tuple[str, dict]:
     return k, payload
 
 
-def _each(payload: dict, key: str, what: str, read) -> list:
-    """read(entry) for each entry of the list of objects payload[key], in
-    order; the KeyError, TypeError or ValueError of an entry becomes the one
-    ParseError "bad <what> entry <entry>: <error>"."""
+def _too_long(text: str, lineno: int = 0) -> ParseError:
+    """The error for an integer too long to convert, at lineno, or else at the
+    first in the JSON text: its strings hold no raw newline, skipped whole."""
+    limit = sys.get_int_max_str_digits()
+    tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|-?(\d+)([.eE][-+\d.eE]*)?', text)
+    lineno = lineno or 1 + next((text.count("\n", 0, m.start()) for m in tokens
+                                 if m[1] and not m[2] and len(m[1]) > limit), 0)
+    return ParseError(f"line {lineno}: integer longer than the limit of {limit} digits")
+
+
+def _each(payload: dict, key: str, what: str, fields: set, read) -> list:
+    """read(entries), the objects of the list of objects payload[key].  An
+    entry with a key outside fields, or that read([entry]) refuses, is bad;
+    only if one is does a second pass name the first, "bad <what> entry"."""
     entries = payload.get(key, [])
     if not isinstance(entries, list) or not set(map(type, entries)) <= {dict}:
         raise ParseError(f"{key} must be a list of objects")
-    out = []
+    try:
+        if set().union(*entries) <= fields:
+            return read(entries)
+    except (KeyError, TypeError, ValueError):
+        pass
     for entry in entries:
         try:
-            out.append(read(entry))
+            if extra := entry.keys() - fields:
+                raise ValueError(f"unknown fields {sorted(extra)}")
+            read([entry])
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"bad {what} entry {entry!r}: {e}") from None
-    return out
+    raise AssertionError("no entry is bad")
 
 
 def _once(built, field: str, values: list, where: list, say: str = "repeated {} entry {!r}"):
@@ -88,16 +108,17 @@ def _once(built, field: str, values: list, where: list, say: str = "repeated {} 
 
 
 def _no_extra(payload: dict, kind: str, allowed: set) -> None:
-    extra = set(payload) - allowed
-    if extra:
+    if extra := set(payload) - allowed:
         raise ParseError(f"unknown {kind} fields: {sorted(extra)}")
 
 
-def _field(entry: dict, key: str, kind: type, default=None):
-    value = entry[key] if default is None else entry.get(key, default)
-    if type(value) is not kind:  # no bool, float or numeric string is an int
-        raise TypeError(f"{key} must be {'a string' if kind is str else 'an integer'}")
-    return value
+# Readers check each field inline, in order: v if type(v := entry[key]) is str
+# else _bad(...); a name is looked up only if it is a string, so hashable.
+def _bad(why: str):
+    raise ValueError(why)
+
+
+_new = tuple.__new__  # a DArrow or DAAction built in C, not in namedtuple's __new__
 
 
 def _code_lines(text: str) -> list[tuple[int, str]]:
@@ -131,6 +152,8 @@ def parse_any(text: str, kind: str | None = None) -> tuple[str, object]:
         json.loads(text)
     except (json.JSONDecodeError, RecursionError):
         raise bad from None
+    except ValueError:  # an integer longer than the interpreter converts
+        raise _too_long(text) from None
     raise ParseError("document is not a JSON object")
 
 
@@ -164,26 +187,33 @@ def _cfk_lines(lines: list[tuple[int, str]]) -> KnotComplex:
     arrows: list[KnotArrow] = []
     at: list[int] = []  # the line of each arrow
     for lineno, line in lines:
-        m = _GEN_RE.match(line)
-        if m:
-            gens.append(KnotGenerator(m.group(1), int(m.group(2)), int(m.group(3))))
-            continue
-        m = _ARROW_RE.match(line)
-        if m:
-            arrows.append(KnotArrow(m.group(1), m.group(3),
-                                    int(m.group(2) or 0)))
-            at.append(lineno)
-            continue
-        raise ParseError(f"line {lineno}: cannot parse {_shown(line)}")
+        if not (m := _GEN_RE.match(line) or _ARROW_RE.match(line)):
+            raise ParseError(f"line {lineno}: cannot parse {_shown(line)}")
+        try:
+            if m.re is _GEN_RE:
+                gens.append(KnotGenerator(m[1], int(m[2]), int(m[3])))
+            else:
+                arrows.append(KnotArrow(m[1], m[3], int(m[2] or 0)))
+                at.append(lineno)
+        except ValueError:  # an integer longer than the interpreter converts
+            raise _too_long(line, lineno) from None
     return _once(make_complex(gens, arrows), "arrows", arrows, at, "line {1}: repeated {0}")
 
 
 def _cfk_payload(payload: dict) -> KnotComplex:
     _no_extra(payload, "cfk", {"generators", "arrows", "shift"})
-    gens = _each(payload, "generators", "generator", lambda g: KnotGenerator(
-        _field(g, "name", str), _field(g, "alexander", int), _field(g, "maslov", int)))
-    arrows = _each(payload, "arrows", "arrow", lambda a: KnotArrow(
-        _field(a, "from", str), _field(a, "to", str), _field(a, "u_power", int, 0)))
+    gens = _each(payload, "generators", "generator", {"name", "alexander", "maslov"}, lambda es: [
+        KnotGenerator(
+            n if type(n := g["name"]) is str else _bad("name must be a string"),
+            a if type(a := g["alexander"]) is int else _bad("alexander must be an integer"),
+            m if type(m := g["maslov"]) is int else _bad("maslov must be an integer"))
+        for g in es])
+    arrows = _each(payload, "arrows", "arrow", {"from", "to", "u_power"}, lambda es: [
+        KnotArrow(
+            s if type(s := a["from"]) is str else _bad("from must be a string"),
+            t if type(t := a["to"]) is str else _bad("to must be a string"),
+            u if type(u := a.get("u_power", 0)) is int else _bad("u_power must be an integer"))
+        for a in es])
     shift = payload.get("shift")
     if shift is not None:
         if not (isinstance(shift, list) and len(shift) == 2
@@ -195,10 +225,15 @@ def _cfk_payload(payload: dict) -> KnotComplex:
 
 def _typed_payload(payload: dict) -> TypeDModule:
     _no_extra(payload, "type_d", {"generators", "arrows", "tags"})
-    gens = _each(payload, "generators", "generator", lambda g: (
-        _field(g, "name", str), idem_from_name(g["idempotent"])))
-    arrows = _each(payload, "arrows", "arrow", lambda a: DArrow(
-        _field(a, "from", str), _field(a, "to", str), element_from_name(a["label"])))
+    gens = _each(payload, "generators", "generator", {"name", "idempotent"}, lambda es: [(
+        n if type(n := g["name"]) is str else _bad("name must be a string"),
+        (_IDEM_BY_NAME.get(i) if type(i := g["idempotent"]) is str else None)
+        or _bad(f"unknown idempotent {i!r}")) for g in es])
+    arrows = _each(payload, "arrows", "arrow", {"from", "to", "label"}, lambda es: [_new(DArrow, (
+        s if type(s := a["from"]) is str else _bad("from must be a string"),
+        t if type(t := a["to"]) is str else _bad("to must be a string"),
+        (_BY_NAME.get(c) if type(c := a["label"]) is str else None)
+        or _bad(f"unknown algebra element {c!r}"))) for a in es])
     tags = payload.get("tags", {})
     if not isinstance(tags, dict):
         raise ParseError("tags must be an object")
@@ -206,18 +241,27 @@ def _typed_payload(payload: dict) -> TypeDModule:
 
 
 def _action(a: dict) -> DAAction:
-    inputs = a.get("inputs", [])
-    if not isinstance(inputs, list):
-        raise TypeError("inputs must be a list")
-    return DAAction(_field(a, "from", str), tuple(element_from_name(x) for x in inputs),
-                    element_from_name(a["output"]), _field(a, "to", str))
+    if not isinstance(args := a.get("inputs", []), list):
+        _bad("inputs must be a list")
+    return _new(DAAction, (
+        s if type(s := a["from"]) is str else _bad("from must be a string"),
+        tuple([(_BY_NAME.get(x) if type(x) is str else None)
+               or _bad(f"unknown algebra element {x!r}") for x in args]),
+        (_BY_NAME.get(c) if type(c := a["output"]) is str else None)
+        or _bad(f"unknown algebra element {c!r}"),
+        t if type(t := a["to"]) is str else _bad("to must be a string")))
 
 
 def _typeda_payload(payload: dict) -> TypeDAModule:
     _no_extra(payload, "type_da", {"generators", "actions"})
-    gens = _each(payload, "generators", "generator", lambda g: (
-        _field(g, "name", str), idem_from_name(g["left"]), idem_from_name(g["right"])))
-    actions = _each(payload, "actions", "action", _action)
+    gens = _each(payload, "generators", "generator", {"name", "left", "right"}, lambda es: [(
+        n if type(n := g["name"]) is str else _bad("name must be a string"),
+        (_IDEM_BY_NAME.get(l) if type(l := g["left"]) is str else None)
+        or _bad(f"unknown idempotent {l!r}"),
+        (_IDEM_BY_NAME.get(r) if type(r := g["right"]) is str else None)
+        or _bad(f"unknown idempotent {r!r}")) for g in es])
+    actions = _each(payload, "actions", "action", {"from", "inputs", "output", "to"},
+                    lambda es: list(map(_action, es)))
     return _once(make_da(gens, actions), "actions", actions, payload.get("actions"))
 
 
@@ -244,6 +288,9 @@ def _script_lines(lines: list[tuple[int, str]]) -> list[tuple[str, str]]:
 _PAYLOAD_READERS = {"cfk": _cfk_payload, "type_d": _typed_payload,
                     "type_da": _typeda_payload, "script": _script_payload}
 _LINE_READERS = {"cfk": _cfk_lines, "script": _script_lines}
+
+
+_NAME = {e: e.value for e in AlgebraElement}  # .value is a descriptor in Python
 
 
 def _list(items: list[str], indent: str) -> str:
@@ -273,9 +320,9 @@ def write_cfk(C: KnotComplex) -> str:
 
 
 def write_typed(M: TypeDModule) -> str:
-    arrows = [f'{{\n        "from": {_q(s)},\n        "label": "{c.value}",\n'
+    arrows = [f'{{\n        "from": {_q(s)},\n        "label": "{_NAME[c]}",\n'
               f'        "to": {_q(t)}\n      }}' for s, t, c in sorted(M.arrows)]
-    gens = [f'{{\n        "idempotent": "{i.value}",\n        "name": {_q(n)}\n      }}'
+    gens = [f'{{\n        "idempotent": "{_NAME[i]}",\n        "name": {_q(n)}\n      }}'
             for n, i in sorted(M.generators)]
     payload = {"arrows": arrows, "generators": gens}
     if M.tags:  # free-form, so left to json; strings hold no raw newline,
@@ -287,11 +334,11 @@ def write_typed(M: TypeDModule) -> str:
 
 def write_typeda(B: TypeDAModule) -> str:
     actions = [f'{{\n        "from": {_q(s)},\n        "inputs": '
-               f'{_list([_q(x.value) for x in args], "        ")},\n'
-               f'        "output": "{c.value}",\n        "to": {_q(t)}\n      }}'
+               f'{_list([_q(_NAME[x]) for x in args], "        ")},\n'
+               f'        "output": "{_NAME[c]}",\n        "to": {_q(t)}\n      }}'
                for s, args, c, t in sorted(B.actions)]
-    gens = [f'{{\n        "left": "{l.value}",\n        "name": {_q(n)},\n'
-            f'        "right": "{r.value}"\n      }}' for n, l, r in sorted(B.generators)]
+    gens = [f'{{\n        "left": "{_NAME[l]}",\n        "name": {_q(n)},\n'
+            f'        "right": "{_NAME[r]}"\n      }}' for n, l, r in sorted(B.generators)]
     return _document("type_da", {"actions": actions, "generators": gens})
 
 

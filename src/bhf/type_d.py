@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
-from .algebra import _MUL, _UNITS, NONZERO, AlgebraElement, is_idempotent, left_idem, right_idem
+from .algebra import _MUL, _UNITS, NONZERO, AlgebraElement, left_idem, right_idem
 
 __all__ = [
     "DArrow", "TypeDModule", "ReductionTrace", "make_module",
@@ -60,45 +60,45 @@ def validate_d(M: TypeDModule) -> list[str]:
     if len(idems) != len(M.generators):
         return ["duplicate generator names"]
     out = [f"generator {n}: idempotent {i!r} is not iota0 or iota1"
-           for n, i in M.generators if not is_idempotent(i)]
-    for a in M.arrows:
-        if (idems.get(a.source), a.label, idems.get(a.target)) in _WELL_FORMED:
+           for n, i in M.generators if i not in _UNITS]
+    get = idems.get
+    for s, t, c in [a for a in M.arrows if (get(a[0]), a[2], get(a[1])) not in _WELL_FORMED]:
+        if s not in idems or t not in idems:
+            out.append(f"arrow {s}->{t} references unknown generator")
             continue
-        if a.source not in idems or a.target not in idems:
-            out.append(f"arrow {a.source}->{a.target} references unknown generator")
+        if c is AlgebraElement.ZERO:
+            out.append(f"arrow {s}->{t} labelled zero")
             continue
-        if a.label is AlgebraElement.ZERO:
-            out.append(f"arrow {a.source}->{a.target} labelled zero")
-            continue
-        if left_idem(a.label) is not idems[a.source]:
-            out.append(f"arrow {a.source}->{a.target}: label {a.label.value} "
-                       f"does not start at {idems[a.source]!r}")
-        if right_idem(a.label) is not idems[a.target]:
-            out.append(f"arrow {a.source}->{a.target}: label {a.label.value} "
-                       f"does not end at {idems[a.target]!r}")
+        if left_idem(c) is not idems[s]:
+            out.append(f"arrow {s}->{t}: label {c.value} does not start at {idems[s]!r}")
+        if right_idem(c) is not idems[t]:
+            out.append(f"arrow {s}->{t}: label {c.value} does not end at {idems[t]!r}")
     if out:
         return out
-    odd = [(s, t, c) for s, _, c, t in _odd_terms([(s, (), c, t) for s, t, c in M.arrows])]
-    for src, tgt, lab in sorted(odd, key=str):
-        out.append(f"d^2 != 0: odd count {src} -> {lab.value} {tgt}")
+    for s, t, c in sorted(_odd_terms(M.arrows), key=str):
+        out.append(f"d^2 != 0: odd count {s} -> {c.value} {t}")
     return out
 
 
 def _odd_terms(edges, splits=None) -> list[tuple]:
     """The terms of the structure equations that occur an odd number of
-    times, as (source, inputs, coefficient, target) in no set order.
+    times, laid out as the edges are, in no set order.
 
-    An edge is (source, inputs, coefficient, target); a type D arrow is one
-    without inputs.  The terms are the composable pairs of edges, inputs
-    joined and coefficients multiplied, and, given ``splits`` (each chord's
-    two-chord factorisations), each edge with one input split in two.
-    """
+    An edge is a DAAction (source, inputs, coeff, target) or, without
+    inputs, a DArrow (source, target, coeff).  The terms are the composable
+    pairs of edges, inputs joined and coefficients multiplied, and, given
+    ``splits`` (each chord's two-chord factorisations), each edge with one
+    input split in two."""
     outs: dict[str, list[tuple]] = defaultdict(list)
     for e in edges:
         outs[e[0]].append(e)
     zero = AlgebraElement.ZERO
-    counts = Counter((s, a + b, p, u) for s, a, c, t in edges for _, b, d, u in outs.get(t, ())
-                     if (p := _MUL[c][d]) is not zero)
+    if edges and len(edges[0]) == 3:  # indexed: a DArrow unpacks through an iterator
+        counts = Counter((a[0], b[1], p) for a in edges for b in outs.get(a[1], ())
+                         if (p := _MUL[a[2]][b[2]]) is not zero)
+    else:
+        counts = Counter((s, a + b, p, u) for s, a, c, t in edges
+                         for _, b, d, u in outs.get(t, ()) if (p := _MUL[c][d]) is not zero)
     if splits:
         counts.update((s, a[:i] + split + a[i + 1:], c, t) for s, a, c, t in edges
                       for i, x in enumerate(a) for split in splits[x])

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import AlgebraElement, CHORDS, is_idempotent, left_idem, multiply, right_idem
-from .type_d import (DArrow, ReductionTrace, TypeDModule, _graph, _Graph, _isomorphic,
-                     _odd_terms, _reduce, make_module)
+from .algebra import _UNITS, AlgebraElement, CHORDS, is_idempotent, left_idem, multiply, right_idem
+from .type_d import (_WELL_FORMED, DArrow, ReductionTrace, TypeDModule, _graph, _Graph,
+                     _isomorphic, _odd_terms, _reduce, make_module)
 
 __all__ = [
     "DAAction", "TypeDAModule", "make_da",
@@ -136,14 +136,8 @@ def builtin_H() -> TypeDAModule:
     return make_da(gens, acts)
 
 
-def _chain_end(start: AlgebraElement, args: tuple[AlgebraElement, ...]) -> AlgebraElement | None:
-    """The right idempotent where the inputs args, chained from start, end;
-    None when they do not chain or one is an idempotent or zero."""
-    for a in args:
-        if is_idempotent(a) or a is A.ZERO or left_idem(a) is not start:
-            return None
-        start = right_idem(a)
-    return start
+# the right idempotent where each chord ends, by the idempotent it starts at
+_STEP = {(left_idem(c), c): right_idem(c) for c in CHORDS}
 
 
 # the two-chord factorisations: rho1.rho2, rho2.rho3, rho1.rho23, rho12.rho3
@@ -164,28 +158,25 @@ def validate_da(B: TypeDAModule) -> list[str]:
         return ["duplicate generator names"]
     out = [f"generator {n}: {side} idempotent {i!r} is not iota0 or iota1"
            for n, l, r in B.generators for side, i in (("left", l), ("right", r))
-           if not is_idempotent(i)]
+           if i not in _UNITS]
     idems = B.idems()
-    for act in B.actions:
-        if act.source not in idems or act.target not in idems:
-            out.append(f"action at {act.source}->{act.target}: unknown generator")
+    for s, args, c, t in B.actions:
+        if s not in idems or t not in idems:
+            out.append(f"action at {s}->{t}: unknown generator")
             continue
-        ls, rs = idems[act.source]
-        lt, rt = idems[act.target]
-        end = _chain_end(rs, act.args)
+        (ls, rs), (lt, rt) = idems[s], idems[t]
+        end = rs  # where the inputs end, chained from rs: None if they do not chain
+        for a in args:
+            end = _STEP.get((end, a))
         if end is None:
-            out.append(f"action {act.source}{tuple(a.value for a in act.args)}: "
+            out.append(f"action {s}{tuple(a.value for a in args)}: "
                        "inputs do not chain from the right idempotent")
             continue
         if end is not rt:
-            out.append(f"action {act.source}->{act.target}: inputs end at the "
-                       "wrong right idempotent")
-        if act.coeff is A.ZERO:
-            out.append(f"action {act.source}->{act.target}: zero coefficient")
-            continue
-        if left_idem(act.coeff) is not ls or right_idem(act.coeff) is not lt:
-            out.append(f"action {act.source}->{act.target}: coefficient "
-                       f"{act.coeff.value} mismatches left idempotents")
+            out.append(f"action {s}->{t}: inputs end at the wrong right idempotent")
+        if (ls, c, lt) not in _WELL_FORMED:
+            out.append(f"action {s}->{t}: zero coefficient" if c is A.ZERO else
+                       f"action {s}->{t}: coefficient {c.value} mismatches left idempotents")
     if out:
         return out
     rank = {x: i for i, x in enumerate(names)}

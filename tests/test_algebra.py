@@ -4,24 +4,21 @@ import pickle
 
 import pytest
 
-from bhf.algebra import (AlgebraElement, element_from_name, idem_from_name,
-                         is_idempotent, left_idem, multiply, right_idem)
+from bhf.algebra import (_BY_NAME, _IDEM_BY_NAME, AlgebraElement, is_idempotent, left_idem,
+                         multiply, right_idem)
 
 A = AlgebraElement
 
 
+# the documents' readers look names up in these tables
 def test_element_names_round_trip():
     for e in A:
-        assert element_from_name(e.value) is e
-    assert idem_from_name("iota0") is A.I0
-    assert idem_from_name("iota1") is A.I1
+        assert _BY_NAME[e.value] is e
+    assert _IDEM_BY_NAME == {"iota0": A.I0, "iota1": A.I1}
 
 
 def test_unknown_names_rejected():
-    with pytest.raises(ValueError):
-        element_from_name("rho4")
-    with pytest.raises(ValueError):
-        idem_from_name("rho1")
+    assert "rho4" not in _BY_NAME and "rho1" not in _IDEM_BY_NAME
 
 
 def test_idempotent_predicates():

@@ -460,6 +460,18 @@ _MALFORMED = [
      "repeated arrow entry {'from': 'b', 'to': 'c', 'u_power': 0}"),
     (["validate", "{}"], "b: A=0 M=-1\nc: A=-1 M=-2\nb -> c\n# again\nb -> U^0 c\n",
      "line 5: repeated arrow"),
+    # an entry field the format does not name is refused, as at the other levels
+    (["validate", "{}"], _doc("type_d", {"generators": [
+        {"name": "x", "idempotent": "iota0", "idem": "iota1"}]}),
+     "bad generator entry {'name': 'x', 'idempotent': 'iota0', 'idem': 'iota1'}: "
+     "unknown fields ['idem']"),
+    # an integer too long to convert is refused at its line, not with the
+    # interpreter's advice
+    (["validate", "{}"], "a: A=0 M=0\nx: A=" + "1" * 5000 + " M=0\n",
+     "line 2: integer longer than the limit of"),
+    (["verify", "{}"], '{"format_version": "1", "kind": "cfk", "payload": {"generators": [\n'
+     '{"name": "x", "alexander": 0, "maslov": -' + "1" * 5000 + "}]}}",
+     "line 2: integer longer than the limit of"),
     (["build-h", "--script", "{}"], _doc("script", {"pairs": ["ab"]}), "pairs must be"),
     (["build-h", "--script", "{}"], _doc("script", {"pairs": [{"x": 1, "y": 2}]}),
      "[from, to] lists"),
