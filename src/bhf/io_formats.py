@@ -34,21 +34,33 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 KINDS = ("cfk", "type_d", "type_da", "script")
+# levels of objects and lists a document may nest: json decodes about 1,000
+# on Python 3.10 and 3.11, 1,500 on 3.12 and 10,000 on 3.13, and a document
+# deeper than this is refused alike on each
+MAX_DEPTH = 512
+_NESTED = "not valid JSON: nested too deeply"
 
 
 class ParseError(ValueError):
     pass
 
 
-def _open_envelope(text: str, kind: str | None) -> tuple[str, dict]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"not valid JSON: {e}") from None
-    except RecursionError:
-        raise ParseError("not valid JSON: nested too deeply") from None
-    except ValueError:  # an integer longer than the interpreter converts
-        raise _too_long(text) from None
+_NESTING = frozenset((dict, list))  # a set: a tuple tests a type against each by ==
+
+
+def _too_deep(doc, limit: int = MAX_DEPTH) -> bool:
+    """Whether doc nests objects and lists more than limit levels deep, doc
+    the first: a walk one level at a time, which no recursion limit stops."""
+    level = [doc] if type(doc) in _NESTING else []
+    for _ in range(limit):
+        level = [v for c in level for v in (c.values() if type(c) is dict else c)
+                 if type(v) in _NESTING]
+        if not level:
+            return False
+    return True
+
+
+def _open_envelope(doc, kind: str | None) -> tuple[str, dict]:
     if not isinstance(doc, dict):
         raise ParseError("document is not a JSON object")
     _no_extra(doc, "envelope", {"format_version", "kind", "payload"})
@@ -138,8 +150,21 @@ def parse_any(text: str, kind: str | None = None) -> tuple[str, object]:
     kind its envelope names or its terse lines show; text is decoded once.
     Terse text without a line of code is refused as an empty document."""
     if text.lstrip().startswith("{") or kind in ("type_d", "type_da"):
-        kind, payload = _open_envelope(text, kind)
-        return kind, _PAYLOAD_READERS[kind](payload)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"not valid JSON: {e}") from None
+        except RecursionError:
+            raise ParseError(_NESTED) from None
+        except ValueError:  # an integer longer than the interpreter converts
+            raise _too_long(text) from None
+        try:  # a document is measured only once it is refused
+            kind, payload = _open_envelope(doc, kind)
+            return kind, _PAYLOAD_READERS[kind](payload)
+        except ParseError:
+            if _too_deep(doc):
+                raise ParseError(_NESTED) from None
+            raise
     lines = _code_lines(text)
     if not lines:
         raise ParseError("empty document")
@@ -149,12 +174,12 @@ def parse_any(text: str, kind: str | None = None) -> tuple[str, object]:
     except ParseError as e:
         bad = e
     try:  # a JSON array, string or number is neither an envelope nor lines
-        json.loads(text)
+        doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError):
         raise bad from None
     except ValueError:  # an integer longer than the interpreter converts
         raise _too_long(text) from None
-    raise ParseError("document is not a JSON object")
+    raise bad if _too_deep(doc) else ParseError("document is not a JSON object")
 
 
 def parse_cfk(text: str) -> KnotComplex:
@@ -237,6 +262,8 @@ def _typed_payload(payload: dict) -> TypeDModule:
     tags = payload.get("tags", {})
     if not isinstance(tags, dict):
         raise ParseError("tags must be an object")
+    if _too_deep(tags, MAX_DEPTH - 2):  # free-form: the one field read at any depth
+        raise ParseError(_NESTED)
     return _once(make_module(gens, arrows, tags), "arrows", arrows, payload.get("arrows"))
 
 

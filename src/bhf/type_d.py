@@ -303,12 +303,6 @@ def reduce_d(M: TypeDModule, order=None) -> tuple[TypeDModule, ReductionTrace]:
     return _freeze_d(G, M.tags), trace
 
 
-# nonzero coefficients by (left, right) idempotent, in search order
-_COEFFS = {(l, r): [c for c in sorted(NONZERO, key=lambda e: e.value)
-                    if left_idem(c) is l and right_idem(c) is r]
-           for l, r in product(_IDEMPOTENTS, repeat=2)}
-
-
 # _LEFT_FACTOR[l][m] = c with c*l = m, _RIGHT_FACTOR[l][m] = c with l*c = m:
 # chord intervals concatenate, so at most one c does either
 _LEFT_FACTOR = {l: {_MUL[c][l]: c for c in NONZERO if _MUL[c][l] is not AlgebraElement.ZERO}
@@ -321,34 +315,31 @@ def _scored_changes(G: _Graph, gen: str) -> list:
     """The (other, coeff, delta) of each base change gen -> gen + coeff*other
     that can remove an arrow of G, in search order; delta is change_delta's.
 
-    A change can remove an arrow only through a hit: a toggled arrow that
-    is present, gen -> y: coeff*l beside other -> y: l, or x -> other:
-    l*coeff beside x -> gen: l, found in one pass over gen's two-step
-    neighbourhood.  A change without hits toggles only absent arrows, and
-    is left out, but for one exception: given an arrow other -> gen, or
-    loops at both gen and other, an idempotent coeff can also toggle a
-    present arrow through a loop.  The list is built before it is
-    returned, so the caller may edit G between items if it restores it.
+    A change can remove an arrow only by toggling a present one.  A hit
+    finds such an arrow, gen -> y: coeff*l beside other -> y: l, or
+    x -> other: l*coeff beside x -> gen: l, in one pass over gen's two-step
+    neighbourhood.  The one present arrow no hit finds: an idempotent coeff
+    and an arrow other -> gen: l make a loop gen -> gen: l, through which
+    the change toggles gen -> other: l.  So the candidates are the hits and
+    the idempotent coeff of each 2-cycle gen <-> other with one label; any
+    other change toggles only absent arrows.  The list is built before it
+    is returned, so the caller may edit G between items if it restores it.
     """
     hits: set = set()
-    for y, (args, m) in G.out[gen]:
+    out = G.out[gen]
+    for y, (args, m) in out:
         for o, (a, l) in G.inc[y]:
             if o != gen and a == args and (c := _LEFT_FACTOR[l].get(m)):
                 hits.add((o, c))
-    inc = G.inc[gen]
-    for x, (args, l) in inc:
+    for x, lab in G.inc[gen]:
+        if x != gen and (x, lab) in out:  # both ends carry lab's idempotent
+            hits.add((x, G.left[gen]))
         for o, (a, m) in G.out[x]:
-            if o != gen and a == args and (c := _RIGHT_FACTOR[l].get(m)):
+            if o != gen and a == lab[0] and (c := _RIGHT_FACTOR[lab[1]].get(m)):
                 hits.add((o, c))
-    into = {x for x, _ in inc}
-    looped = gen in into
-    scored = []
-    for other in sorted((into | {o for o, _ in hits}) - {gen}):
-        looping = other in into or looped and any(y == other for y, _ in G.out[other])
-        scored += [(other, c, G.change_delta(gen, other, c))
-                   for c in _COEFFS[G.left[gen], G.left[other]]
-                   if (other, c) in hits or looping and c in _UNITS]
-    return scored
+    if not hits:  # most generators of a reduced module: nothing to sort or score
+        return []
+    return [(other, c, G.change_delta(gen, other, c)) for other, c in sorted(hits)]
 
 
 def minimize_d(M: TypeDModule) -> TypeDModule:

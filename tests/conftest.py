@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from bhf import cfk, io_formats, type_d, type_da
-from bhf.algebra import _UNITS, AlgebraElement
+from bhf.algebra import _UNITS, NONZERO, AlgebraElement, left_idem, right_idem
 
 ACCEPTANCE_CRITERIA = {
     1: "involution bimodule recovered from the sixfold twist tensor, "
@@ -167,6 +167,11 @@ def negated_columns(M):
                               {ren.get(k, k): v for k, v in M.tags.items()})
 
 
+# the nonzero coefficients from one idempotent to another, in search order
+COEFFS = {(l, r): [c for c in sorted(NONZERO) if left_idem(c) is l and right_idem(c) is r]
+          for l in _UNITS for r in _UNITS}
+
+
 def every_change(idems):
     """Every (gen, other, coeff) of a valid base change (gen != other and
     coeff from iota(gen) to iota(other)), in search order; type_d's
@@ -175,7 +180,7 @@ def every_change(idems):
     for gen in names:
         for other in names:
             if other != gen:
-                for coeff in type_d._COEFFS[idems[gen], idems[other]]:
+                for coeff in COEFFS[idems[gen], idems[other]]:
                     yield gen, other, coeff
 
 

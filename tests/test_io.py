@@ -119,6 +119,30 @@ def test_envelope_errors():
         io_formats.parse_cfk("{not json")
 
 
+def test_nesting_deeper_than_the_limit_is_refused():
+    # levels every interpreter's json decodes: the refusal is bhf's own, and
+    # MAX_DEPTH levels, the envelope the first, still read
+    limit = io_formats.MAX_DEPTH
+
+    def typed(tags_depth):
+        tags = {}
+        for _ in range(tags_depth - 1):
+            tags = {"a": tags}
+        return json.dumps({"format_version": "1", "kind": "type_d", "payload": {
+            "generators": [{"name": "x", "idempotent": "iota0"}], "tags": tags}})
+    assert io_formats.parse_typed(typed(limit - 2)).tags
+    deep = [typed(limit - 1), typed(600), '{"a":' * 600 + "1" + "}" * 600,
+            typed(2).replace('"x"', "[" * 600 + "]" * 600)]
+    for text in deep:
+        with pytest.raises(io_formats.ParseError, match="^not valid JSON: nested too deeply$"):
+            io_formats.parse_any(text)
+    # terse text read as lines keeps the error of its first line
+    with pytest.raises(io_formats.ParseError, match="^line 1: cannot parse"):
+        io_formats.parse_any("[" * 600 + "]" * 600)
+    with pytest.raises(io_formats.ParseError, match="^document is not a JSON object$"):
+        io_formats.parse_any("[" * limit + "]" * limit)
+
+
 def test_unknown_payload_field_rejected():
     with pytest.raises(io_formats.ParseError, match=r"unknown type_d fields: \['extra'\]"):
         io_formats.parse_typed(json.dumps(

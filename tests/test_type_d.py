@@ -8,7 +8,7 @@ import pytest
 
 from bhf import cfk, io_formats, ktd, type_d, type_da
 from bhf.algebra import _UNITS, NONZERO, AlgebraElement as A, left_idem, multiply, right_idem
-from conftest import FIXTURE_NAMES, base_change, every_change, load_cfk
+from conftest import COEFFS, FIXTURE_NAMES, base_change, every_change, load_cfk
 from staircase import mirror, torus_knot
 
 DArrow = type_d.DArrow
@@ -428,7 +428,7 @@ def scrambled():
             G = type_d._graph_d(R)
             for _ in range(rng.randint(1, 12)):
                 gen, other = rng.sample(names, 2)
-                G.base_change(gen, other, rng.choice(type_d._COEFFS[idems[gen], idems[other]]))
+                G.base_change(gen, other, rng.choice(COEFFS[idems[gen], idems[other]]))
             pairs.append((R, type_d._freeze_d(G)))
     return pairs
 
@@ -457,7 +457,7 @@ def _near_changes(G, idems):
         near = (outs | ins | {o for y in outs for o, _ in G.inc[y]}
                 | {o for x in ins for o, _ in G.out[x]})
         for other in sorted(near - {gen}):
-            for coeff in type_d._COEFFS[idems[gen], idems[other]]:
+            for coeff in COEFFS[idems[gen], idems[other]]:
                 yield gen, other, coeff
 
 
@@ -589,6 +589,36 @@ def test_change_delta_reads_the_loop_toggled_at_gen():
             M = type_d.make_module(gens, arrows + list(extra))
             assert _check_change_delta(M) == 40
             _check_scored_changes(M)
+
+
+def test_scored_changes_rule_on_random_modules():
+    # seeded modules of 2-5 generators, d^2 = 0 not asked: loops, 2-cycles
+    # (half of them of one label), chord arrows and idempotent arrows; every
+    # change _scored_changes leaves out toggles no present arrow, and every
+    # delta it keeps is change_delta's
+    checked = kept = 0
+    for seed in range(3000):
+        rng = random.Random(seed)
+        idems = {f"g{i}": rng.choice(type_d._IDEMPOTENTS) for i in range(rng.randint(2, 5))}
+        arrows = set()
+        for s, t in itertools.product(idems, repeat=2):
+            if rng.random() < 0.4:
+                c = rng.choice(COEFFS[idems[s], idems[t]])
+                arrows.add(DArrow(s, t, c))
+                if s != t and idems[s] is idems[t] and rng.random() < 0.5:
+                    arrows.add(DArrow(t, s, c))
+        G = type_d._graph_d(type_d.make_module(idems.items(), arrows))
+        present = edge_set(G)
+        scored = {(gen, o, c): delta for gen in idems
+                  for o, c, delta in type_d._scored_changes(G, gen)}
+        for change in every_change(idems):
+            checked += 1
+            if change in scored:
+                kept += 1
+                assert scored[change] == G.change_delta(*change), (seed, change)
+            else:
+                assert not G.toggled(*change) & present, (seed, change)
+    assert checked > 50000 and kept > 5000
 
 
 def _oracle_cancel(G, s, t):
