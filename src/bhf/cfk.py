@@ -278,31 +278,28 @@ def tau(C: KnotComplex) -> int:
     return survivors[0].alexander
 
 
-def _family_matrix(C: KnotComplex, family: str):
-    """Generator order and the F2 matrix (column j is the bitmask of d(e_j))
-    of one arrow family: "dw" horizontal arrows, "dz" vertical arrows."""
-    order = sorted(g.name for g in C.generators)
-    index = {n: i for i, n in enumerate(order)}
-    fam = C.is_horizontal if family == "dw" else C.is_vertical
-    cols = [0] * len(order)
-    for a in C.arrows:
-        if fam(a):
-            cols[index[a.source]] ^= 1 << index[a.target]
-    return order, cols
-
-
-def homology_support(C: KnotComplex, family: str) -> frozenset[str]:
-    """Canonical cycle generating the rank-one homology of one arrow family.
+def supports(C: KnotComplex, family: str) -> tuple[frozenset[str], frozenset[str]]:
+    """Canonical cycle and cocycle of the rank-one homology of one family.
 
     family "dw" uses horizontal arrows, "dz" vertical arrows.  One reduced
     echelon form of the rows d(e_j) | e_j << n gives the image (the image
     parts of the rows with image bits) and the kernel (the domain parts of
     the rows without).  The cycle is a kernel vector reduced modulo the
-    image; every cycle outside the image reduces to the same one.
+    image; every cycle outside the image reduces to the same one.  The
+    cocycle vanishes on the image, pairs 1 with the cycle and is zero on
+    its free coordinates: adding the cycle, pivot p, to the image basis
+    clears p from the image rows that hold it, so its bits are p and those
+    rows' pivots.
     """
-    order, cols = _family_matrix(C, family)
+    order = sorted(g.name for g in C.generators)
     n = len(order)
-    rows = _linalg.rref([c | 1 << (n + j) for j, c in enumerate(cols)])
+    index = {g: i for i, g in enumerate(order)}
+    fam = C.is_horizontal if family == "dw" else C.is_vertical
+    cols = [1 << (n + j) for j in range(n)]
+    for a in C.arrows:
+        if fam(a):
+            cols[index[a.source]] ^= 1 << index[a.target]
+    rows = _linalg.rref(cols)
     image_bits = (1 << n) - 1
     img = [r & image_bits for r in rows if r & image_bits]
     ker = [r >> n for r in rows if not r & image_bits]
@@ -310,27 +307,14 @@ def homology_support(C: KnotComplex, family: str) -> frozenset[str]:
         raise ValueError(
             f"{family} homology has rank {len(ker) - len(img)}, expected 1")
     cycle = next(v for v in (_linalg.reduce_mod(k, img) for k in ker) if v)
-    return frozenset(g for i, g in enumerate(order) if cycle >> i & 1)
-
-
-def cohomology_support(C: KnotComplex, family: str) -> frozenset[str]:
-    """Canonical functional vanishing on boundaries and pairing 1 with the
-    canonical homology cycle of the family; free coordinates are zero."""
-    order, cols = _family_matrix(C, family)
-    n = len(order)
-    rep = homology_support(C, family)
-    rep_mask = sum(1 << i for i, g in enumerate(order) if g in rep)
-    # the equations f.d(e_j) = 0 and f.rep = 1, each parity in bit n: a row
-    # 1 << n reads 0 = 1
-    rows = _linalg.rref(cols + [rep_mask | 1 << n])
-    if 1 << n in rows:
-        raise ValueError("no chain functional found")
-    f = sum(r & -r for r in rows if r >> n)  # a free coordinate is zero
-    return frozenset(g for i, g in enumerate(order) if f >> i & 1)
+    p = cycle & -cycle
+    cocycle = p | sum(b & -b for b in img if b & p)
+    return tuple(frozenset(g for i, g in enumerate(order) if m >> i & 1)
+                 for m in (cycle, cocycle))
 
 
 def _rank_one(C: KnotComplex) -> None:
     """Refuse C, as the base-free construction does, unless dw and dz have
     rank-one homology: the ValueError names the first family that has not."""
-    cohomology_support(C, "dw")
-    homology_support(C, "dz")
+    supports(C, "dw")
+    supports(C, "dz")

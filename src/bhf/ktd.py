@@ -132,8 +132,7 @@ def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
     ktd_basefree; C is valid and reduced.  The layout is n, the width and
     the columns, each (kind, s2, symbol -> name), in s2 order: w, dot, z."""
     # read first: the homologies have rank one, so C has a generator
-    f_w = cfk.cohomology_support(C, "dw")
-    rep_z = cfk.homology_support(C, "dz")
+    f_w, rep_z = cfk.supports(C, "dw")[1], cfk.supports(C, "dz")[0]
     t = _width(C)
     if n is None:
         n = 4 * t + 3
@@ -216,7 +215,7 @@ def flip_ktd_direct(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     flipped = [(x, y, relabel[c]) for x, y, c in arrows if c in relabel]
     flipped += [(y, x, c) for x, y, c in arrows
                 if c is A.R23 and y != first_dot and x != last_dot]
-    rep_w, f_z = cfk.homology_support(C, "dw"), cfk.cohomology_support(C, "dz")
+    rep_w, f_z = cfk.supports(C, "dw")[0], cfk.supports(C, "dz")[1]
     flipped += [(first_dot, f"{sym}|{lw}", A.R23) for sym in rep_w]
     flipped += [(f"{sym}|{rz}", last_dot, A.R23) for sym in f_z]
     level = C._alexander

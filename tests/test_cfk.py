@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from bhf import cfk
+from bhf import cfk, ktd
 from bhf._linalg import rref
 from conftest import FIXTURE_NAMES, load_cfk, random_base_change, random_complex
 from staircase import mirror, torus_knot
@@ -144,13 +144,13 @@ def test_rewrites_preserve_homology(any_complex):
 
 
 def test_homology_supports_five_gen(five_gen):
-    assert cfk.homology_support(five_gen, "dz") == frozenset({"a", "b"})
-    assert cfk.cohomology_support(five_gen, "dw") == frozenset({"b"})
+    assert cfk.supports(five_gen, "dz")[0] == frozenset({"a", "b"})
+    assert cfk.supports(five_gen, "dw")[1] == frozenset({"b"})
 
 
 def test_homology_supports_trefoil(trefoil):
-    assert cfk.homology_support(trefoil, "dz") == frozenset({"a"})
-    assert cfk.cohomology_support(trefoil, "dw") == frozenset({"c"})
+    assert cfk.supports(trefoil, "dz")[0] == frozenset({"a"})
+    assert cfk.supports(trefoil, "dw")[1] == frozenset({"c"})
 
 
 @pytest.mark.parametrize("low, high", [("y", "z"), ("z", "y")])
@@ -307,19 +307,20 @@ def _oracle_rank(C, family) -> int:
 @pytest.fixture(scope="module")
 def support_corpus() -> list[cfk.KnotComplex]:
     """Every fixture reduced after random_complex seeds 0-299, the
-    staircases of T(2,3)...T(11,12) with their mirrors, and one acyclic
+    staircases of T(2,3)...T(40,41) with their mirrors, and one acyclic
     pair, whose homology has rank 0 in both families."""
     corpus = [cfk.reduce(random_complex(name, seed))
               for name in FIXTURE_NAMES for seed in range(300)]
-    for p in range(2, 12):
+    for p in range(2, 41):
         corpus += [torus_knot(p, p + 1), mirror(torus_knot(p, p + 1))]
     return corpus + [cfk.make_complex([G("x", 0, 0), G("y", 0, -1)], [Ar("x", "y", 0)])]
 
 
-@pytest.mark.parametrize("support, oracle", [
-    (cfk.homology_support, oracle_homology_support),
-    (cfk.cohomology_support, oracle_cohomology_support)])
-def test_supports_match_elimination_oracle(support_corpus, support, oracle):
+@pytest.mark.parametrize("half, oracle", [
+    (0, oracle_homology_support), (1, oracle_cohomology_support)],
+    ids=["homology_support-oracle_homology_support",
+         "cohomology_support-oracle_cohomology_support"])
+def test_supports_match_elimination_oracle(support_corpus, half, oracle):
     seen = Counter()
     for C in support_corpus:
         for family in ("dw", "dz"):
@@ -329,19 +330,38 @@ def test_supports_match_elimination_oracle(support_corpus, support, oracle):
                 # the oracle names the count of distinct reduced cycles
                 says = f"{family} homology has rank {_oracle_rank(C, family)}, expected 1"
                 with pytest.raises(ValueError) as got:
-                    support(C, family)
+                    cfk.supports(C, family)
                 assert str(got.value) == says
                 seen["raised", str(e) == says] += 1
             else:
-                assert support(C, family) == want
+                cycle, cocycle = cfk.supports(C, family)
+                assert (cycle, cocycle)[half] == want
                 seen["equal"] += 1
+                # a cocycle beyond the cycle's lowest generator holds image-row pivots
+                seen["sigma"] += cocycle != {min(cycle)}
     assert seen["equal"] and seen["raised", True] and seen["raised", False]
+    assert seen["sigma"]
+
+
+def test_one_echelon_form_per_family(five_gen, monkeypatch):
+    calls, counted = [], cfk._linalg.rref
+    monkeypatch.setattr(cfk._linalg, "rref", lambda rows: calls.append(1) or counted(rows))
+
+    def echelons(build, *args):
+        calls.clear()
+        build(*args)
+        return len(calls)
+    assert echelons(cfk.supports, five_gen, "dw") == 1
+    assert echelons(ktd.ktd_basefree, five_gen) == 2
+    assert echelons(ktd.flip_ktd_direct, five_gen) == 4
+    assert echelons(ktd.verify_elliptic_invariance, five_gen, "basefree") == 4
+    assert echelons(ktd.verify_elliptic_invariance, five_gen, "basis") == 0
 
 
 def _rref_solve(equations: list[tuple[int, int]], nbits: int) -> int | None:
-    """cohomology_support's reading of one echelon form: the parity sits in
-    bit nbits, a row 1 << nbits reads 0 = 1, and the pivots of the rows with
-    parity 1 are the solution's bits."""
+    """A linear system solved by rref: the parity sits in bit nbits, a row
+    1 << nbits reads 0 = 1, and the pivots of the rows with parity 1 are the
+    solution's bits, each free coordinate zero."""
     rows = rref([v | r << nbits for v, r in equations])
     if 1 << nbits in rows:
         return None
