@@ -313,8 +313,8 @@ def supports(C: KnotComplex, family: str) -> tuple[frozenset[str], frozenset[str
                  for m in (cycle, cocycle))
 
 
-def _rank_one(C: KnotComplex) -> None:
-    """Refuse C, as the base-free construction does, unless dw and dz have
-    rank-one homology: the ValueError names the first family that has not."""
-    supports(C, "dw")
-    supports(C, "dz")
+def _rank_one(C: KnotComplex) -> tuple:
+    """The supports of C's dw and dz families, or, as the base-free
+    construction refuses C, the ValueError naming the first family whose
+    homology does not have rank one."""
+    return supports(C, "dw"), supports(C, "dz")

@@ -38,6 +38,7 @@ __all__ = [
 
 A = AlgebraElement
 META = "__meta__"
+_H = builtin_H()  # frozen tuples: one bimodule serves every verify
 
 
 def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
@@ -123,16 +124,16 @@ def ktd_basefree(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     dot column *|s2 alone; rho23 arrows join each to the one before it.
     """
     C = cfk._model(C)
-    gens, arrows, layout = _basefree(C, n)
+    gens, arrows, layout = _basefree(C, n, cfk._rank_one(C))
     return make_module(gens, map(DArrow._make, arrows), _basefree_tags(C._alexander, *layout))
 
 
-def _basefree(C: cfk.KnotComplex, n: int | None) -> tuple:
+def _basefree(C: cfk.KnotComplex, n: int | None, supports: tuple) -> tuple:
     """The generators, arrows (source, target, label) and column layout of
-    ktd_basefree; C is valid and reduced.  The layout is n, the width and
+    ktd_basefree; C is valid and reduced, and ``supports`` is
+    cfk._rank_one(C), so C has a generator.  The layout is n, the width and
     the columns, each (kind, s2, symbol -> name), in s2 order: w, dot, z."""
-    # read first: the homologies have rank one, so C has a generator
-    f_w, rep_z = cfk.supports(C, "dw")[1], cfk.supports(C, "dz")[0]
+    (_, f_w), (rep_z, _) = supports
     t = _width(C)
     if n is None:
         n = 4 * t + 3
@@ -205,7 +206,8 @@ def flip_ktd_direct(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     they are made from the mirrored layout.
     """
     C = cfk._model(C)
-    gens, arrows, (n, width, columns) = _basefree(C, n)
+    supports = cfk._rank_one(C)
+    gens, arrows, (n, width, columns) = _basefree(C, n, supports)
     lw = max(s2 for k, s2, _ in columns if k == "w")  # the last w column
     rz = min(s2 for k, s2, _ in columns if k == "z")  # the first z column
     first_dot, last_dot = f"*|{lw + 2}", f"*|{rz - 2}"
@@ -215,7 +217,7 @@ def flip_ktd_direct(C: cfk.KnotComplex, n: int | None = None) -> TypeDModule:
     flipped = [(x, y, relabel[c]) for x, y, c in arrows if c in relabel]
     flipped += [(y, x, c) for x, y, c in arrows
                 if c is A.R23 and y != first_dot and x != last_dot]
-    rep_w, f_z = cfk.supports(C, "dw")[0], cfk.supports(C, "dz")[1]
+    (rep_w, _), (_, f_z) = supports
     flipped += [(first_dot, f"{sym}|{lw}", A.R23) for sym in rep_w]
     flipped += [(f"{sym}|{rz}", last_dot, A.R23) for sym in f_z]
     level = C._alexander
@@ -256,11 +258,12 @@ class _Unconverged(ValueError):
     """No simplified basis of a knot complex in cfk.SIMPLIFY_ROUNDS rounds."""
 
 
-def _construction(C: cfk.KnotComplex, algo: str, framing: int | None) -> tuple:
+def _construction(C: cfk.KnotComplex, algo: str, framing: int | None, supports=None) -> tuple:
     """The generators, arrows (none repeated) and framing (``basis``) or
-    column layout (``basefree``) of the named construction on a valid,
-    reduced C; cfk._rank_one's ValueError when C is not a knot complex,
-    _Unconverged when ``basis`` finds no simplified basis."""
+    column layout (``basefree``, from cfk._rank_one(C) if not given) of the
+    named construction on a valid, reduced C; cfk._rank_one's ValueError
+    when C is not a knot complex, _Unconverged when ``basis`` finds no
+    simplified basis."""
     if algo == "basis":
         Cs = cfk.simultaneous_simplify(C)
         if Cs is None:
@@ -268,7 +271,7 @@ def _construction(C: cfk.KnotComplex, algo: str, framing: int | None) -> tuple:
             raise _Unconverged("simultaneous simplification did not converge")
         return _basis(Cs, framing)
     if algo == "basefree":
-        return _basefree(C, framing)
+        return _basefree(C, framing, supports or cfk._rank_one(C))
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -287,11 +290,10 @@ def _compare_d(left: TypeDModule, right: TypeDModule) -> VerifyResult:
     at an idempotent as F2 box M has homology there, a homotopy invariant,
     so a difference is ``failed``; a match that _carries checks is
     ``verified``; no match is ``inconclusive``."""
-    counts = [sorted(Counter(i.value for _, i in M.generators).items())
-              for M in (left, right)]
+    counts = [Counter(i for _, i in M.generators) for M in (left, right)]
     if counts[0] != counts[1]:
-        return VerifyResult("failed", None, "generators per idempotent differ: "
-                            f"{counts[0]} vs {counts[1]}")
+        a, b = (sorted((i.value, k) for i, k in c.items()) for c in counts)
+        return VerifyResult("failed", None, f"generators per idempotent differ: {a} vs {b}")
     M, found = _match_up_to_base_change(left, right)
     if M is None:  # found says whether the cap was hit
         return VerifyResult("inconclusive", None, "no permutation-level isomorphism "
@@ -309,11 +311,12 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
 
     Reduces the module built from C, tensors the involution bimodule with
     it and compares the reduction against the module built from the
-    flipped complex (see _compare_d).  The box tensor with a bounded DA
-    bimodule respects homotopy equivalence (Lipshitz-Ozsvath-Thurston,
-    arXiv:1003.0598), so boxing the reduced module gives a left side
-    homotopic to boxing the module itself, from a box several times
-    smaller.  Each side stays one module graph from its construction to
+    flipped complex (see _compare_d).  flip(C) has C's dz arrows as its dw
+    arrows and the other way round, so its supports are C's swapped.  The
+    box tensor with a bounded DA bimodule respects homotopy equivalence
+    (Lipshitz-Ozsvath-Thurston, arXiv:1003.0598), so boxing the reduced
+    module gives a left side homotopic to boxing the module itself, from a
+    box several times smaller.  Each side stays one module graph from its construction to
     its minimisation (the box writes a new one) and is frozen once, for
     the comparison; the right side's construction starts once the left side
     is frozen, so the two are never held together.  C is validated and
@@ -321,11 +324,13 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
     knot complex without the simplified basis ``basis`` needs is inconclusive.
     """
     C = cfk._model(C)
+    supports = cfk._rank_one(C) if algo == "basefree" else None
     try:
-        left = _graph(*_construction(C, algo, framing)[:2])
+        left = _graph(*_construction(C, algo, framing, supports)[:2])
         _reduce(left, None)
-        left = _minimal(_box_graph(builtin_H(), left))
-        right = _graph(*_construction(cfk.flip(C), algo, framing)[:2])
+        left = _minimal(_box_graph(_H, left))
+        right = _graph(*_construction(cfk.flip(C), algo, framing,
+                                      supports and supports[::-1])[:2])
     except _Unconverged:
         return VerifyResult("inconclusive", None, "simultaneous simplification "
                             f"did not converge in {cfk.SIMPLIFY_ROUNDS} rounds")

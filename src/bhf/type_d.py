@@ -379,21 +379,22 @@ def _match_up_to_base_change(left: TypeDModule, right: TypeDModule):
     permutation; explore arrow-count-preserving base changes of the left
     side (breadth-first, MATCH_DEPTH deep) until the generator graphs
     coincide.  Only the changes that _scored_changes scores give a new
-    candidate, since every other one adds an arrow or none.  Returns the
-    module matched and its mapping onto right, or None and whether a new
-    candidate was dropped because MATCH_CAP of them were already kept.
+    candidate, since every other one adds an arrow or none; once MATCH_CAP
+    are kept, the rest are matched but not expanded.  Returns the module
+    matched and its mapping onto right, or None and whether a new candidate
+    was dropped because MATCH_CAP of them were already kept.
     """
     seen = {left.arrows}
     frontier = [left]
     hit = False
-    index = _index(right.generators, right.arrows)  # right is fixed: index it once
+    memo: dict = {}  # what _isomorphic reads of the fixed right side, read once
     for level in range(MATCH_DEPTH + 1):
         nxt = []
         for M in frontier:
-            mapping = _isomorphic(M.generators, M.arrows, right.generators, right.arrows, index)
+            mapping = _isomorphic(M.generators, M.arrows, right.generators, right.arrows, memo)
             if mapping is not None:
                 return M, mapping
-            if level == MATCH_DEPTH:
+            if level == MATCH_DEPTH or hit:
                 continue
             # apply, freeze and undo only the changes that add no arrow
             G = _graph_d(M)
@@ -419,7 +420,8 @@ def isomorphic_d(M: TypeDModule, N: TypeDModule) -> dict[str, str] | None:
 
     Returns the mapping M -> N, or None when no permutation-level
     isomorphism exists (base-change isomorphisms are not attempted).
-    Equal modules match by the identity; see _isomorphic.
+    Equal modules match by the identity, and loop-type modules with the
+    same cycle words by aligning them; see _isomorphic.
     """
     return _isomorphic(M.generators, M.arrows, N.generators, N.arrows)
 
@@ -456,27 +458,89 @@ def _index(gens, edges) -> tuple:
     return out, inc, sig, by_sig
 
 
+# a byte per arrow end (idempotent of its generator, label, 1 at the target)
+_LETTER = {key: k for k, key in enumerate(product(_IDEMPOTENTS, AlgebraElement, (0, 1)))}
+
+
+def _least_rotation(w: bytes) -> int | None:
+    """Where the least rotation of w starts, None if two do (w is periodic).
+    Two starts that agree for k letters and then differ: the larger one's
+    next k + 1 starts lose too, so it jumps past them to a least letter."""
+    n, least = len(w), bytes([min(w)])
+    d, i, j, k = w + w + least, 0, 1, 0  # a start past n ends the scan
+    while j < n and k < n:
+        if (a := d[i + k]) == (b := d[j + k]):
+            k += 1
+            continue
+        i, j = (d.find(least, i + k + 1), j) if a > b else (i, d.find(least, j + k + 1))
+        i, j, k = min(i, j), max(i, j) + (i == j), 0
+    return None if k == n else i
+
+
+def _cycle_words(gens: tuple, edges: tuple) -> dict | None:
+    """The cycles of a loop-type type D module keyed by their words, each
+    listing its generators in its word's order; None unless each generator
+    meets two arrow ends, to two others, and no rotation or reflection of a
+    cycle keeps its word (it is primitive, unlike its reverse and no other
+    cycle's).  A reading spells the _LETTER of the end by which it leaves
+    each generator, and a word is the least rotation of the two readings."""
+    idem = dict(gens)
+    ends: dict[str, list] = {n: [] for n in idem}
+    for s, t, c in edges:
+        ends[s].append((t, _LETTER[idem[s], c, 0]))
+        ends[t].append((s, _LETTER[idem[t], c, 1]))
+    if any(len(e) != 2 or e[0][0] == e[1][0] for e in ends.values()):
+        return None  # a generator of another valence, a loop or a 2-cycle
+    words: dict[bytes, tuple] = {}
+    for start in (n for n in idem if n in ends):
+        steps, g, prev = [], start, None
+        while not steps or g != start:  # at g from prev: leave by the other end
+            (a, ca), (b, cb) = ends.pop(g)
+            steps.append((g, cb, ca) if a == prev else (g, ca, cb))
+            prev, g = g, b if a == prev else a
+        cycle, fw, bw = zip(*steps)
+        least = sorted((w[i:] + w[:i], read[i:] + read[:i]) for w, read in
+                       ((bytes(fw), cycle), (bytes(bw[::-1]), cycle[::-1]))
+                       if (i := _least_rotation(w)) is not None)
+        # a periodic word, one equal to its reverse's or to another cycle's
+        if len(least) < 2 or least[0][0] == least[1][0] or least[0][0] in words:
+            return None
+        words[least[0][0]] = least[0][1]
+    return words
+
+
 def _isomorphic(gens_m: tuple, edges_m: tuple, gens_n: tuple, edges_n: tuple,
-                index_n: tuple | None = None) -> dict[str, str] | None:
+                memo_n: dict | None = None) -> dict[str, str] | None:
     """Backtracking bijection search shared by isomorphic_d and isomorphic_da
-    on sorted generator and edge tuples; ``index_n`` is _index(gens_n, edges_n)
-    when given.  Equal modules match by the identity, the mapping the search
-    finds first.  Generators are placed rarest signature, then name, first,
-    and then breadth-first along the arrows.  One reached from a placed
-    generator (its anchor) is tried against the images of that arrow at the
-    anchor's image with its signature, in name order: any other candidate
-    fails kept.  A generator that starts a component is tried against its
-    whole signature class.  The search runs depth-first in a loop, with one
-    candidate iterator per generator being placed and a step back when one
-    runs out, so a module may have more generators than Python's recursion
-    limit.
+    on sorted generator and edge tuples; ``memo_n`` keeps what a call reads
+    of N for the next call with it.  Equal modules match by the identity,
+    the mapping the search finds first, and loop-type modules with the same
+    cycle words (_cycle_words) by aligning them, the only isomorphism there
+    is, so the one the search finds.  Generators are placed rarest
+    signature, then name, first, and then breadth-first along the arrows.
+    One reached from a placed generator (its anchor) is tried against the
+    images of that arrow at the anchor's image with its signature, in name
+    order: any other candidate fails kept.  A generator that starts a
+    component is tried against its whole signature class.  The search runs
+    depth-first in a loop, with one candidate iterator per generator being
+    placed and a step back when one runs out, so a module may have more
+    generators than Python's recursion limit.
     """
     if gens_m == gens_n and edges_m == edges_n:
         return {g[0]: g[0] for g in gens_m}
     if len(gens_m) != len(gens_n) or len(edges_m) != len(edges_n):
         return None
+    memo_n = {} if memo_n is None else memo_n
+    if len(edges_m) == len(gens_m) and len(edges_m[0]) == 3:  # type D, maybe loop-type
+        if "words" not in memo_n:
+            memo_n["words"] = _cycle_words(gens_n, edges_n)
+        if ((words_n := memo_n["words"]) and (words_m := _cycle_words(gens_m, edges_m))
+                and words_m.keys() == words_n.keys()):
+            return {g: h for w, cycle in words_m.items() for g, h in zip(cycle, words_n[w])}
+    if "index" not in memo_n:
+        memo_n["index"] = _index(gens_n, edges_n)
     out_m, inc_m, sig_m, by_sig_m = _index(gens_m, edges_m)
-    out_n, inc_n, sig_n, by_sig = index_n or _index(gens_n, edges_n)
+    out_n, inc_n, sig_n, by_sig = memo_n["index"]
     freq = {s: len(ns) for s, ns in by_sig_m.items()}
     if freq != {s: len(ns) for s, ns in by_sig.items()}:
         return None

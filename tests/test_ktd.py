@@ -392,6 +392,23 @@ def test_match_reports_the_cap_only_when_a_candidate_is_dropped(monkeypatch):
     assert type_d._match_up_to_base_change(R, T) == (None, False)
 
 
+def test_match_stops_expanding_once_the_cap_is_hit(monkeypatch):
+    # R's two candidates fill a cap of 2, and the first of them hits it while
+    # the second waits in the same level: the second is still matched, but
+    # not read as a graph, since no candidate of it could be kept
+    R, _, T = five_gen_modules()
+    graphs, graph_d = [], type_d._graph_d
+    monkeypatch.setattr(type_d, "_graph_d", lambda M: graphs.append(M) or graph_d(M))
+    matched, isomorphic = [], type_d._isomorphic
+    monkeypatch.setattr(type_d, "_isomorphic",
+                        lambda *args: matched.append(args[1]) or isomorphic(*args))
+    monkeypatch.setattr(type_d, "MATCH_DEPTH", 2)
+    monkeypatch.setattr(type_d, "MATCH_CAP", 2)
+    assert type_d._match_up_to_base_change(R, T) == (None, True)
+    assert (len(matched), len(graphs)) == (3, 2)
+    assert graphs[0] == R and matched[:2] == [R.arrows, graphs[1].arrows]
+
+
 def test_carries_rejects_a_wrong_mapping():
     M = type_d.make_module([("x", A.I0), ("y", A.I1), ("z", A.I1)],
                            [type_d.DArrow("x", "y", A.R1),

@@ -8,7 +8,8 @@ import pytest
 
 from bhf import cfk, io_formats, ktd, type_d, type_da
 from bhf.algebra import _UNITS, NONZERO, AlgebraElement as A, left_idem, multiply, right_idem
-from conftest import COEFFS, FIXTURE_NAMES, base_change, every_change, load_cfk
+from conftest import (COEFFS, FIXTURE_NAMES, base_change, boxed_complex, every_change, load_cfk,
+                      matches_as_the_search_does, random_complex, search_only, verify_sides)
 from staircase import mirror, torus_knot
 
 DArrow = type_d.DArrow
@@ -324,6 +325,123 @@ def test_isomorphic_rejects_a_changed_copy(name, change):
         gens[i] = (n, A.I1 if left is A.I0 else A.I0, *right)
     build = type_d.make_module if is_d else type_da.make_da
     assert _iso(X)(X, build(gens, edges)) is None
+
+
+def test_least_rotation_is_the_least_of_all_rotations():
+    # or None for a periodic word, whose least rotation starts twice
+    rng = random.Random(5)
+    periodic = 0
+    for _ in range(3000):
+        w = bytes(rng.choice(b"abcd"[:rng.randint(1, 4)]) for _ in range(rng.randint(1, 30)))
+        if rng.random() < 0.25:
+            w = w[:rng.randint(1, 5)] * rng.randint(2, 4)
+        rotations = [w[i:] + w[:i] for i in range(len(w))]
+        least, start = min(rotations), type_d._least_rotation(w)
+        if rotations.count(least) > 1:
+            assert start is None, w
+            periodic += 1
+        else:
+            assert rotations[start] == least, w
+    assert periodic > 500
+
+
+def _loops(*arrows):
+    """The module of arrows (source, target, label), each generator with
+    the idempotent its labels give it."""
+    idems = {}
+    for s, t, c in arrows:
+        idems[s], idems[t] = left_idem(c), right_idem(c)
+    return type_d.make_module(list(idems.items()), [DArrow(*a) for a in arrows])
+
+
+def _triangle(k, first=A.R1):
+    # p (iota0) -first-> q -rho23-> r -rho2-> p: a primitive word whose
+    # other reading, all arrows entered, differs from it
+    return [(f"p{k}", f"q{k}", first), (f"q{k}", f"r{k}", A.R23), (f"r{k}", f"p{k}", A.R2)]
+
+
+# modules with as many arrows as generators whose cycle words do not give
+# the one isomorphism: each falls back to the search
+LOOP_CONTROLS = {
+    "two equal cycles": _triangle(0) + _triangle(1),
+    "a periodic word": [("p0", "q0", A.R1), ("q0", "r0", A.R23), ("r0", "p1", A.R2),
+                        ("p1", "q1", A.R1), ("q1", "r1", A.R23), ("r1", "p0", A.R2)],
+    "a cycle equal to its reversal": [("p", "q", A.R1), ("p", "s", A.R1),
+                                      ("q", "r", A.R2), ("s", "r", A.R2)],
+    "a self-loop": [("x", "x", A.R23)] + _triangle(0),
+    "a 2-cycle": [("p", "q", A.R1), ("p", "q", A.R3)] + _triangle(0),
+    "a generator of valence 3": _triangle(0) + [("q0", "w", A.R2)],
+}
+
+
+@pytest.mark.parametrize("name", LOOP_CONTROLS)
+def test_cycle_words_fall_back_where_they_do_not_decide(name):
+    M = _loops(*LOOP_CONTROLS[name])
+    assert len(M.arrows) == len(M.generators)
+    assert type_d._cycle_words(M.generators, M.arrows) is None
+    for seed in range(6):
+        _, N = _renamed(M, seed)
+        assert matches_as_the_search_does(M, N) == 0
+        assert ktd._carries(type_d.isomorphic_d(M, N), M, N)
+
+
+def test_cycle_words_align_distinct_cycles():
+    # a triangle and a square of other words: the one isomorphism onto a
+    # renamed copy is the renaming
+    M = _loops(*_triangle(0), ("a", "b", A.R3), ("b", "c", A.R23), ("c", "d", A.R23),
+               ("d", "a", A.R2))
+    assert len(type_d._cycle_words(M.generators, M.arrows)) == 2
+    for seed in range(6):
+        ren, N = _renamed(M, seed)
+        assert matches_as_the_search_does(M, N) == 2
+        assert type_d.isomorphic_d(M, N) == ren
+    # the triangle's ends changed, rho1 to rho3: equal counts, other words
+    N = _loops(*_triangle(0, A.R3), ("a", "b", A.R3), ("b", "c", A.R23), ("c", "d", A.R23),
+               ("d", "a", A.R2))
+    assert matches_as_the_search_does(M, N) == 0
+    assert type_d.isomorphic_d(M, N) is None
+
+
+def _ladder_knots():
+    return [load_cfk(name) for name in FIXTURE_NAMES] + [
+        C for p in range(2, 14) for C in (torus_knot(p, p + 1), mirror(torus_knot(p, p + 1)))]
+
+
+@pytest.mark.parametrize("algo", ["basefree", "basis"])
+def test_cycle_words_match_verify_sides_as_the_search_does(algo):
+    # every side but five_gen's base-free ones is loop-type, with words read
+    # one way only
+    knots = _ladder_knots()
+    answered = sum(matches_as_the_search_does(*verify_sides(C, algo)) for C in knots)
+    assert answered == 2 * (len(knots) - (algo == "basefree"))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_cycle_words_match_seeded_reductions_as_the_search_does(name):
+    # a loop-type reduction minimises to the reference itself, which the
+    # identity matches, so each is matched against a renamed copy too
+    D = ktd.ktd_basefree(load_cfk(name))
+    reference = type_d.minimize_d(type_d.reduce_d(D)[0])
+    answered = 0
+    for seed in range(40):
+        M = type_d.minimize_d(type_d.reduce_d(D, seed)[0])
+        answered += matches_as_the_search_does(M, reference)
+        answered += matches_as_the_search_does(M, _renamed(reference, seed)[1])
+    assert answered == (0 if name == "five_gen" else 80)
+
+
+@pytest.mark.parametrize("algo", ["basefree", "basis"])
+def test_cycle_words_match_the_corpora_as_the_search_does(algo):
+    # 140 draws give two sides each; the words answer 90 (basefree) and 108
+    # (basis) of them both ways round, and the search the rest
+    compared = answered = 0
+    for name in FIXTURE_NAMES:
+        for C in [random_complex(name, seed) for seed in range(20)] + \
+                 [boxed_complex(name, seed) for seed in range(20)]:
+            if (sides := verify_sides(C, algo)) is not None:
+                compared += 1
+                answered += matches_as_the_search_does(*sides)
+    assert (compared, answered) == (140, {"basefree": 180, "basis": 216}[algo])
 
 
 def test_base_change_is_involution():
