@@ -23,7 +23,7 @@ from json.encoder import encode_basestring as _q  # json.dumps's escaper, in C
 
 from .algebra import _BY_NAME, _IDEM_BY_NAME, AlgebraElement
 from .cfk import KnotArrow, KnotComplex, KnotGenerator, make_complex
-from .type_d import DArrow, TypeDModule, make_module
+from .type_d import DArrow, TypeDModule, _new, make_module
 from .type_da import DAAction, TypeDAModule, make_da
 
 __all__ = [
@@ -128,9 +128,6 @@ def _no_extra(payload: dict, kind: str, allowed: set) -> None:
 # else _bad(...); a name is looked up only if it is a string, so hashable.
 def _bad(why: str):
     raise ValueError(why)
-
-
-_new = tuple.__new__  # a DArrow or DAAction built in C, not in namedtuple's __new__
 
 
 def _code_lines(text: str) -> list[tuple[int, str]]:

@@ -277,12 +277,12 @@ def _construction(C: cfk.KnotComplex, algo: str, framing: int | None, supports=N
 
 def _carries(mapping: dict[str, str], M: TypeDModule, N: TypeDModule) -> bool:
     """Whether mapping carries M's generators, idempotents and arrows onto N's."""
-    gm, gn = M.idems(), N.idems()
-    return (sorted(mapping) == sorted(gm) and sorted(mapping.values()) == sorted(gn)
-            and all(gm[x] is gn[y] for x, y in mapping.items())
+    gm, gn, arrows = M.idems(), N.idems(), set(N.arrows)
+    # a bijection maps M's distinct arrows to as many distinct ones: all in N is N
+    return (mapping.keys() == gm.keys() and len(gm) == len(gn) == len(set(mapping.values()))
+            and all(gm[x] is gn.get(y) for x, y in mapping.items())
             and len(M.arrows) == len(N.arrows)
-            and {DArrow(mapping[a.source], mapping[a.target], a.label)
-                 for a in M.arrows} == set(N.arrows))
+            and all((mapping[s], mapping[t], c) in arrows for s, t, c in M.arrows))
 
 
 def _compare_d(left: TypeDModule, right: TypeDModule) -> VerifyResult:

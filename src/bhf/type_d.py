@@ -30,6 +30,9 @@ class DArrow(NamedTuple):  # a tuple: hashed, compared and ordered in C
     label: AlgebraElement
 
 
+_new = tuple.__new__  # a DArrow or DAAction built in C, not in namedtuple's __new__
+
+
 @dataclass(frozen=True)
 class TypeDModule:
     generators: tuple[tuple[str, AlgebraElement], ...]
@@ -126,9 +129,10 @@ class _Graph:
     def __init__(self, generators, edges):
         self.generators = generators
         # generator tuples start (name, left idempotent, ...)
-        self.left = {g[0]: g[1] for g in generators}
-        self.out: dict[str, set] = defaultdict(set)
-        self.inc: dict[str, set] = defaultdict(set)
+        self.left = left = {g[0]: g[1] for g in generators}
+        # one entry per generator, made up front: a sink has an empty out-set
+        self.out: dict[str, set] = defaultdict(set, {n: set() for n in left})
+        self.inc: dict[str, set] = defaultdict(set, {n: set() for n in left})
         self.diff: list[tuple[str, str]] = []
         # the edges are distinct (make_module, make_da, the constructions'
         # graphs and the box drop repeats), so this is what toggling each one
@@ -141,19 +145,22 @@ class _Graph:
                 diff.append((s, t))
         diff.sort()
 
-    def toggle(self, s: str, t: str, label: tuple) -> None:
-        """Add the edge if absent, remove it if present (addition mod 2)."""
-        out = self.out[s]
-        if (t, label) in out:
-            out.remove((t, label))
-            self.inc[t].remove((s, label))
-            if label in _DIFF:
-                del self.diff[bisect_left(self.diff, (s, t))]
-        else:
-            out.add((t, label))
-            self.inc[t].add((s, label))
-            if label in _DIFF:
-                insort(self.diff, (s, t))
+    def toggle(self, edges) -> None:
+        """Add each edge (source, target, label) if absent, remove it if
+        present (addition mod 2), in turn."""
+        out, inc, diff = self.out, self.inc, self.diff
+        for s, t, label in edges:
+            out_s, edge = out[s], (t, label)
+            if edge in out_s:
+                out_s.remove(edge)
+                inc[t].remove((s, label))
+                if label in _DIFF:
+                    del diff[bisect_left(diff, (s, t))]
+            else:
+                out_s.add(edge)
+                inc[t].add((s, label))
+                if label in _DIFF:
+                    insort(diff, (s, t))
 
     def cancel(self, s: str, t: str) -> None:
         """Cancel the differential edge s -> t (the cancellation lemma).
@@ -161,23 +168,23 @@ class _Graph:
         Every zig-zag x -> t <- s -> y becomes an edge x -> y, possibly
         passing through further edges s -> t ("mids") first.  On type D
         data a second mid multiplies to zero: mids are chords from one
-        idempotent to itself.
+        idempotent to itself.  Every product is taken before the graph is
+        edited, so a refused cancellation leaves the graph as it was.
         """
         left, out, inc, diff = self.left, self.out, self.inc, self.diff
-        edge = _D_LABEL[left[s]] if s in left else None
-        if edge is None or t not in left or (t, edge) not in out[s]:
+        if s not in left or t not in left or (t, _D_LABEL[left[s]]) not in out[s]:
             raise ValueError(f"no idempotent arrow {s} -> {t}")
-        ends = (s, t)
+        ends, outs, ints = (s, t), out[s], inc[t]
         # the edges out of s, a mid's end written None; an input-free
         # idempotent mid besides the edge only occurs in malformed data,
         # where passing through it would never end
-        steps = [(None if y == t else y, lab) for y, lab in out[s]
+        steps = [(None if y == t else y, lab) for y, lab in outs
                  if y not in ends or y == t and lab not in _DIFF]
         zero = AlgebraElement.ZERO
-        toggles: dict[tuple, int] = {}
+        toggles = []  # the zig-zag edges x -> y: one made twice cancels mod 2
         # (x, inputs, coeff) of each path x -> t, and of each path that
         # passes on through a mid, appended as it is found
-        paths = [(x, args, coeff) for x, (args, coeff) in inc[t] if x not in ends]
+        paths = [(x, args, coeff) for x, (args, coeff) in ints if x not in ends] if steps else ()
         for x, args, coeff in paths:
             row = _MUL[coeff]
             for y, (more, lab) in steps:
@@ -193,24 +200,32 @@ class _Graph:
                 if y is None:  # pass through a mid, back to s
                     paths.append((x, label[0], c))
                 else:
-                    key = (x, y, label)
-                    toggles[key] = toggles.get(key, 0) ^ 1
-        for g in {s, t}:  # no zig-zag edge touches s or t: remove them whole
-            del left[g]
-            for y, lab in out.pop(g, ()):
-                if y not in ends:
-                    inc[y].remove((g, lab))
+                    toggles.append((x, y, label))
+        # no zig-zag edge touches s or t: remove both whole, each edge from
+        # the set of its other end, an edge between them from neither
+        del left[s], out[s], inc[t]
+        left.pop(t, None)  # gone already if t is s, as are its two sets
+        for y, lab in outs:
+            if y not in ends:
+                inc[y].remove((s, lab))
+            if lab in _DIFF:
+                del diff[bisect_left(diff, (s, y))]
+        for y, lab in out.pop(t, ()):
+            if y not in ends:
+                inc[y].remove((t, lab))
+            if lab in _DIFF:
+                del diff[bisect_left(diff, (t, y))]
+        for x, lab in ints:
+            if x not in ends:
+                out[x].remove((t, lab))
                 if lab in _DIFF:
-                    del diff[bisect_left(diff, (g, y))]
-            for x, lab in inc.pop(g, ()):
-                if x in ends:  # removed with the edges out of x
-                    continue
-                out[x].remove((g, lab))
+                    del diff[bisect_left(diff, (x, t))]
+        for x, lab in inc.pop(s, ()):
+            if x not in ends:
+                out[x].remove((s, lab))
                 if lab in _DIFF:
-                    del diff[bisect_left(diff, (x, g))]
-        for key, parity in toggles.items():
-            if parity:
-                self.toggle(*key)
+                    del diff[bisect_left(diff, (x, s))]
+        self.toggle(toggles)
 
     def toggled(self, gen: str, other: str, coeff: AlgebraElement) -> set:
         """The edges that replacing gen by gen + coeff*other toggles an odd
@@ -234,8 +249,7 @@ class _Graph:
         """Replace gen by gen + coeff*other: toggle the edges of toggled(gen,
         other, coeff) and return them, so toggling them again undoes it."""
         odd = self.toggled(gen, other, coeff)
-        for e in odd:
-            self.toggle(*e)
+        self.toggle(odd)
         return odd
 
     def change_delta(self, gen: str, other: str, coeff: AlgebraElement) -> int:
@@ -269,7 +283,7 @@ def _freeze_d(G: _Graph, tags: dict | None = None) -> TypeDModule:
         gone = {g[0] for g in G.generators} - G.left.keys()
         tags = {n: v for n, v in tags.items() if n not in gone}
     # the edges are distinct and already in arrow order
-    return TypeDModule(gens, tuple(DArrow(s, t, c) for s, t, (_, c) in edges), tags or {})
+    return TypeDModule(gens, tuple(_new(DArrow, (s, t, c)) for s, t, (_, c) in edges), tags or {})
 
 
 @dataclass(frozen=True)
@@ -409,8 +423,7 @@ def _match_up_to_base_change(left: TypeDModule, right: TypeDModule):
                 if cand.arrows not in seen and not (hit := len(seen) > MATCH_CAP):
                     seen.add(cand.arrows)
                     nxt.append(cand)
-                for e in toggled:
-                    G.toggle(*e)
+                G.toggle(toggled)
         frontier = nxt
     return None, hit
 

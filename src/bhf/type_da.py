@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .algebra import _UNITS, AlgebraElement, CHORDS, is_idempotent, left_idem, multiply, right_idem
 from .type_d import (_WELL_FORMED, DArrow, ReductionTrace, TypeDModule, _graph, _Graph,
-                     _isomorphic, _odd_terms, _reduce, make_module)
+                     _isomorphic, _new, _odd_terms, _reduce)
 
 __all__ = [
     "DAAction", "TypeDAModule", "make_da",
@@ -275,7 +275,9 @@ def box_da_d(B: TypeDAModule, M: TypeDModule) -> TypeDModule:
     """Box tensor product B ⊠ M of a DA bimodule with a type D module."""
     gens, edges = _box(B, M.generators, ((a.source, (), a.label, a.target)
                                          for a in M.arrows))
-    return make_module(gens, [DArrow(s, t, c) for s, _, c, t in edges])
+    # the edges are distinct: no make_module pass drops repeats
+    return TypeDModule(tuple(sorted(gens)),
+                       tuple(sorted([_new(DArrow, (s, t, c)) for s, _, c, t in edges])), {})
 
 
 def _box_graph(B: TypeDAModule, G: _Graph) -> _Graph:
@@ -290,7 +292,7 @@ def box_da_da(B: TypeDAModule, C: TypeDAModule) -> TypeDAModule:
     """Box tensor product B ⊠ C of two DA bimodules: C consumes the
     external inputs and B the outputs of C."""
     gens, edges = _box(B, C.generators, C.actions)
-    return make_da(gens, [DAAction(*e) for e in edges])
+    return TypeDAModule(tuple(sorted(gens)), tuple(sorted([_new(DAAction, e) for e in edges])))
 
 
 def reduce_da(B: TypeDAModule, order=None) -> tuple[TypeDAModule, ReductionTrace]:
@@ -302,7 +304,8 @@ def reduce_da(B: TypeDAModule, order=None) -> tuple[TypeDAModule, ReductionTrace
     G = _Graph(B.generators, ((a.source, a.target, (a.args, a.coeff)) for a in B.actions))
     trace = _reduce(G, order)
     gens, edges = G.freeze()
-    return make_da(gens, [DAAction(s, args, c, t) for s, t, (args, c) in edges]), trace
+    return TypeDAModule(gens, tuple(sorted([_new(DAAction, (s, args, c, t))
+                                            for s, t, (args, c) in edges]))), trace
 
 
 def isomorphic_da(B: TypeDAModule, C: TypeDAModule) -> dict[str, str] | None:

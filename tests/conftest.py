@@ -220,9 +220,10 @@ def every_change(idems):
 
 
 def check_graph(G, removed):
-    """Assert that the in-place module graph G indexes one edge set: inc
-    mirrors out, diff agrees with it, and no edge touches a generator in
-    removed."""
+    """Assert that the in-place module graph G indexes one edge set: out
+    and inc have one entry per live generator, inc mirrors out, diff agrees
+    with it, and no edge touches a generator in removed."""
+    assert G.out.keys() == G.left.keys() == G.inc.keys()
     edges = {(s, t, lab) for s, out in G.out.items() for t, lab in out}
     assert edges == {(s, t, lab) for t, inc in G.inc.items() for s, lab in inc}
     assert G.diff == sorted((s, t) for s, t, (args, c) in edges

@@ -419,6 +419,10 @@ def test_carries_rejects_a_wrong_mapping():
     assert not ktd._carries({"x": "y", "y": "x", "z": "z"}, M, M)
     assert not ktd._carries({"x": "x", "y": "y", "z": "y"}, M, M)
     assert not ktd._carries({"x": "x", "y": "y"}, M, M)
+    # as many arrows, one of them not N's
+    N = type_d.make_module(M.generators, [type_d.DArrow("x", "y", A.R1),
+                                          type_d.DArrow("x", "z", A.R1)])
+    assert not ktd._carries(ident, M, N)
 
 
 @pytest.mark.parametrize("algo", ["basefree", "basis"])

@@ -8,8 +8,9 @@ import pytest
 
 from bhf import cfk, io_formats, ktd, type_d, type_da
 from bhf.algebra import _UNITS, NONZERO, AlgebraElement as A, left_idem, multiply, right_idem
-from conftest import (COEFFS, FIXTURE_NAMES, base_change, boxed_complex, every_change, load_cfk,
-                      matches_as_the_search_does, random_complex, search_only, verify_sides)
+from conftest import (COEFFS, FIXTURE_NAMES, base_change, boxed_complex, check_graph, every_change,
+                      load_cfk, matches_as_the_search_does, random_complex, search_only,
+                      verify_sides)
 from staircase import mirror, torus_knot
 
 DArrow = type_d.DArrow
@@ -523,8 +524,7 @@ def _check_scored_changes(M):
         else:
             odd = [e for e, k in collections.Counter(toggled).items() if k % 2]
             assert edge_count(G) - len(M.arrows) == len(odd), change
-        for e in toggled:
-            G.toggle(*e)
+        G.toggle(toggled)
     assert type_d._freeze_d(G) == M  # every undo restored the graph
 
 
@@ -614,8 +614,7 @@ def _match_by_scan(left, right, depth=type_d.MATCH_DEPTH, cap=type_d.MATCH_CAP):
                 if cand.arrows not in seen and not (hit := len(seen) > cap):
                     seen.add(cand.arrows)
                     nxt.append(cand)
-                for e in toggled:
-                    G.toggle(*e)
+                G.toggle(toggled)
         frontier = nxt
     return None, hit
 
@@ -647,12 +646,10 @@ def _sequential_base_change(G, gen, other, coeff):
     other; returns the edges toggled, in order."""
     done = [(gen, y, (args, c)) for y, (args, lab) in G.out[other]
             if (c := multiply(coeff, lab)) is not A.ZERO]
-    for e in done:
-        G.toggle(*e)
+    G.toggle(done)
     more = [(x, other, (args, c)) for x, (args, lab) in G.inc[gen]
             if (c := multiply(lab, coeff)) is not A.ZERO]
-    for e in more:
-        G.toggle(*e)
+    G.toggle(more)
     return done + more
 
 
@@ -668,13 +665,11 @@ def _check_change_delta(M):
     for change, delta in zip(changes, deltas):
         toggled = _sequential_base_change(G, *change)
         oracle = edge_set(G)
-        for e in reversed(toggled):
-            G.toggle(*e)
+        G.toggle(reversed(toggled))
         toggled = G.base_change(*change)
         assert edge_count(G) - len(M.arrows) == delta, change
         assert edge_set(G) == oracle, change
-        for e in toggled:
-            G.toggle(*e)
+        G.toggle(toggled)
     assert type_d._freeze_d(G) == M
     return len(changes)
 
@@ -805,16 +800,20 @@ def _graph_state(G):
 
 def _check_cancel_against_oracle(make_graph, seed):
     """A seeded reduction of make_graph(), cancelling with _Graph.cancel on
-    one copy and _oracle_cancel on another, leaves both copies the same
-    after every step; returns the number of steps."""
+    one copy and _oracle_cancel on another, leaves both copies the same and
+    consistent (conftest.check_graph) after every step; returns the number
+    of steps."""
     G, H = make_graph(), make_graph()
-    rng = random.Random(seed)
+    rng, removed = random.Random(seed), set()
+    check_graph(G, removed)
     steps = 0
     while G.diff:
         s, t = rng.choice(G.diff)
         G.cancel(s, t)
         _oracle_cancel(H, s, t)
         assert _graph_state(G) == _graph_state(H), (s, t)
+        removed.update((s, t))
+        check_graph(G, removed)
         steps += 1
     assert not H.diff
     return steps
@@ -825,31 +824,38 @@ def _da_graph(B):
                                         for a in B.actions))
 
 
-def _oracle_inputs():
-    """Graph makers of the fixtures' and T(3,4)'s base-free modules, of
-    their boxes with H, tau_mu and tau_lambda, of the sixfold product, and
-    of two small modules whose cancellation passes through mids."""
+def _oracle_modules():
+    """The fixtures' and T(3,4)'s base-free modules, their boxes with H,
+    tau_mu and tau_lambda, the sixfold product, and two small modules whose
+    cancellation passes through mids."""
     bimodules = [type_da.builtin_H(), type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()]
     knots = [load_cfk(name) for name in FIXTURE_NAMES]
     for C in knots + [torus_knot(3, 4), mirror(torus_knot(3, 4))]:
         D = ktd.ktd_basefree(C)
-        yield functools.partial(type_d._graph_d, D)
+        yield D
         for B in bimodules:
-            yield functools.partial(type_d._graph_d, type_da.box_da_d(B, D))
+            yield type_da.box_da_d(B, D)
     tau_mu, tau_lambda = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
     sixfold = type_da.box_da_da(tau_mu, tau_lambda)
     for factor in (tau_mu, tau_lambda, tau_mu, tau_lambda):
         sixfold = type_da.box_da_da(sixfold, factor)
-    yield functools.partial(_da_graph, sixfold)
+    yield sixfold
     # zig-zags x -> t <- s -> y that also pass through a chord mid s -> t
-    yield lambda: type_d._graph_d(type_d.make_module(
+    yield type_d.make_module(
         [("x", A.I0), ("s", A.I1), ("t", A.I1), ("y", A.I1)],
         [DArrow("x", "t", A.R1), DArrow("s", "t", A.I1), DArrow("s", "t", A.R23),
-         DArrow("s", "y", A.I1)]))
-    yield functools.partial(_da_graph, type_da.make_da(
+         DArrow("s", "y", A.I1)])
+    yield type_da.make_da(
         [("x", A.I0, A.I0), ("s", A.I0, A.I1), ("t", A.I0, A.I1), ("y", A.I1, A.I1)],
         [type_da.DAAction("s", (), A.I0, "t"), type_da.DAAction("x", (A.R1,), A.I0, "t"),
-         type_da.DAAction("s", (A.R23,), A.R12, "t"), type_da.DAAction("s", (), A.R3, "y")]))
+         type_da.DAAction("s", (A.R23,), A.R12, "t"), type_da.DAAction("s", (), A.R3, "y")])
+
+
+def _oracle_inputs():
+    """Graph makers of _oracle_modules."""
+    for M in _oracle_modules():
+        yield functools.partial(type_d._graph_d if isinstance(M, type_d.TypeDModule)
+                                else _da_graph, M)
 
 
 def test_cancel_matches_the_frozen_oracle():
@@ -858,6 +864,27 @@ def test_cancel_matches_the_frozen_oracle():
         for seed in range(8):
             steps += _check_cancel_against_oracle(make_graph, seed)
     assert steps > 5000
+
+
+def test_producers_build_arrows_and_actions_not_plain_tuples():
+    # a plain tuple passes every byte-level golden (write_typed unpacks it,
+    # and module equality compares tuples) but has no a.source or a.label;
+    # the oracle modules are base-free modules, box_da_d's and box_da_da's
+    produced = []
+    for M in _oracle_modules():
+        if isinstance(M, type_d.TypeDModule):
+            R = type_d.reduce_d(M)[0]
+            produced += [M, R, type_d.minimize_d(R)]
+        else:
+            produced += [M, type_da.reduce_da(M)[0]]
+    for M in produced:
+        if isinstance(M, type_d.TypeDModule):
+            assert all(type(a) is DArrow and (a.source, a.target, a.label) == a
+                       for a in M.arrows)
+        else:
+            assert all(type(a) is type_da.DAAction and (a.source, a.args, a.coeff, a.target) == a
+                       for a in M.actions)
+    assert sum(isinstance(M, type_da.TypeDAModule) for M in produced) == 4
 
 
 def test_cancel_raises_as_the_frozen_oracle():
