@@ -146,6 +146,7 @@ def parse_any(text: str, kind: str | None = None) -> tuple[str, object]:
     """The (kind, object) of a document of kind if given, or else of the
     kind its envelope names or its terse lines show; text is decoded once.
     Terse text without a line of code is refused as an empty document."""
+    text = text.removeprefix("\ufeff")
     if text.lstrip().startswith("{") or kind in ("type_d", "type_da"):
         try:
             doc = json.loads(text)

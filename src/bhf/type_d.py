@@ -569,18 +569,17 @@ def _isomorphic(gens_m: tuple, edges_m: tuple, gens_n: tuple, edges_n: tuple,
                 near.update((t, (n, out_n, c)) for t, c in out_m[n])
                 queue += sorted(near.items())
     order = list(placed.items())
-    mapping: dict[str, str] = {}
-    inv: dict[str, str] = {}
+    mapping, inv = {}, {}  # M -> N as placed so far, and its inverse
 
-    def kept(n: str, k: str, out_a, inc_a, out_b, inc_b, to_b) -> bool:
-        """Every edge at n whose other end is n or in to_b has its image at k."""
-        for t, lab in out_a[n]:
-            u = k if t == n else to_b.get(t)
-            if u is not None and (u, lab) not in out_b[k]:
+    def kept(n: str, k: str) -> bool:
+        """Each arrow of M at n with its other end n or placed maps to an arrow at k.  One way
+        is exact: each arrow of M is checked once, as its later end (n for a loop) is placed, and
+        freq gives N as many distinct arrows, so a full injective mapping hits every one of N's."""
+        for t, lab in out_m[n]:
+            if (t == n or t in mapping) and (mapping.get(t, k), lab) not in out_n[k]:
                 return False
-        for s, lab in inc_a[n]:
-            u = to_b.get(s)
-            if u is not None and (u, lab) not in inc_b[k]:
+        for s, lab in inc_m[n]:
+            if s in mapping and (mapping[s], lab) not in inc_n[k]:
                 return False
         return True
 
@@ -592,8 +591,7 @@ def _isomorphic(gens_m: tuple, edges_m: tuple, gens_n: tuple, edges_n: tuple,
             trials.append(iter(by_sig[sig] if via is None else sorted(
                 k for k, c in via[1][mapping[via[0]]] if c == via[2] and sig_n[k] == sig)))
         for k in trials[-1]:
-            if (k not in inv and kept(n, k, out_m, inc_m, out_n, inc_n, mapping)
-                    and kept(k, n, out_n, inc_n, out_m, inc_m, inv)):
+            if k not in inv and kept(n, k):
                 mapping[n] = k
                 inv[k] = n
                 break

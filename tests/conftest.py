@@ -182,12 +182,9 @@ def verify_sides(C, algo):
 
 
 def search_only(M, N):
-    """isomorphic_d(M, N) with the cycle-word path off: the search's answer."""
-    words, type_d._cycle_words = type_d._cycle_words, lambda gens, edges: None
-    try:
-        return type_d.isomorphic_d(M, N)
-    finally:
-        type_d._cycle_words = words
+    """isomorphic_d(M, N) with the cycle-word path off, through a memo that
+    gives N no words: the search's answer."""
+    return type_d._isomorphic(M.generators, M.arrows, N.generators, N.arrows, {"words": None})
 
 
 def matches_as_the_search_does(M, N) -> int:

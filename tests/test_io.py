@@ -1,10 +1,12 @@
 import collections
+import io
 import json
 import random
+import sys
 
 import pytest
 
-from bhf import cfk, io_formats, ktd, type_d, type_da
+from bhf import cfk, cli, io_formats, ktd, type_d, type_da
 from bhf.algebra import CHORDS, NONZERO, AlgebraElement as A
 from conftest import FIXTURES, FIXTURE_NAMES, TERSE_TREFOIL, load_cfk
 
@@ -103,6 +105,31 @@ def test_detect_kind(any_complex):
     assert kind(TERSE_TREFOIL) == "cfk"
     assert io_formats.parse_cfk(TERSE_TREFOIL) == load_cfk("trefoil_right")
     assert kind(io_formats.write_script([("a", "b")])) == "script"
+
+
+# a document of each kind, as a writer or a person saves it
+_DOCUMENTS = {
+    "cfk": lambda: io_formats.write_cfk(load_cfk("five_gen")),
+    "type_d": lambda: io_formats.write_typed(ktd.ktd_basefree(load_cfk("five_gen"))),
+    "type_da": lambda: io_formats.write_typeda(type_da.builtin_H()),
+    "script": lambda: (FIXTURES / "h_cancellations.script").read_text(encoding="utf-8"),
+    "terse cfk": lambda: TERSE_TREFOIL,
+}
+
+
+@pytest.mark.parametrize("name", _DOCUMENTS)
+def test_a_byte_order_mark_is_ignored(name):
+    # an editor that saves UTF-8 with a BOM puts U+FEFF before the first line
+    text = _DOCUMENTS[name]()
+    read = io_formats.parse_any("\ufeff" + text)
+    assert read == io_formats.parse_any(text)
+    assert read[0] == name.removeprefix("terse ")
+
+
+def test_a_document_of_only_a_byte_order_mark_is_empty(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff"))
+    assert cli.main(["validate", "-"]) == 1
+    assert capsys.readouterr().err == "error: -: empty document\n"
 
 
 def test_envelope_errors():

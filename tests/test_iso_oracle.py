@@ -161,6 +161,17 @@ def test_symmetric_modules_match_as_the_oracle_does():
         assert _check(M, N)
 
 
+def test_one_cycle_and_two_match_as_the_oracle_does():
+    # a rho23 6-cycle against two rho23 3-cycles: equal signatures, and
+    # periodic words, so the search runs and must refuse both ways round
+    one = type_d.make_module([(f"s{i}", A.I1) for i in range(6)],
+                             [DArrow(f"s{i}", f"s{(i + 1) % 6}", A.R23) for i in range(6)])
+    two = type_d.make_module([(f"{c}{i}", A.I1) for c in "ab" for i in range(3)],
+                             [DArrow(f"{c}{i}", f"{c}{(i + 1) % 3}", A.R23)
+                              for c in "ab" for i in range(3)])
+    assert not _check(one, two)
+
+
 def test_equal_modules_match_by_the_identity():
     # a rho23 cycle of length 4: rotation is an automorphism
     cycle = type_d.make_module([(f"s{i}", A.I1) for i in range(4)],

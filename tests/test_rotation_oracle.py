@@ -1,0 +1,87 @@
+"""The elliptic involution as a rotation of letters: an oracle for the box
+with H that does not box.
+
+In Hanselman-Rasmussen-Watson's reading of a reduced type D module as an
+immersed curve in the punctured torus (arXiv 1604.03466), the elliptic
+involution rotates the curve by pi about the puncture.  That moves
+boundary arc i to arc i + 2: rho1 and rho3 trade places, a corner at rho2
+reads as rho123 from the other side and the other way round, so those
+arrows reverse, and rho12 and rho23 keep their label and reverse.  On a
+loop-type module, where every generator meets two arrow ends, of arrows
+to two other generators, this letter map R is the module that H boxes it
+to; off loop-type modules R is no module at all (it is no algebra map:
+rho1 rho2 = rho12, but rho3 rho123 = 0).
+"""
+from bhf import ktd, type_d, type_da
+from bhf.algebra import AlgebraElement as A
+from conftest import FIXTURE_NAMES, load_cfk
+from staircase import mirror, torus_knot
+
+# the label R gives an arrow, and whether R reverses it; idempotents stay
+_ROTATED = {A.R1: (A.R3, False), A.R3: (A.R1, False),
+            A.R2: (A.R123, True), A.R123: (A.R2, True),
+            A.R12: (A.R12, True), A.R23: (A.R23, True)}
+
+
+def rotate(M):
+    """R(M): the letter rotation of each arrow of M."""
+    arrows = []
+    for s, t, c in M.arrows:
+        label, reverse = _ROTATED[c]
+        arrows.append(type_d.DArrow(*((t, s) if reverse else (s, t)), label))
+    return type_d.make_module(M.generators, arrows)
+
+
+def loop_type(M) -> bool:
+    """Whether every generator meets two arrow ends, of arrows to two
+    other generators: no loop, no 2-cycle, no other valence."""
+    ends = {n: [] for n, _ in M.generators}
+    for s, t, _ in M.arrows:
+        ends[s].append(t)
+        ends[t].append(s)
+    return all(len(set(e)) == len(e) == 2 and n not in e for n, e in ends.items())
+
+
+def _minimal(M):
+    return type_d.minimize_d(type_d.reduce_d(M)[0])
+
+
+def _sample():
+    """The fixtures and T(2,3) ... T(7,8) with their mirrors, each built
+    with both algorithms, reduced and minimised, and each of those also
+    boxed with tau_mu, with tau_lambda, and with tau_mu then tau_lambda,
+    minimised after each box: (name, module) pairs."""
+    mu, lam = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
+    knots = [(name, load_cfk(name)) for name in FIXTURE_NAMES]
+    for p in range(2, 8):
+        knots += [(f"T({p},{p + 1})", torus_knot(p, p + 1)),
+                  (f"mirror T({p},{p + 1})", mirror(torus_knot(p, p + 1)))]
+    for name, C in knots:
+        for algo, build in (("basefree", ktd.ktd_basefree), ("basis", ktd.ktd_basis)):
+            M = _minimal(build(C))
+            boxed_mu = _minimal(type_da.box_da_d(mu, M))
+            yield f"{name} {algo}", M
+            yield f"{name} {algo} tau_mu", boxed_mu
+            yield f"{name} {algo} tau_lambda", _minimal(type_da.box_da_d(lam, M))
+            yield f"{name} {algo} tau_mu tau_lambda", _minimal(type_da.box_da_d(lam, boxed_mu))
+
+
+def test_rotation_is_the_box_with_h_on_loop_type_modules():
+    H = type_da.builtin_H()
+    sample = list(_sample())
+    loops = [(name, N) for name, N in sample if loop_type(N)]
+    assert (len(sample), len(loops)) == (136, 132)
+    misses = [name for name, N in loops
+              if type_d.validate_d(rotate(N))
+              or type_d.isomorphic_d(rotate(N), _minimal(type_da.box_da_d(H, N))) is None]
+    assert misses == []
+
+
+def test_rotation_breaks_d_squared_off_loop_type_modules():
+    # the negative control: a twisted five_gen module keeps a generator of
+    # another valence, and R of it is no type D module
+    M = _minimal(ktd.ktd_basefree(load_cfk("five_gen")))
+    N = type_d.reduce_d(type_da.box_da_d(type_da.builtin_tau_lambda(), M))[0]
+    assert not loop_type(N)
+    assert type_d.validate_d(N) == []
+    assert type_d.validate_d(rotate(N)) != []
