@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from . import cfk
 from .algebra import AlgebraElement
-from .type_d import (MATCH_CAP, MATCH_DEPTH, DArrow, TypeDModule, _freeze_d, _graph, _Graph,
-                     _graph_d, _match_up_to_base_change, _minimize, _reduce, make_module)
+from .type_d import (MATCH_CAP, MATCH_DEPTH, DArrow, TypeDModule, _freeze_d, _Graph, _graph_d,
+                     _match_up_to_base_change, _minimize, _reduce, make_module)
 from .type_da import _box_graph, builtin_H, builtin_tau_mu
 
 __all__ = [
@@ -326,10 +326,10 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
     C = cfk._model(C)
     supports = cfk._rank_one(C) if algo == "basefree" else None
     try:
-        left = _graph(*_construction(C, algo, framing, supports)[:2])
+        left = _Graph(*_construction(C, algo, framing, supports)[:2])
         _reduce(left, None)
         left = _minimal(_box_graph(_H, left))
-        right = _graph(*_construction(cfk.flip(C), algo, framing,
+        right = _Graph(*_construction(cfk.flip(C), algo, framing,
                                       supports and supports[::-1])[:2])
     except _Unconverged:
         return VerifyResult("inconclusive", None, "simultaneous simplification "

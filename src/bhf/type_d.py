@@ -110,169 +110,283 @@ def _odd_terms(edges, splits=None) -> list[tuple]:
 
 ARITY_CAP = 8  # inputs a cancellation may give one action
 
-# the label (args, coeff) of each type D coefficient, one tuple shared by
-# every edge, and the labels of the differential: no inputs, an idempotent
-_D_LABEL = {c: ((), c) for c in AlgebraElement}
-_DIFF = frozenset(_D_LABEL[u] for u in _UNITS)
+# the coefficients in value order: a label without inputs is coded by its
+# coefficient's index here, so 1 and 2 code the differential's labels
+_COEFF = tuple(sorted(AlgebraElement))
+_COEFF_CODE = {c: k for k, c in enumerate(_COEFF)}
+_BARE = tuple(((), k) for k in range(len(_COEFF)))  # the labels without inputs
+# the products and factors of coefficient codes, 0 (ZERO) for none:
+# _MUL_CODE[a][b] = ab, _LEFT_FACTOR[m][l] = c with cl = m and
+# _RIGHT_FACTOR[l][m] = c with lc = m; chord intervals concatenate, so at
+# most one c does either
+_MUL_CODE = [[_COEFF_CODE[_MUL[a][b]] for b in _COEFF] for a in _COEFF]
+_LEFT_FACTOR = [[0] * len(_COEFF) for _ in _COEFF]
+_RIGHT_FACTOR = [[0] * len(_COEFF) for _ in _COEFF]
+for _a, _row in enumerate(_MUL_CODE):
+    for _b, _m in enumerate(_row):
+        if _a and _b and _m:
+            _LEFT_FACTOR[_m][_b], _RIGHT_FACTOR[_a][_m] = _a, _b
+
+
+def _bits(labels: int) -> int:
+    """The bits an edge end gives its label code: room for twice ``labels``
+    codes, so that cancellations can intern as many again."""
+    return (2 * labels - 1).bit_length()
 
 
 class _Graph:
-    """Mutable module indexed by adjacency, edited in place and frozen once.
+    """Mutable module, numbered and indexed by adjacency, edited in place
+    and frozen once.
 
-    An edge is (source, target, label) with label = (args, coeff), so a
-    type D arrow is a DA action without inputs.  ``diff`` holds the sorted
-    (source, target) pairs of the differential edges: no inputs and an
-    idempotent coefficient.  The graph carries no tags: _freeze_d takes a
-    module's tags back at the end.
+    The generators are numbered 0 .. N-1 in name order (``names``); an
+    edge end that names no generator, as in an unvalidated module, is
+    numbered among them, with no idempotent, so that the box can refuse
+    it.  A label (inputs, coefficient) has a code: codes 0-8 are the
+    coefficients without inputs in value order (_COEFF), and a label with
+    inputs is interned in ``labels`` when the graph is built or a
+    cancellation makes it.  An edge s -> t with label code k is the end
+    (t << bits) | k in the set ``out[s]`` and (s << bits) | k in
+    ``inc[t]``, whose low bits (``mask``) give k back; ``diff`` holds
+    s * N + t for each differential edge (no inputs, an idempotent
+    coefficient: code 1 or 2), sorted.  A cancelled generator's idempotent
+    and sets are None.  Ids follow names and codes follow coefficients, so
+    these ints sort as the named edges do: diff[0], a seeded choice from
+    diff, the scan order of _minimize and the match, and the frozen arrow
+    order are those of the names.  Names come back in freeze, in replay
+    lookups (``index``) and in error texts.  The graph carries no tags:
+    _freeze_d takes a module's tags back at the end.
     """
 
     def __init__(self, generators, edges):
-        self.generators = generators
-        # generator tuples start (name, left idempotent, ...)
-        self.left = left = {g[0]: g[1] for g in generators}
-        # one entry per generator, made up front: a sink has an empty out-set
-        self.out: dict[str, set] = defaultdict(set, {n: set() for n in left})
-        self.inc: dict[str, set] = defaultdict(set, {n: set() for n in left})
-        self.diff: list[tuple[str, str]] = []
+        """The graph of generator tuples (name, left idempotent, ...) and a
+        list or tuple of distinct edges: arrows (source, target, coeff) of a
+        type D module or actions (source, inputs, coeff, target) of a DA
+        bimodule."""
+        gens = {g[0]: g for g in generators}  # of a repeated name, the last
+        self.labels: list[tuple[tuple, int]] = list(_BARE)
+        self.codes: dict[tuple, int] = {}  # the code of each label with inputs
+        code = _COEFF_CODE  # the code of an edge's last field
+        if edges and len(edges[0]) == 4:  # actions: code their labels, interning
+            new = self.codes.setdefault  # a new label's code: the count before it
+            edges = [(s, t, new((args, code[c]), len(self.codes) + len(_BARE)) if args else code[c])
+                     for s, args, c, t in edges]
+            self.labels += self.codes  # in the order of their codes
+            code = range(len(self.labels))  # each code stands for itself
+        try:
+            self._fill(sorted(gens), edges, code)
+        except KeyError:  # an end that names no generator: numbered too
+            self._fill(sorted({*gens, *(e[0] for e in edges), *(e[1] for e in edges)}), edges, code)
+        self.gens = [gens.get(name) for name in self.names]
+        self.left = [None if g is None else _COEFF_CODE[g[1]] for g in self.gens]
+
+    def _fill(self, names: list, edges: list, code) -> None:
+        """Number names in turn and add the edges (source, target, c), c
+        coded by ``code``."""
+        self.names, n = names, len(names)
+        self.index = index = dict(zip(names, range(n)))
+        self.bits = bits = _bits(len(self.labels))
+        self.mask = (1 << bits) - 1
+        self.out: list[set | None] = [set() for _ in names]
+        self.inc: list[set | None] = [set() for _ in names]
+        self.diff: list[int] = []
         # the edges are distinct (make_module, make_da, the constructions'
         # graphs and the box drop repeats), so this is what toggling each one
         # in would build
         out, inc, diff = self.out, self.inc, self.diff
-        for s, t, label in edges:
-            out[s].add((t, label))
-            inc[t].add((s, label))
-            if label in _DIFF:
-                diff.append((s, t))
+        for s, t, c in edges:
+            s, t, k = index[s], index[t], code[c]
+            out[s].add(t << bits | k)
+            inc[t].add(s << bits | k)
+            if 0 < k < 3:
+                diff.append(s * n + t)
         diff.sort()
 
-    def toggle(self, edges) -> None:
-        """Add each edge (source, target, label) if absent, remove it if
-        present (addition mod 2), in turn."""
-        out, inc, diff = self.out, self.inc, self.diff
-        for s, t, label in edges:
-            out_s, edge = out[s], (t, label)
-            if edge in out_s:
-                out_s.remove(edge)
-                inc[t].remove((s, label))
-                if label in _DIFF:
-                    del diff[bisect_left(diff, (s, t))]
-            else:
-                out_s.add(edge)
-                inc[t].add((s, label))
-                if label in _DIFF:
-                    insort(diff, (s, t))
+    def _code(self, args: tuple, coeff: int) -> int:
+        """The code of the label (args, coeff), args not empty, interned."""
+        label = (args, coeff)
+        code = self.codes.get(label)
+        if code is None:
+            code = self.codes[label] = len(self.labels)
+            self.labels.append(label)
+        return code
 
-    def cancel(self, s: str, t: str) -> None:
+    def _widen(self) -> None:
+        """Give the ends enough bits for every interned code, recoding them."""
+        old, mask, bits = self.bits, self.mask, _bits(len(self.labels))
+
+        def recode(ends):
+            return None if ends is None else {e >> old << bits | e & mask for e in ends}
+        self.out, self.inc = list(map(recode, self.out)), list(map(recode, self.inc))
+        self.bits, self.mask = bits, (1 << bits) - 1
+
+    def live(self) -> list[int]:
+        """The ids of the live generators, in name order."""
+        return [i for i, idem in enumerate(self.left) if idem is not None]
+
+    def toggle(self, edges) -> None:
+        """Add each edge (source id, target id, label code) if absent,
+        remove it if present (addition mod 2), in turn."""
+        out, inc, diff, bits, n = self.out, self.inc, self.diff, self.bits, len(self.names)
+        for s, t, k in edges:
+            out_s, end = out[s], t << bits | k
+            if end in out_s:
+                out_s.remove(end)
+                inc[t].remove(s << bits | k)
+                if 0 < k < 3:
+                    del diff[bisect_left(diff, s * n + t)]
+            else:
+                out_s.add(end)
+                inc[t].add(s << bits | k)
+                if 0 < k < 3:
+                    insort(diff, s * n + t)
+
+    def cancel(self, s: int, t: int) -> None:
         """Cancel the differential edge s -> t (the cancellation lemma).
 
         Every zig-zag x -> t <- s -> y becomes an edge x -> y, possibly
         passing through further edges s -> t ("mids") first.  On type D
         data a second mid multiplies to zero: mids are chords from one
         idempotent to itself.  Every product is taken before the graph is
-        edited, so a refused cancellation leaves the graph as it was.
+        edited, so a refused cancellation leaves its edges as they were: only
+        the labels it interned stay in the table.
         """
-        left, out, inc, diff = self.left, self.out, self.inc, self.diff
-        if s not in left or t not in left or (t, _D_LABEL[left[s]]) not in out[s]:
-            raise ValueError(f"no idempotent arrow {s} -> {t}")
-        ends, outs, ints = (s, t), out[s], inc[t]
-        # the edges out of s, a mid's end written None; an input-free
-        # idempotent mid besides the edge only occurs in malformed data,
-        # where passing through it would never end
-        steps = [(None if y == t else y, lab) for y, lab in outs
-                 if y not in ends or y == t and lab not in _DIFF]
-        zero = AlgebraElement.ZERO
+        left, out, inc, bits, mask = self.left, self.out, self.inc, self.bits, self.mask
+        if left[s] is None or left[t] is None or t << bits | left[s] not in out[s]:
+            raise ValueError(f"no idempotent arrow {self.names[s]} -> {self.names[t]}")
+        outs, ints = out[s], inc[t]
+        # (end, label code) of each edge out of s, a mid's end written None;
+        # an input-free idempotent mid besides the edge only occurs in
+        # malformed data, where passing through it would never end.  Loops,
+        # not comprehensions: a cancellation meets a handful of edges, and
+        # the call a comprehension makes would cost more than its loop
+        steps = []
+        for e in outs:
+            y, k = e >> bits, e & mask
+            if y != s and y != t:
+                steps.append((y, k))
+            elif y == t and not 0 < k < 3:
+                steps.append((None, k))
         toggles = []  # the zig-zag edges x -> y: one made twice cancels mod 2
-        # (x, inputs, coeff) of each path x -> t, and of each path that
-        # passes on through a mid, appended as it is found
-        paths = [(x, args, coeff) for x, (args, coeff) in ints if x not in ends] if steps else ()
-        for x, args, coeff in paths:
-            row = _MUL[coeff]
-            for y, (more, lab) in steps:
-                c = row[lab]
-                if c is zero:
-                    continue
-                if args or more:
-                    if len(args) + len(more) > ARITY_CAP:
-                        raise ValueError(f"cancellation exceeds arity cap {ARITY_CAP}")
-                    label = (args + more, c)
-                else:
-                    label = _D_LABEL[c]
-                if y is None:  # pass through a mid, back to s
-                    paths.append((x, label[0], c))
-                else:
-                    toggles.append((x, y, label))
+        if steps:
+            labels = self.labels
+            # (x, label code) of each path x -> t, and of each path that
+            # passes on through a mid, appended as it is found
+            paths = []
+            for e in ints:
+                x = e >> bits
+                if x != s and x != t:
+                    paths.append((x, e & mask))
+            for x, a in paths:
+                args, coeff = labels[a]
+                row = _MUL_CODE[coeff]
+                for y, b in steps:
+                    more, lab = labels[b]
+                    c = row[lab]
+                    if not c:
+                        continue
+                    if args or more:
+                        if len(args) + len(more) > ARITY_CAP:
+                            raise ValueError(f"cancellation exceeds arity cap {ARITY_CAP}")
+                        c = self._code(args + more, c)
+                    if y is None:  # pass through a mid, back to s
+                        paths.append((x, c))
+                    else:
+                        toggles.append((x, y, c))
+            if len(labels) > 1 << bits:  # a new code needs another bit
+                self._widen()
+                out, inc, bits, mask = self.out, self.inc, self.bits, self.mask
+                outs, ints = out[s], inc[t]
         # no zig-zag edge touches s or t: remove both whole, each edge from
         # the set of its other end, an edge between them from neither
-        del left[s], out[s], inc[t]
-        left.pop(t, None)  # gone already if t is s, as are its two sets
-        for y, lab in outs:
-            if y not in ends:
-                inc[y].remove((s, lab))
-            if lab in _DIFF:
-                del diff[bisect_left(diff, (s, y))]
-        for y, lab in out.pop(t, ()):
-            if y not in ends:
-                inc[y].remove((t, lab))
-            if lab in _DIFF:
-                del diff[bisect_left(diff, (t, y))]
-        for x, lab in ints:
-            if x not in ends:
-                out[x].remove((t, lab))
-                if lab in _DIFF:
-                    del diff[bisect_left(diff, (x, t))]
-        for x, lab in inc.pop(s, ()):
-            if x not in ends:
-                out[x].remove((s, lab))
-                if lab in _DIFF:
-                    del diff[bisect_left(diff, (x, s))]
-        self.toggle(toggles)
+        diff, n = self.diff, len(self.names)
+        left[s] = left[t] = out[s] = inc[t] = None
+        outt, incs = out[t] or (), inc[s] or ()  # none left if t is s
+        out[t] = inc[s] = None
+        st, ts = s << bits, t << bits
+        for e in outs:
+            y, k = e >> bits, e & mask
+            if y != s and y != t:
+                inc[y].remove(st | k)
+            if 0 < k < 3:
+                del diff[bisect_left(diff, s * n + y)]
+        for e in outt:
+            y, k = e >> bits, e & mask
+            if y != s and y != t:
+                inc[y].remove(ts | k)
+            if 0 < k < 3:
+                del diff[bisect_left(diff, t * n + y)]
+        for e in ints:
+            x, k = e >> bits, e & mask
+            if x != s and x != t:
+                out[x].remove(ts | k)
+                if 0 < k < 3:
+                    del diff[bisect_left(diff, x * n + t)]
+        for e in incs:
+            x, k = e >> bits, e & mask
+            if x != s and x != t:
+                out[x].remove(st | k)
+                if 0 < k < 3:
+                    del diff[bisect_left(diff, x * n + s)]
+        if toggles:
+            self.toggle(toggles)
 
-    def toggled(self, gen: str, other: str, coeff: AlgebraElement) -> set:
-        """The edges that replacing gen by gen + coeff*other toggles an odd
-        number of times, read off without editing the graph."""
-        zero = AlgebraElement.ZERO
-        odd: set = set()
-        row = _MUL[coeff]
-        # arrows out of other now also leave gen ...
-        for y, (args, lab) in self.out[other]:
-            if (c := row[lab]) is not zero:
-                odd ^= {(gen, y, (args, c))}
+    def toggled(self, gen: int, other: int, coeff: int) -> set:
+        """The edges (source, target, code) that replacing gen by gen +
+        coeff*other toggles an odd number of times, read off without
+        editing the graph; coeff is a coefficient code, and the graph's
+        labels are all without inputs, as a type D module's are."""
+        bits, mask = self.bits, self.mask
+        row = _MUL_CODE[coeff]
+        # arrows out of other now also leave gen, each once: left
+        # multiplication by coeff is injective where it is nonzero ...
+        odd, loops = set(), set()
+        for e in self.out[other]:
+            if c := row[e & mask]:
+                odd.add((gen, e >> bits, c))
+                if e >> bits == gen:
+                    loops.add(gen << bits | c)
         # ... and the old gen is (new gen) + coeff*other: arrows into gen, a
-        # loop at gen toggled above by an arrow other -> gen among them
-        loops = {(gen, lab) for _, y, lab in odd if y == gen}
-        for x, (args, lab) in self.inc[gen] ^ loops if loops else self.inc[gen]:
-            if (c := _MUL[lab][coeff]) is not zero:
-                odd ^= {(x, other, (args, c))}
+        # loop at gen toggled above by an arrow other -> gen among them; these
+        # are distinct too, but one may be an edge toggled above
+        more = set()
+        for e in self.inc[gen] ^ loops if loops else self.inc[gen]:
+            if c := _MUL_CODE[e & mask][coeff]:
+                more.add((e >> bits, other, c))
+        odd ^= more
         return odd
 
-    def base_change(self, gen: str, other: str, coeff: AlgebraElement) -> set:
+    def base_change(self, gen: int, other: int, coeff: int) -> set:
         """Replace gen by gen + coeff*other: toggle the edges of toggled(gen,
         other, coeff) and return them, so toggling them again undoes it."""
         odd = self.toggled(gen, other, coeff)
         self.toggle(odd)
         return odd
 
-    def change_delta(self, gen: str, other: str, coeff: AlgebraElement) -> int:
+    def change_delta(self, gen: int, other: int, coeff: int) -> int:
         """The change in the number of edges that base_change(gen, other,
         coeff) would make: each toggled edge present goes, each absent comes."""
-        odd = self.toggled(gen, other, coeff)
-        return len(odd) - 2 * sum((t, lab) in self.out[s] for s, t, lab in odd)
+        odd, out, bits = self.toggled(gen, other, coeff), self.out, self.bits
+        delta = len(odd)
+        for s, t, k in odd:
+            if t << bits | k in out[s]:
+                delta -= 2
+        return delta
 
     def freeze(self) -> tuple:
-        """The sorted live generators and edges."""
-        gens = tuple(sorted(g for g in self.generators if g[0] in self.left))
-        edges = sorted((s, t, lab) for s, out in self.out.items() for t, lab in out)
-        return gens, edges
-
-
-def _graph(gens, arrows) -> _Graph:
-    """The module graph of generator tuples and distinct plain (source,
-    target, coeff) arrows: the one reader of type D edges."""
-    return _Graph(gens, ((s, t, _D_LABEL[c]) for s, t, c in arrows))
+        """The live generator tuples and the edges (source, inputs, coeff,
+        target), named and in name order: for a type D module, its arrow order."""
+        names, bits, mask, labels = self.names, self.bits, self.mask, self.labels
+        edges = []
+        for s, ends in zip(names, self.out):
+            if ends:
+                for e in sorted(ends):
+                    args, c = labels[e & mask]
+                    edges.append((s, args, _COEFF[c], names[e >> bits]))
+        return tuple([g for g, idem in zip(self.gens, self.left) if idem is not None]), edges
 
 
 def _graph_d(M: TypeDModule) -> _Graph:
-    return _graph(M.generators, M.arrows)
+    return _Graph(M.generators, M.arrows)
 
 
 def _freeze_d(G: _Graph, tags: dict | None = None) -> TypeDModule:
@@ -280,10 +394,10 @@ def _freeze_d(G: _Graph, tags: dict | None = None) -> TypeDModule:
     the module G was built from) that name no generator G lost."""
     gens, edges = G.freeze()
     if tags:
-        gone = {g[0] for g in G.generators} - G.left.keys()
+        gone = {g[0] for g, idem in zip(G.gens, G.left) if g is not None and idem is None}
         tags = {n: v for n, v in tags.items() if n not in gone}
     # the edges are distinct and already in arrow order
-    return TypeDModule(gens, tuple(_new(DArrow, (s, t, c)) for s, t, (_, c) in edges), tags or {})
+    return TypeDModule(gens, tuple(_new(DArrow, (s, t, c)) for s, _, c, t in edges), tags or {})
 
 
 @dataclass(frozen=True)
@@ -293,16 +407,20 @@ class ReductionTrace:
 
 def _reduce(G: _Graph, order) -> ReductionTrace:
     """Cancel in place until no differential edge remains (see reduce_d)."""
+    names, index = G.names, G.index
     if isinstance(order, (list, tuple)):
         for (s, t) in order:
-            G.cancel(s, t)
+            if s not in index or t not in index:
+                raise ValueError(f"no idempotent arrow {s} -> {t}")
+            G.cancel(index[s], index[t])
         return ReductionTrace(tuple((s, t) for s, t in order))
     rng = random.Random(order) if isinstance(order, int) else None
     trace: list[tuple[str, str]] = []
-    while G.diff:
-        s, t = rng.choice(G.diff) if rng else G.diff[0]
+    diff, n = G.diff, len(names)
+    while diff:
+        s, t = divmod(rng.choice(diff) if rng else diff[0], n)
         G.cancel(s, t)
-        trace.append((s, t))
+        trace.append((names[s], names[t]))
     return ReductionTrace(tuple(trace))
 
 
@@ -317,17 +435,10 @@ def reduce_d(M: TypeDModule, order=None) -> tuple[TypeDModule, ReductionTrace]:
     return _freeze_d(G, M.tags), trace
 
 
-# _LEFT_FACTOR[l][m] = c with c*l = m, _RIGHT_FACTOR[l][m] = c with l*c = m:
-# chord intervals concatenate, so at most one c does either
-_LEFT_FACTOR = {l: {_MUL[c][l]: c for c in NONZERO if _MUL[c][l] is not AlgebraElement.ZERO}
-                for l in AlgebraElement}
-_RIGHT_FACTOR = {l: {_MUL[l][c]: c for c in NONZERO if _MUL[l][c] is not AlgebraElement.ZERO}
-                 for l in AlgebraElement}
-
-
-def _scored_changes(G: _Graph, gen: str) -> list:
+def _scored_changes(G: _Graph, gen: int) -> list:
     """The (other, coeff, delta) of each base change gen -> gen + coeff*other
-    that can remove an arrow of G, in search order; delta is change_delta's.
+    that can remove an arrow of the type D graph G, in search order; other
+    is an id, coeff a code and delta change_delta's.
 
     A change can remove an arrow only by toggling a present one.  A hit
     finds such an arrow, gen -> y: coeff*l beside other -> y: l, or
@@ -336,24 +447,32 @@ def _scored_changes(G: _Graph, gen: str) -> list:
     and an arrow other -> gen: l make a loop gen -> gen: l, through which
     the change toggles gen -> other: l.  So the candidates are the hits and
     the idempotent coeff of each 2-cycle gen <-> other with one label; any
-    other change toggles only absent arrows.  The list is built before it
-    is returned, so the caller may edit G between items if it restores it.
+    other change toggles only absent arrows.  A hit is kept as the int
+    (other << bits) | coeff, so sorting them sorts by other, then coeff.
+    The list is built before it is returned, so the caller may edit G
+    between items if it restores it.
     """
+    out, inc, bits, mask = G.out, G.inc, G.bits, G.mask
     hits: set = set()
-    out = G.out[gen]
-    for y, (args, m) in out:
-        for o, (a, l) in G.inc[y]:
-            if o != gen and a == args and (c := _LEFT_FACTOR[l].get(m)):
-                hits.add((o, c))
-    for x, lab in G.inc[gen]:
-        if x != gen and (x, lab) in out:  # both ends carry lab's idempotent
-            hits.add((x, G.left[gen]))
-        for o, (a, m) in G.out[x]:
-            if o != gen and a == lab[0] and (c := _RIGHT_FACTOR[lab[1]].get(m)):
-                hits.add((o, c))
-    if not hits:  # most generators of a reduced module: nothing to sort or score
-        return []
-    return [(other, c, G.change_delta(gen, other, c)) for other, c in sorted(hits)]
+    ends = out[gen]
+    for e in ends:
+        row = _LEFT_FACTOR[e & mask]
+        for f in inc[e >> bits]:
+            if (c := row[f & mask]) and (o := f >> bits) != gen:
+                hits.add(o << bits | c)
+    for f in inc[gen]:
+        x, lab = f >> bits, f & mask
+        if x != gen and f in ends:  # gen <-> x, one label: both ends carry its idempotent
+            hits.add(x << bits | G.left[gen])
+        row = _RIGHT_FACTOR[lab]
+        for e in out[x]:
+            if (c := row[e & mask]) and (o := e >> bits) != gen:
+                hits.add(o << bits | c)
+    changes = []  # most generators of a reduced module have none
+    for h in sorted(hits):
+        other, c = h >> bits, h & mask
+        changes.append((other, c, G.change_delta(gen, other, c)))
+    return changes
 
 
 def minimize_d(M: TypeDModule) -> TypeDModule:
@@ -374,9 +493,9 @@ def minimize_d(M: TypeDModule) -> TypeDModule:
 
 def _minimize(G: _Graph) -> None:
     """minimize_d in place on the module graph G."""
-    names = sorted(G.left)
+    gens = G.live()
     while True:
-        best = next(((gen, other, c) for gen in names
+        best = next(((gen, other, c) for gen in gens
                      for other, c, delta in _scored_changes(G, gen) if delta < 0), None)
         if best is None:
             return
@@ -412,7 +531,7 @@ def _match_up_to_base_change(left: TypeDModule, right: TypeDModule):
                 continue
             # apply, freeze and undo only the changes that add no arrow
             G = _graph_d(M)
-            for gen, other, coeff, delta in ((gen, *change) for gen in sorted(G.left)
+            for gen, other, coeff, delta in ((gen, *change) for gen in G.live()
                                              for change in _scored_changes(G, gen)):
                 if hit:
                     break

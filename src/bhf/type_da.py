@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import _UNITS, AlgebraElement, CHORDS, is_idempotent, left_idem, multiply, right_idem
-from .type_d import (_WELL_FORMED, DArrow, ReductionTrace, TypeDModule, _graph, _Graph,
-                     _isomorphic, _new, _odd_terms, _reduce)
+from .type_d import (_WELL_FORMED, DArrow, ReductionTrace, TypeDModule, _Graph, _isomorphic,
+                     _new, _odd_terms, _reduce)
 
 __all__ = [
     "DAAction", "TypeDAModule", "make_da",
@@ -283,9 +283,7 @@ def box_da_d(B: TypeDAModule, M: TypeDModule) -> TypeDModule:
 def _box_graph(B: TypeDAModule, G: _Graph) -> _Graph:
     """box_da_d on the live generators and edges of the type D module graph
     G, written into a new graph."""
-    gens, edges = _box(B, G.left.items(), ((s, args, c, t) for s, out in G.out.items()
-                                           for t, (args, c) in out))
-    return _graph(gens, ((s, t, c) for s, _, c, t in edges))
+    return _Graph(*_box(B, *G.freeze()))
 
 
 def box_da_da(B: TypeDAModule, C: TypeDAModule) -> TypeDAModule:
@@ -301,11 +299,10 @@ def reduce_da(B: TypeDAModule, order=None) -> tuple[TypeDAModule, ReductionTrace
     order: None (lexicographic), an int seed, or a replay list of
     (source, target) pairs.
     """
-    G = _Graph(B.generators, ((a.source, a.target, (a.args, a.coeff)) for a in B.actions))
+    G = _Graph(B.generators, B.actions)
     trace = _reduce(G, order)
     gens, edges = G.freeze()
-    return TypeDAModule(gens, tuple(sorted([_new(DAAction, (s, args, c, t))
-                                            for s, t, (args, c) in edges]))), trace
+    return TypeDAModule(gens, tuple(sorted([_new(DAAction, e) for e in edges]))), trace
 
 
 def isomorphic_da(B: TypeDAModule, C: TypeDAModule) -> dict[str, str] | None:

@@ -9,7 +9,7 @@ import random
 
 from bhf import cfk, io_formats, ktd, type_d, type_da
 from bhf.algebra import AlgebraElement as A, multiply
-from conftest import FIXTURES, FIXTURE_NAMES, SIXFOLD, box_word, check_graph, load_cfk
+from conftest import FIXTURES, FIXTURE_NAMES, SIXFOLD, box_word, check_graph, load_cfk, Named
 
 
 def report(number, text):
@@ -146,11 +146,11 @@ def test_criterion_7_structural_invariants():
         G, removed = type_d._graph_d(M), set()
         check_graph(G, removed)
         while True:
-            pairs = [(s, t) for s, t in G.diff if s != t]
+            pairs = [(s, t) for s, t in Named(G).diff if s != t]
             if not pairs:
                 break
             pair = pairs[rng.randrange(len(pairs))]
-            G.cancel(*pair)
+            G.cancel(*map(G.index.get, pair))
             removed.update(pair)
             check_graph(G, removed)
             assert type_d.validate_d(type_d._freeze_d(G)) == []

@@ -12,7 +12,7 @@ to two other generators, this letter map R is the module that H boxes it
 to; off loop-type modules R is no module at all (it is no algebra map:
 rho1 rho2 = rho12, but rho3 rho123 = 0).
 """
-from bhf import ktd, type_d, type_da
+from bhf import cfk, ktd, type_d, type_da
 from bhf.algebra import AlgebraElement as A
 from conftest import FIXTURE_NAMES, load_cfk
 from staircase import mirror, torus_knot
@@ -46,17 +46,31 @@ def _minimal(M):
     return type_d.minimize_d(type_d.reduce_d(M)[0])
 
 
-def _sample():
-    """The fixtures and T(2,3) ... T(7,8) with their mirrors, each built
-    with both algorithms, reduced and minimised, and each of those also
-    boxed with tau_mu, with tau_lambda, and with tau_mu then tau_lambda,
-    minimised after each box: (name, module) pairs."""
-    mu, lam = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
+def _knots():
+    """The fixtures and T(2,3) ... T(7,8) with their mirrors: (name,
+    complex) pairs."""
     knots = [(name, load_cfk(name)) for name in FIXTURE_NAMES]
     for p in range(2, 8):
         knots += [(f"T({p},{p + 1})", torus_knot(p, p + 1)),
                   (f"mirror T({p},{p + 1})", mirror(torus_knot(p, p + 1)))]
-    for name, C in knots:
+    return knots
+
+
+def _cycle(k: int):
+    """k iota1 generators joined in a cycle of rho23 arrows."""
+    return type_d.make_module([(f"s{i}", A.I1) for i in range(k)],
+                              [type_d.DArrow(f"s{i}", f"s{(i + 1) % k}", A.R23) for i in range(k)])
+
+
+def _sample():
+    """The rho23 cycles of length 1 to 6, and the complexes of _knots, each
+    built with both algorithms, reduced and minimised, and each of those
+    also boxed with tau_mu, with tau_lambda, and with tau_mu then
+    tau_lambda, minimised after each box: (name, module) pairs."""
+    mu, lam = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
+    for k in range(1, 7):
+        yield f"rho23 cycle of length {k}", _cycle(k)
+    for name, C in _knots():
         for algo, build in (("basefree", ktd.ktd_basefree), ("basis", ktd.ktd_basis)):
             M = _minimal(build(C))
             boxed_mu = _minimal(type_da.box_da_d(mu, M))
@@ -67,10 +81,12 @@ def _sample():
 
 
 def test_rotation_is_the_box_with_h_on_loop_type_modules():
+    # the rho23 cycles of length 1 and 2 are a loop and a 2-cycle, outside
+    # the guard, but R reverses them as H does too
     H = type_da.builtin_H()
     sample = list(_sample())
-    loops = [(name, N) for name, N in sample if loop_type(N)]
-    assert (len(sample), len(loops)) == (136, 132)
+    loops = [(name, N) for name, N in sample if loop_type(N) or name.startswith("rho23 cycle")]
+    assert (len(sample), len(loops)) == (142, 138)
     misses = [name for name, N in loops
               if type_d.validate_d(rotate(N))
               or type_d.isomorphic_d(rotate(N), _minimal(type_da.box_da_d(H, N))) is None]
@@ -85,3 +101,22 @@ def test_rotation_breaks_d_squared_off_loop_type_modules():
     assert not loop_type(N)
     assert type_d.validate_d(N) == []
     assert type_d.validate_d(rotate(N)) != []
+
+
+def test_rotation_carries_one_basis_construction_onto_the_other():
+    # R of the basis construction of a simultaneously simplified Cs is a
+    # permutation of the construction of flip(Cs), with no reduction, on
+    # either side of n = 2*tau and at it; a complex whose simplification
+    # does not converge, or whose construction refuses it, would be skipped
+    checked, skipped = 0, []
+    for name, C in _knots():
+        Cs = cfk.simultaneous_simplify(C)
+        if Cs is None:
+            skipped.append(f"{name}: simplification did not converge")
+            continue
+        two_tau = ktd.ktd_basis(Cs).tags[ktd.META]["framing"] + 3
+        for n in (two_tau - 2, two_tau - 1, two_tau, two_tau + 1):
+            assert type_d.isomorphic_d(rotate(ktd.ktd_basis(Cs, n)),
+                                       ktd.ktd_basis(cfk.flip(Cs), n)) is not None, (name, n)
+            checked += 1
+    assert (checked, skipped) == (68, [])

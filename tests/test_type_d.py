@@ -9,8 +9,8 @@ import pytest
 from bhf import cfk, io_formats, ktd, type_d, type_da
 from bhf.algebra import _UNITS, NONZERO, AlgebraElement as A, left_idem, multiply, right_idem
 from conftest import (COEFFS, FIXTURE_NAMES, base_change, boxed_complex, check_graph, every_change,
-                      load_cfk, matches_as_the_search_does, random_complex, search_only,
-                      verify_sides)
+                      load_cfk, matches_as_the_search_does, Named, numbered,
+                      random_complex, search_only, verify_sides)
 from staircase import mirror, torus_knot
 
 DArrow = type_d.DArrow
@@ -492,11 +492,11 @@ def test_to_dot(boxed):
 
 
 def edge_count(G):
-    return sum(map(len, G.out.values()))
+    return sum(len(out) for out in G.out if out is not None)
 
 
 def edge_set(G):
-    return {(s, t, lab) for s, out in G.out.items() for t, lab in out}
+    return {(s, t, lab) for s, out in Named(G).out.items() for t, lab in out}
 
 
 def _check_scored_changes(M):
@@ -507,8 +507,8 @@ def _check_scored_changes(M):
     so it adds arrows or changes nothing."""
     G = type_d._graph_d(M)
     idems = M.idems()
-    scored = [(gen, *change) for gen in sorted(idems)
-              for change in type_d._scored_changes(G, gen)]
+    scored = [(gen, G.names[o], type_d._COEFF[c], delta) for gen in sorted(idems)
+              for o, c, delta in type_d._scored_changes(G, G.index[gen])]
     assert type_d._freeze_d(G) == M and edge_count(G) == len(M.arrows)
     oracle = list(every_change(idems))
     rest = iter(oracle)
@@ -517,8 +517,8 @@ def _check_scored_changes(M):
     for change in oracle:
         delta = deltas.get(change)
         if delta is not None:
-            assert G.change_delta(*change) == delta, change
-        toggled = G.base_change(*change)
+            assert G.change_delta(*numbered(G, *change)) == delta, change
+        toggled = G.base_change(*numbered(G, *change))
         if delta is not None:
             assert edge_count(G) - len(M.arrows) == delta, change
         else:
@@ -546,7 +546,8 @@ def scrambled():
             G = type_d._graph_d(R)
             for _ in range(rng.randint(1, 12)):
                 gen, other = rng.sample(names, 2)
-                G.base_change(gen, other, rng.choice(COEFFS[idems[gen], idems[other]]))
+                G.base_change(*numbered(G, gen, other,
+                                        rng.choice(COEFFS[idems[gen], idems[other]])))
             pairs.append((R, type_d._freeze_d(G)))
     return pairs
 
@@ -569,11 +570,13 @@ def test_scored_changes_skip_only_changes_that_remove_no_arrow():
 # _scored_changes, scoring each change of _near_changes by change_delta: the
 # oracle that the candidates _scored_changes picks change nothing.
 def _near_changes(G, idems):
+    # read by name once: each caller undoes a change before the next one
+    N = Named(G)
     for gen in sorted(idems):
-        outs = {y for y, _ in G.out[gen]}
-        ins = {x for x, _ in G.inc[gen]}
-        near = (outs | ins | {o for y in outs for o, _ in G.inc[y]}
-                | {o for x in ins for o, _ in G.out[x]})
+        outs = {y for y, _ in N.out[gen]}
+        ins = {x for x, _ in N.inc[gen]}
+        near = (outs | ins | {o for y in outs for o, _ in N.inc[y]}
+                | {o for x in ins for o, _ in N.out[x]})
         for other in sorted(near - {gen}):
             for coeff in COEFFS[idems[gen], idems[other]]:
                 yield gen, other, coeff
@@ -583,9 +586,9 @@ def _minimize_by_scan(M):
     idems = M.idems()
     G = type_d._graph_d(M)
     while True:
-        for gen, other, coeff in _near_changes(G, idems):
-            if G.change_delta(gen, other, coeff) < 0:
-                G.base_change(gen, other, coeff)
+        for change in _near_changes(G, idems):
+            if G.change_delta(*numbered(G, *change)) < 0:
+                G.base_change(*numbered(G, *change))
                 break
         else:
             return type_d._freeze_d(G)
@@ -604,12 +607,12 @@ def _match_by_scan(left, right, depth=type_d.MATCH_DEPTH, cap=type_d.MATCH_CAP):
             if level == depth:
                 continue
             G = type_d._graph_d(M)
-            for gen, other, coeff in _near_changes(G, M.idems()):
+            for change in _near_changes(G, M.idems()):
                 if hit:
                     break
-                if G.change_delta(gen, other, coeff) > 0:
+                if G.change_delta(*numbered(G, *change)) > 0:
                     continue
-                toggled = G.base_change(gen, other, coeff)
+                toggled = G.base_change(*numbered(G, *change))
                 cand = type_d._freeze_d(G)
                 if cand.arrows not in seen and not (hit := len(seen) > cap):
                     seen.add(cand.arrows)
@@ -643,13 +646,13 @@ def _sequential_base_change(G, gen, other, coeff):
     """base_change as it was before _Graph.toggled: toggle coeff times each
     arrow out of other as an arrow out of gen, then reread the arrows into
     gen, a loop just toggled among them, and toggle a copy of each into
-    other; returns the edges toggled, in order."""
-    done = [(gen, y, (args, c)) for y, (args, lab) in G.out[other]
+    other; returns the edges toggled, in order, by name."""
+    done = [(gen, y, (args, c)) for y, (args, lab) in Named(G, other).out[other]
             if (c := multiply(coeff, lab)) is not A.ZERO]
-    G.toggle(done)
-    more = [(x, other, (args, c)) for x, (args, lab) in G.inc[gen]
+    G.toggle(numbered(G, *e) for e in done)
+    more = [(x, other, (args, c)) for x, (args, lab) in Named(G, gen).inc[gen]
             if (c := multiply(lab, coeff)) is not A.ZERO]
-    G.toggle(more)
+    G.toggle(numbered(G, *e) for e in more)
     return done + more
 
 
@@ -660,13 +663,13 @@ def _check_change_delta(M):
     returns the number of changes checked."""
     G = type_d._graph_d(M)
     changes = list(every_change(M.idems()))
-    deltas = [G.change_delta(*change) for change in changes]
+    deltas = [G.change_delta(*numbered(G, *change)) for change in changes]
     assert type_d._freeze_d(G) == M and edge_count(G) == len(M.arrows)
     for change, delta in zip(changes, deltas):
         toggled = _sequential_base_change(G, *change)
         oracle = edge_set(G)
-        G.toggle(reversed(toggled))
-        toggled = G.base_change(*change)
+        G.toggle(numbered(G, *e) for e in reversed(toggled))
+        toggled = G.base_change(*numbered(G, *change))
         assert edge_count(G) - len(M.arrows) == delta, change
         assert edge_set(G) == oracle, change
         G.toggle(toggled)
@@ -722,15 +725,16 @@ def test_scored_changes_rule_on_random_modules():
                     arrows.add(DArrow(t, s, c))
         G = type_d._graph_d(type_d.make_module(idems.items(), arrows))
         present = edge_set(G)
-        scored = {(gen, o, c): delta for gen in idems
-                  for o, c, delta in type_d._scored_changes(G, gen)}
+        scored = {(gen, G.names[o], type_d._COEFF[c]): delta for gen in idems
+                  for o, c, delta in type_d._scored_changes(G, G.index[gen])}
         for change in every_change(idems):
             checked += 1
             if change in scored:
                 kept += 1
-                assert scored[change] == G.change_delta(*change), (seed, change)
+                assert scored[change] == G.change_delta(*numbered(G, *change)), (seed, change)
             else:
-                assert not G.toggled(*change) & present, (seed, change)
+                assert not Named(G).edges(G.toggled(*numbered(G, *change))) & present, \
+                    (seed, change)
     assert checked > 50000 and kept > 5000
 
 
@@ -738,7 +742,7 @@ def _oracle_cancel(G, s, t):
     """_Graph.cancel as it was before the shared labels: a label tuple per
     edge, the differential rule written out at each use, a recursive
     closure calling multiply per product, and the old toggle per edge made
-    an odd number of times."""
+    an odd number of times; on a graph read by name (conftest.Named)."""
     def differential(lab):
         return not lab[0] and lab[1] in _UNITS
 
@@ -794,24 +798,25 @@ def _oracle_cancel(G, s, t):
                 bisect.insort(G.diff, (x, y))
 
 
-def _graph_state(G):
-    return dict(G.out), dict(G.inc), list(G.diff), dict(G.left)
+def _graph_state(N):
+    return N.out, N.inc, N.diff, N.left
 
 
 def _check_cancel_against_oracle(make_graph, seed):
     """A seeded reduction of make_graph(), cancelling with _Graph.cancel on
-    one copy and _oracle_cancel on another, leaves both copies the same and
-    consistent (conftest.check_graph) after every step; returns the number
-    of steps."""
-    G, H = make_graph(), make_graph()
+    one copy and _oracle_cancel on another, read by name, leaves both copies
+    the same and consistent (conftest.check_graph) after every step;
+    returns the number of steps."""
+    G, H = make_graph(), Named(make_graph())
     rng, removed = random.Random(seed), set()
     check_graph(G, removed)
     steps = 0
     while G.diff:
-        s, t = rng.choice(G.diff)
-        G.cancel(s, t)
+        i, j = divmod(rng.choice(G.diff), len(G.names))
+        s, t = G.names[i], G.names[j]
+        G.cancel(i, j)
         _oracle_cancel(H, s, t)
-        assert _graph_state(G) == _graph_state(H), (s, t)
+        assert _graph_state(Named(G)) == _graph_state(H), (s, t)
         removed.update((s, t))
         check_graph(G, removed)
         steps += 1
@@ -820,8 +825,7 @@ def _check_cancel_against_oracle(make_graph, seed):
 
 
 def _da_graph(B):
-    return type_d._Graph(B.generators, ((a.source, a.target, (a.args, a.coeff))
-                                        for a in B.actions))
+    return type_d._Graph(B.generators, B.actions)
 
 
 def _oracle_modules():
@@ -893,21 +897,22 @@ def test_cancel_raises_as_the_frozen_oracle():
     D = ktd.ktd_basefree(load_cfk("trefoil_right"))
     x, y = next((a.source, a.target) for a in D.arrows if a.label not in (A.I0, A.I1))
     many = (A.R12,) * 5, (A.R23,) * 4
-    wide = [("s", "t", ((), A.I0)), ("x", "t", (many[0], A.I0)), ("s", "y", (many[1], A.R1))]
+    wide = [("s", (), A.I0, "t"), ("x", many[0], A.I0, "t"), ("s", many[1], A.R1, "y")]
     cases = [(functools.partial(type_d._graph_d, D), pair, "no idempotent arrow")
              for pair in [(x, y), (x, "nowhere"), ("nowhere", y), (y, y)]]
     cases.append((lambda: type_d._Graph([("s", A.I0), ("t", A.I0), ("x", A.I0), ("y", A.I1)],
                                         wide), ("s", "t"), "arity cap"))
     # a mid with an input and an idempotent output can be passed through
     # again and again: the cap ends it
-    looping = wide[:2] + [("s", "t", ((A.R12,), A.I0)), ("s", "y", ((), A.R1))]
+    looping = wide[:2] + [("s", (A.R12,), A.I0, "t"), ("s", (), A.R1, "y")]
     cases.append((lambda: type_d._Graph([("s", A.I0), ("t", A.I0), ("x", A.I0), ("y", A.I1)],
                                         looping), ("s", "t"), "arity cap"))
     for make_graph, (s, t), message in cases:
-        G, H = make_graph(), make_graph()
+        # the pair is replayed: a name no generator has is refused there
+        G, H = make_graph(), Named(make_graph())
         with pytest.raises(ValueError, match=message) as new:
-            G.cancel(s, t)
+            type_d._reduce(G, [(s, t)])
         with pytest.raises(ValueError, match=message) as old:
             _oracle_cancel(H, s, t)
         assert str(new.value) == str(old.value)
-        assert _graph_state(G) == _graph_state(H)
+        assert _graph_state(Named(G)) == _graph_state(H)
