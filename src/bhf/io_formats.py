@@ -368,4 +368,25 @@ def write_typeda(B: TypeDAModule) -> str:
 
 
 def write_script(pairs) -> str:
-    return "".join(f"{a} -> {b}\n" for a, b in pairs)
+    """The terse script of pairs, a line "from -> to" each.  The text is
+    read back, and a ValueError names the first pair that would not come
+    back as it was: a name that is empty, has outer spaces or holds "->",
+    "#" or a line break, or a first name that opens a JSON document."""
+    pairs = [(a, b) for a, b in pairs]
+    lines = [f"{a} -> {b}\n" for a, b in pairs]
+    text = "".join(lines)
+    if pairs and _read_back(text) != pairs:
+        # a line reads alone as it does in the text, but for the text's opening
+        bad = next((p for p, line in zip(pairs, lines) if _read_back(line, alone=True) != [p]),
+                   pairs[0])
+        raise ValueError(f"script pair {bad!r} would not read back as written")
+    return text
+
+
+def _read_back(text: str, alone: bool = False) -> list | None:
+    """The pairs parse_script reads from text, or None if it refuses it;
+    alone: from its lines, without the checks on a document's opening."""
+    try:
+        return _script_lines(_code_lines(text)) if alone else parse_script(text)
+    except ParseError:
+        return None

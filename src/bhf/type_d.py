@@ -128,12 +128,6 @@ for _a, _row in enumerate(_MUL_CODE):
             _LEFT_FACTOR[_m][_b], _RIGHT_FACTOR[_a][_m] = _a, _b
 
 
-def _bits(labels: int) -> int:
-    """The bits an edge end gives its label code: room for twice ``labels``
-    codes, so that cancellations can intern as many again."""
-    return (2 * labels - 1).bit_length()
-
-
 class _Graph:
     """Mutable module, numbered and indexed by adjacency, edited in place
     and frozen once.
@@ -144,17 +138,17 @@ class _Graph:
     it.  A label (inputs, coefficient) has a code: codes 0-8 are the
     coefficients without inputs in value order (_COEFF), and a label with
     inputs is interned in ``labels`` when the graph is built or a
-    cancellation makes it.  An edge s -> t with label code k is the end
-    (t << bits) | k in the set ``out[s]`` and (s << bits) | k in
-    ``inc[t]``, whose low bits (``mask``) give k back; ``diff`` holds
+    cancellation makes it.  An edge s -> t with label code k is the pair
+    (t, k) in the set ``out[s]`` and (s, k) in ``inc[t]``; ``diff`` holds
     s * N + t for each differential edge (no inputs, an idempotent
     coefficient: code 1 or 2), sorted.  A cancelled generator's idempotent
     and sets are None.  Ids follow names and codes follow coefficients, so
-    these ints sort as the named edges do: diff[0], a seeded choice from
-    diff, the scan order of _minimize and the match, and the frozen arrow
-    order are those of the names.  Names come back in freeze, in replay
-    lookups (``index``) and in error texts.  The graph carries no tags:
-    _freeze_d takes a module's tags back at the end.
+    the ints of diff and the pairs, compared as tuples, sort as the named
+    edges do: diff[0], a seeded choice from diff, the scan order of
+    _minimize and the match, and the frozen arrow order, (target, code)
+    per source, are those of the names.  Names come back in freeze, in
+    replay lookups (``index``) and in error texts.  The graph carries no
+    tags: _freeze_d takes a module's tags back at the end.
     """
 
     def __init__(self, generators, edges):
@@ -167,10 +161,8 @@ class _Graph:
         self.codes: dict[tuple, int] = {}  # the code of each label with inputs
         code = _COEFF_CODE  # the code of an edge's last field
         if edges and len(edges[0]) == 4:  # actions: code their labels, interning
-            new = self.codes.setdefault  # a new label's code: the count before it
-            edges = [(s, t, new((args, code[c]), len(self.codes) + len(_BARE)) if args else code[c])
+            edges = [(s, t, self._code(args, code[c]) if args else code[c])
                      for s, args, c, t in edges]
-            self.labels += self.codes  # in the order of their codes
             code = range(len(self.labels))  # each code stands for itself
         try:
             self._fill(sorted(gens), edges, code)
@@ -184,8 +176,6 @@ class _Graph:
         coded by ``code``."""
         self.names, n = names, len(names)
         self.index = index = dict(zip(names, range(n)))
-        self.bits = bits = _bits(len(self.labels))
-        self.mask = (1 << bits) - 1
         self.out: list[set | None] = [set() for _ in names]
         self.inc: list[set | None] = [set() for _ in names]
         self.diff: list[int] = []
@@ -195,8 +185,8 @@ class _Graph:
         out, inc, diff = self.out, self.inc, self.diff
         for s, t, c in edges:
             s, t, k = index[s], index[t], code[c]
-            out[s].add(t << bits | k)
-            inc[t].add(s << bits | k)
+            out[s].add((t, k))
+            inc[t].add((s, k))
             if 0 < k < 3:
                 diff.append(s * n + t)
         diff.sort()
@@ -210,15 +200,6 @@ class _Graph:
             self.labels.append(label)
         return code
 
-    def _widen(self) -> None:
-        """Give the ends enough bits for every interned code, recoding them."""
-        old, mask, bits = self.bits, self.mask, _bits(len(self.labels))
-
-        def recode(ends):
-            return None if ends is None else {e >> old << bits | e & mask for e in ends}
-        self.out, self.inc = list(map(recode, self.out)), list(map(recode, self.inc))
-        self.bits, self.mask = bits, (1 << bits) - 1
-
     def live(self) -> list[int]:
         """The ids of the live generators, in name order."""
         return [i for i, idem in enumerate(self.left) if idem is not None]
@@ -226,17 +207,17 @@ class _Graph:
     def toggle(self, edges) -> None:
         """Add each edge (source id, target id, label code) if absent,
         remove it if present (addition mod 2), in turn."""
-        out, inc, diff, bits, n = self.out, self.inc, self.diff, self.bits, len(self.names)
+        out, inc, diff, n = self.out, self.inc, self.diff, len(self.names)
         for s, t, k in edges:
-            out_s, end = out[s], t << bits | k
+            out_s, end = out[s], (t, k)
             if end in out_s:
                 out_s.remove(end)
-                inc[t].remove(s << bits | k)
+                inc[t].remove((s, k))
                 if 0 < k < 3:
                     del diff[bisect_left(diff, s * n + t)]
             else:
                 out_s.add(end)
-                inc[t].add(s << bits | k)
+                inc[t].add((s, k))
                 if 0 < k < 3:
                     insort(diff, s * n + t)
 
@@ -250,8 +231,8 @@ class _Graph:
         edited, so a refused cancellation leaves its edges as they were: only
         the labels it interned stay in the table.
         """
-        left, out, inc, bits, mask = self.left, self.out, self.inc, self.bits, self.mask
-        if left[s] is None or left[t] is None or t << bits | left[s] not in out[s]:
+        left, out, inc = self.left, self.out, self.inc
+        if left[s] is None or left[t] is None or (t, left[s]) not in out[s]:
             raise ValueError(f"no idempotent arrow {self.names[s]} -> {self.names[t]}")
         outs, ints = out[s], inc[t]
         # (end, label code) of each edge out of s, a mid's end written None;
@@ -260,8 +241,7 @@ class _Graph:
         # not comprehensions: a cancellation meets a handful of edges, and
         # the call a comprehension makes would cost more than its loop
         steps = []
-        for e in outs:
-            y, k = e >> bits, e & mask
+        for y, k in outs:
             if y != s and y != t:
                 steps.append((y, k))
             elif y == t and not 0 < k < 3:
@@ -272,10 +252,9 @@ class _Graph:
             # (x, label code) of each path x -> t, and of each path that
             # passes on through a mid, appended as it is found
             paths = []
-            for e in ints:
-                x = e >> bits
+            for x, k in ints:
                 if x != s and x != t:
-                    paths.append((x, e & mask))
+                    paths.append((x, k))
             for x, a in paths:
                 args, coeff = labels[a]
                 row = _MUL_CODE[coeff]
@@ -292,39 +271,30 @@ class _Graph:
                         paths.append((x, c))
                     else:
                         toggles.append((x, y, c))
-            if len(labels) > 1 << bits:  # a new code needs another bit
-                self._widen()
-                out, inc, bits, mask = self.out, self.inc, self.bits, self.mask
-                outs, ints = out[s], inc[t]
         # no zig-zag edge touches s or t: remove both whole, each edge from
         # the set of its other end, an edge between them from neither
         diff, n = self.diff, len(self.names)
         left[s] = left[t] = out[s] = inc[t] = None
         outt, incs = out[t] or (), inc[s] or ()  # none left if t is s
         out[t] = inc[s] = None
-        st, ts = s << bits, t << bits
-        for e in outs:
-            y, k = e >> bits, e & mask
+        for y, k in outs:
             if y != s and y != t:
-                inc[y].remove(st | k)
+                inc[y].remove((s, k))
             if 0 < k < 3:
                 del diff[bisect_left(diff, s * n + y)]
-        for e in outt:
-            y, k = e >> bits, e & mask
+        for y, k in outt:
             if y != s and y != t:
-                inc[y].remove(ts | k)
+                inc[y].remove((t, k))
             if 0 < k < 3:
                 del diff[bisect_left(diff, t * n + y)]
-        for e in ints:
-            x, k = e >> bits, e & mask
+        for x, k in ints:
             if x != s and x != t:
-                out[x].remove(ts | k)
+                out[x].remove((t, k))
                 if 0 < k < 3:
                     del diff[bisect_left(diff, x * n + t)]
-        for e in incs:
-            x, k = e >> bits, e & mask
+        for x, k in incs:
             if x != s and x != t:
-                out[x].remove(st | k)
+                out[x].remove((s, k))
                 if 0 < k < 3:
                     del diff[bisect_left(diff, x * n + s)]
         if toggles:
@@ -335,23 +305,22 @@ class _Graph:
         coeff*other toggles an odd number of times, read off without
         editing the graph; coeff is a coefficient code, and the graph's
         labels are all without inputs, as a type D module's are."""
-        bits, mask = self.bits, self.mask
         row = _MUL_CODE[coeff]
         # arrows out of other now also leave gen, each once: left
         # multiplication by coeff is injective where it is nonzero ...
         odd, loops = set(), set()
-        for e in self.out[other]:
-            if c := row[e & mask]:
-                odd.add((gen, e >> bits, c))
-                if e >> bits == gen:
-                    loops.add(gen << bits | c)
+        for y, k in self.out[other]:
+            if c := row[k]:
+                odd.add((gen, y, c))
+                if y == gen:
+                    loops.add((gen, c))
         # ... and the old gen is (new gen) + coeff*other: arrows into gen, a
         # loop at gen toggled above by an arrow other -> gen among them; these
         # are distinct too, but one may be an edge toggled above
         more = set()
-        for e in self.inc[gen] ^ loops if loops else self.inc[gen]:
-            if c := _MUL_CODE[e & mask][coeff]:
-                more.add((e >> bits, other, c))
+        for x, k in self.inc[gen] ^ loops if loops else self.inc[gen]:
+            if c := _MUL_CODE[k][coeff]:
+                more.add((x, other, c))
         odd ^= more
         return odd
 
@@ -365,23 +334,19 @@ class _Graph:
     def change_delta(self, gen: int, other: int, coeff: int) -> int:
         """The change in the number of edges that base_change(gen, other,
         coeff) would make: each toggled edge present goes, each absent comes."""
-        odd, out, bits = self.toggled(gen, other, coeff), self.out, self.bits
-        delta = len(odd)
-        for s, t, k in odd:
-            if t << bits | k in out[s]:
-                delta -= 2
-        return delta
+        odd, out = self.toggled(gen, other, coeff), self.out
+        return len(odd) - 2 * sum((t, k) in out[s] for s, t, k in odd)
 
     def freeze(self) -> tuple:
         """The live generator tuples and the edges (source, inputs, coeff,
         target), named and in name order: for a type D module, its arrow order."""
-        names, bits, mask, labels = self.names, self.bits, self.mask, self.labels
+        names, labels = self.names, self.labels
         edges = []
         for s, ends in zip(names, self.out):
             if ends:
-                for e in sorted(ends):
-                    args, c = labels[e & mask]
-                    edges.append((s, args, _COEFF[c], names[e >> bits]))
+                for t, k in sorted(ends):
+                    args, c = labels[k]
+                    edges.append((s, args, _COEFF[c], names[t]))
         return tuple([g for g, idem in zip(self.gens, self.left) if idem is not None]), edges
 
 
@@ -414,7 +379,11 @@ def _reduce(G: _Graph, order) -> ReductionTrace:
                 raise ValueError(f"no idempotent arrow {s} -> {t}")
             G.cancel(index[s], index[t])
         return ReductionTrace(tuple((s, t) for s, t in order))
-    rng = random.Random(order) if isinstance(order, int) else None
+    if order is not None and not isinstance(order, int):
+        hint = "; pass trace.pairs" if isinstance(order, ReductionTrace) else ""
+        raise TypeError("order must be None, an int seed or a list or tuple of (source, target)"
+                        f" pairs, not {type(order).__name__}{hint}")
+    rng = None if order is None else random.Random(order)
     trace: list[tuple[str, str]] = []
     diff, n = G.diff, len(names)
     while diff:
@@ -428,7 +397,8 @@ def reduce_d(M: TypeDModule, order=None) -> tuple[TypeDModule, ReductionTrace]:
     """Cancel idempotent arrows until none remain.
 
     order: None for deterministic lexicographic choice, an int seed for a
-    random order, or an explicit list of (source, target) pairs to replay.
+    random order, or an explicit list or tuple of (source, target) pairs to
+    replay (a trace's ``pairs``); any other kind is a TypeError.
     """
     G = _graph_d(M)
     trace = _reduce(G, order)
@@ -447,30 +417,28 @@ def _scored_changes(G: _Graph, gen: int) -> list:
     and an arrow other -> gen: l make a loop gen -> gen: l, through which
     the change toggles gen -> other: l.  So the candidates are the hits and
     the idempotent coeff of each 2-cycle gen <-> other with one label; any
-    other change toggles only absent arrows.  A hit is kept as the int
-    (other << bits) | coeff, so sorting them sorts by other, then coeff.
-    The list is built before it is returned, so the caller may edit G
-    between items if it restores it.
+    other change toggles only absent arrows.  A hit is kept as the pair
+    (other, coeff), so sorting them sorts by other, then coeff.  The list
+    is built before it is returned, so the caller may edit G between items
+    if it restores it.
     """
-    out, inc, bits, mask = G.out, G.inc, G.bits, G.mask
+    out, inc = G.out, G.inc
     hits: set = set()
     ends = out[gen]
-    for e in ends:
-        row = _LEFT_FACTOR[e & mask]
-        for f in inc[e >> bits]:
-            if (c := row[f & mask]) and (o := f >> bits) != gen:
-                hits.add(o << bits | c)
-    for f in inc[gen]:
-        x, lab = f >> bits, f & mask
-        if x != gen and f in ends:  # gen <-> x, one label: both ends carry its idempotent
-            hits.add(x << bits | G.left[gen])
+    for y, lab in ends:
+        row = _LEFT_FACTOR[lab]
+        for o, k in inc[y]:
+            if (c := row[k]) and o != gen:
+                hits.add((o, c))
+    for x, lab in inc[gen]:
+        if x != gen and (x, lab) in ends:  # gen <-> x, one label: both ends carry its idempotent
+            hits.add((x, G.left[gen]))
         row = _RIGHT_FACTOR[lab]
-        for e in out[x]:
-            if (c := row[e & mask]) and (o := e >> bits) != gen:
-                hits.add(o << bits | c)
+        for o, k in out[x]:
+            if (c := row[k]) and o != gen:
+                hits.add((o, c))
     changes = []  # most generators of a reduced module have none
-    for h in sorted(hits):
-        other, c = h >> bits, h & mask
+    for other, c in sorted(hits):
         changes.append((other, c, G.change_delta(gen, other, c)))
     return changes
 

@@ -523,9 +523,9 @@ class Named:
         self.G, self.ids = G, [G.index[g] for g in gens] or range(len(G.names))
 
     def _ends(self, sets) -> dict:
-        names, bits, mask = self.G.names, self.G.bits, self.G.mask
+        names = self.G.names
         labels = [(args, type_d._COEFF[c]) for args, c in self.G.labels]
-        return {names[i]: {(names[e >> bits], labels[e & mask]) for e in sets[i]}
+        return {names[i]: {(names[j], labels[k]) for j, k in sets[i]}
                 for i in self.ids if sets[i] is not None}
 
     @functools.cached_property

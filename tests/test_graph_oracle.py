@@ -86,14 +86,7 @@ def test_reduce_minimize_and_match_as_the_name_keyed_graph():
     assert checked >= 30
 
 
-@pytest.mark.parametrize("room", [True, False])
-def test_the_sixfold_product_reduces_as_with_the_name_keyed_graph(room, monkeypatch):
-    # without room for new labels, each graph's ends are recoded with one
-    # more bit as its cancellations intern labels past a power of two
-    if not room:
-        monkeypatch.setattr(type_d, "_bits", lambda labels: (labels - 1).bit_length())
-    widened, widen = [], type_d._Graph._widen
-    monkeypatch.setattr(type_d._Graph, "_widen", lambda G: widened.append(G.bits) or widen(G))
+def test_the_sixfold_product_reduces_as_with_the_name_keyed_graph():
     script = io_formats.parse_script((FIXTURES / "h_cancellations.script").read_text("utf-8"))
     sixfold = box_word(SIXFOLD)
     for B, orders in ((sixfold, [None, script, *range(20)]),
@@ -103,7 +96,6 @@ def test_the_sixfold_product_reduces_as_with_the_name_keyed_graph(room, monkeypa
             assert got == oracle_reduce_da(B, order)
             assert type_da.reduce_da(B, list(got[1].pairs)) == got
             assert type_da.isomorphic_da(got[0], type_da.builtin_H()) is not None
-    assert bool(widened) is not room
 
 
 def _refusal(run):

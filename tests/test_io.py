@@ -2,6 +2,7 @@ import collections
 import io
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -75,6 +76,24 @@ def test_typeda_round_trip():
 def test_script_round_trip():
     pairs = [("a⊗b", "c⊗d"), ("x", "y")]
     assert io_formats.parse_script(io_formats.write_script(pairs)) == pairs
+
+
+def test_script_writer_refuses_pairs_that_would_not_read_back():
+    # a "#" starts a comment, "->" and a line break make another field or
+    # line, and outer spaces are stripped: each would come back otherwise
+    for pairs in ([("a#1", "b")], [("a->x", "b")], [("a", "x\ny")], [(" a", "b ")]):
+        with pytest.raises(ValueError, match="would not read back") as info:
+            io_formats.write_script(pairs)
+        assert repr(pairs[0]) in str(info.value)
+    # the first pair that would not come back is named
+    with pytest.raises(ValueError, match=re.escape(repr(("b", "c#")))):
+        io_formats.write_script([("a", "b"), ("b", "c#"), ("d ", "e")])
+    # only the first name opens the document; a space inside a name stays
+    pairs = [("x", "y"), ("{a", "b c")]
+    assert io_formats.parse_script(io_formats.write_script(pairs)) == pairs
+    with pytest.raises(ValueError, match=re.escape(repr(("{a", "b c")))):
+        io_formats.write_script(pairs[::-1])
+    assert io_formats.write_script([]) == ""
 
 
 def test_script_fixture_parses():

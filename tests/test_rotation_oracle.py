@@ -12,9 +12,11 @@ to two other generators, this letter map R is the module that H boxes it
 to; off loop-type modules R is no module at all (it is no algebra map:
 rho1 rho2 = rho12, but rho3 rho123 = 0).
 """
+import random
+
 from bhf import cfk, ktd, type_d, type_da
 from bhf.algebra import AlgebraElement as A
-from conftest import FIXTURE_NAMES, load_cfk
+from conftest import FIXTURE_NAMES, boxed_complex, load_cfk, random_complex
 from staircase import mirror, torus_knot
 
 # the label R gives an arrow, and whether R reverses it; idempotents stay
@@ -62,35 +64,71 @@ def _cycle(k: int):
                               [type_d.DArrow(f"s{i}", f"s{(i + 1) % k}", A.R23) for i in range(k)])
 
 
-def _sample():
-    """The rho23 cycles of length 1 to 6, and the complexes of _knots, each
-    built with both algorithms, reduced and minimised, and each of those
-    also boxed with tau_mu, with tau_lambda, and with tau_mu then
+def _twisted(name: str, M):
+    """M, and M boxed with tau_mu, with tau_lambda, and with tau_mu then
     tau_lambda, minimised after each box: (name, module) pairs."""
     mu, lam = type_da.builtin_tau_mu(), type_da.builtin_tau_lambda()
+    boxed_mu = _minimal(type_da.box_da_d(mu, M))
+    yield name, M
+    yield f"{name} tau_mu", boxed_mu
+    yield f"{name} tau_lambda", _minimal(type_da.box_da_d(lam, M))
+    yield f"{name} tau_mu tau_lambda", _minimal(type_da.box_da_d(lam, boxed_mu))
+
+
+_ALGOS = (("basefree", ktd.ktd_basefree), ("basis", ktd.ktd_basis))
+
+
+def _sample():
+    """The rho23 cycles of length 1 to 6, and the complexes of _knots, each
+    built with both algorithms, reduced and minimised, then _twisted."""
     for k in range(1, 7):
         yield f"rho23 cycle of length {k}", _cycle(k)
     for name, C in _knots():
-        for algo, build in (("basefree", ktd.ktd_basefree), ("basis", ktd.ktd_basis)):
-            M = _minimal(build(C))
-            boxed_mu = _minimal(type_da.box_da_d(mu, M))
-            yield f"{name} {algo}", M
-            yield f"{name} {algo} tau_mu", boxed_mu
-            yield f"{name} {algo} tau_lambda", _minimal(type_da.box_da_d(lam, M))
-            yield f"{name} {algo} tau_mu tau_lambda", _minimal(type_da.box_da_d(lam, boxed_mu))
+        for algo, build in _ALGOS:
+            yield from _twisted(f"{name} {algo}", _minimal(build(C)))
+
+
+def _misses(loops) -> list:
+    """The names of the (name, module) pairs on which R is no module or not
+    the module that H boxes it to."""
+    H = type_da.builtin_H()
+    return [name for name, N in loops
+            if type_d.validate_d(rotate(N))
+            or type_d.isomorphic_d(rotate(N), _minimal(type_da.box_da_d(H, N))) is None]
 
 
 def test_rotation_is_the_box_with_h_on_loop_type_modules():
     # the rho23 cycles of length 1 and 2 are a loop and a 2-cycle, outside
     # the guard, but R reverses them as H does too
-    H = type_da.builtin_H()
     sample = list(_sample())
     loops = [(name, N) for name, N in sample if loop_type(N) or name.startswith("rho23 cycle")]
     assert (len(sample), len(loops)) == (142, 138)
-    misses = [name for name, N in loops
-              if type_d.validate_d(rotate(N))
-              or type_d.isomorphic_d(rotate(N), _minimal(type_da.box_da_d(H, N))) is None]
-    assert misses == []
+    assert _misses(loops) == []
+
+
+def test_rotation_is_the_box_with_h_on_the_corpora():
+    # three seeded draws of each fixture from each corpus, built with both
+    # algorithms, reduced and minimised, then _twisted; a random draw may be
+    # no knot complex, and then both constructions refuse it
+    rng, sample, refused = random.Random(15), [], []
+    for name in FIXTURE_NAMES:
+        for make, seeds in ((random_complex, range(200)), (boxed_complex, range(300))):
+            for seed in sorted(rng.sample(seeds, 3)):
+                draw, C = f"{make.__name__}({name!r}, {seed})", make(name, seed)
+                for algo, build in _ALGOS:
+                    try:
+                        M = _minimal(build(C))
+                    except ValueError:
+                        refused.append(f"{draw} {algo}")
+                        continue
+                    sample += _twisted(f"{draw} {algo}", M)
+    loops = [(name, N) for name, N in sample if loop_type(N)]
+    assert (len(sample), len(loops)) == (208, 192)
+    assert _misses(loops) == []
+    assert refused == [f"random_complex({name!r}, {seed}) {algo}"
+                       for name, seed in (("unknot", 133), ("trefoil_left", 119),
+                                          ("figure_eight", 88), ("five_gen", 186))
+                       for algo, _ in _ALGOS]
 
 
 def test_rotation_breaks_d_squared_off_loop_type_modules():

@@ -191,6 +191,20 @@ def test_reduce_replay(boxed):
     assert R1 == R2
 
 
+def test_reduce_refuses_an_order_of_another_kind():
+    # a trace, a float, a string or a dict is no order, and none may run the
+    # lexicographic one in its place; a trace's pairs, a tuple, replay it
+    M = type_da.box_da_d(type_da.builtin_H(), ktd.ktd_basefree(load_cfk("trefoil_right")))
+    R, trace = type_d.reduce_d(M, 7)
+    for reduce, module in ((type_d.reduce_d, M), (type_da.reduce_da, type_da.builtin_H())):
+        for order in (trace, 7.0, "7", {}):
+            with pytest.raises(TypeError) as info:
+                reduce(module, order)
+            assert "None, an int seed or a list or tuple" in str(info.value)
+            assert str(info.value).endswith("; pass trace.pairs") is (order is trace)
+    assert type_d.reduce_d(M, trace.pairs) == (R, trace)
+
+
 def test_reduce_confluent(boxed):
     # Different cancellation orders can land on different (but base-change
     # equivalent) reduced forms, so compare after normalizing.
