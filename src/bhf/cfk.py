@@ -266,6 +266,19 @@ def simultaneous_simplify(C: KnotComplex):
     return None
 
 
+class _Unconverged(ValueError):
+    """No simplified basis of a knot complex in SIMPLIFY_ROUNDS rounds."""
+
+
+def _simplified(C: KnotComplex) -> KnotComplex:
+    """simultaneous_simplify(C), or the ValueError that refuses C:
+    _rank_one's when C is not a knot complex, else _Unconverged."""
+    if (Cs := simultaneous_simplify(C)) is None:
+        _rank_one(C)
+        raise _Unconverged("simultaneous simplification did not converge")
+    return Cs
+
+
 def tau(C: KnotComplex) -> int:
     """Alexander grading of the generator of the vertical homology: the one
     generator that no vertical arrow touches once vertically simplified."""

@@ -22,13 +22,15 @@ BUILTINS = {
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":  # a POSIX locale reads undecodable bytes as lone surrogates
+            return sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e}") from None
+    except UnicodeError as e:
+        raise ValueError(f"cannot read {path}: not UTF-8 text ({e})") from None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -170,11 +172,8 @@ def _cmd_flip(args) -> int:
 def _cmd_simplify(args) -> int:
     C = _load(args.path, "cfk")[1]
     simplify = {"v": cfk.vertical_simplify, "h": cfk.horizontal_simplify,
-                "both": cfk.simultaneous_simplify}[args.mode]
-    if (S := simplify(C)) is None:
-        cfk._rank_one(C)  # a complex that is no knot complex is refused as such
-        raise ValueError("simultaneous simplification did not converge")
-    _write(args.output, io_formats.write_cfk(S))
+                "both": cfk._simplified}[args.mode]
+    _write(args.output, io_formats.write_cfk(simplify(C)))
     return 0
 
 

@@ -43,7 +43,7 @@ _H = builtin_H()  # frozen tuples: one bimodule serves every verify
 
 def ktd_basis(C: cfk.KnotComplex, framing: int | None = None) -> TypeDModule:
     """Type D module of the complement from a simplified basis of C."""
-    gens, arrows, n = _construction(cfk._model(C), "basis", framing)
+    gens, arrows, n = _basis(cfk._simplified(cfk._model(C)), framing)
     return make_module(gens, map(DArrow._make, arrows), {META: {"algo": "basis", "framing": n}})
 
 
@@ -254,22 +254,14 @@ class VerifyResult:
     detail: str
 
 
-class _Unconverged(ValueError):
-    """No simplified basis of a knot complex in cfk.SIMPLIFY_ROUNDS rounds."""
-
-
 def _construction(C: cfk.KnotComplex, algo: str, framing: int | None, supports=None) -> tuple:
     """The generators, arrows (none repeated) and framing (``basis``) or
     column layout (``basefree``, from cfk._rank_one(C) if not given) of the
-    named construction on a valid, reduced C; cfk._rank_one's ValueError
-    when C is not a knot complex, _Unconverged when ``basis`` finds no
-    simplified basis."""
+    named construction on a valid, reduced C, which ``basis`` takes
+    simultaneously simplified (cfk._simplified); cfk._rank_one's ValueError
+    when C is not a knot complex."""
     if algo == "basis":
-        Cs = cfk.simultaneous_simplify(C)
-        if Cs is None:
-            cfk._rank_one(C)
-            raise _Unconverged("simultaneous simplification did not converge")
-        return _basis(Cs, framing)
+        return _basis(C, framing)
     if algo == "basefree":
         return _basefree(C, framing, supports or cfk._rank_one(C))
     raise ValueError(f"unknown algorithm {algo!r}")
@@ -311,9 +303,12 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
 
     Reduces the module built from C, tensors the involution bimodule with
     it and compares the reduction against the module built from the
-    flipped complex (see _compare_d).  flip(C) has C's dz arrows as its dw
-    arrows and the other way round, so its supports are C's swapped.  The
-    box tensor with a bounded DA bimodule respects homotopy equivalence
+    flipped complex (see _compare_d).  The right side is built from the
+    flip of what the left side read.  flip(C) has C's dz arrows as its dw
+    arrows and the other way round, so ``basefree`` gives it C's supports
+    swapped, and the flip of a simultaneously simplified basis is one of
+    flip(C), so ``basis`` simplifies C once.  The box tensor with a bounded
+    DA bimodule respects homotopy equivalence
     (Lipshitz-Ozsvath-Thurston, arXiv:1003.0598), so boxing the reduced
     module gives a left side homotopic to boxing the module itself, from a
     box several times smaller.  Each side stays one module graph from its construction to
@@ -326,12 +321,12 @@ def verify_elliptic_invariance(C: cfk.KnotComplex, algo: str = "basefree",
     C = cfk._model(C)
     supports = cfk._rank_one(C) if algo == "basefree" else None
     try:
-        left = _Graph(*_construction(C, algo, framing, supports)[:2])
-        _reduce(left, None)
-        left = _minimal(_box_graph(_H, left))
-        right = _Graph(*_construction(cfk.flip(C), algo, framing,
-                                      supports and supports[::-1])[:2])
-    except _Unconverged:
+        C = cfk._simplified(C) if algo == "basis" else C
+    except cfk._Unconverged:
         return VerifyResult("inconclusive", None, "simultaneous simplification "
                             f"did not converge in {cfk.SIMPLIFY_ROUNDS} rounds")
+    left = _Graph(*_construction(C, algo, framing, supports)[:2])
+    _reduce(left, None)
+    left = _minimal(_box_graph(_H, left))
+    right = _Graph(*_construction(cfk.flip(C), algo, framing, supports and supports[::-1])[:2])
     return _compare_d(left, _minimal(right))

@@ -5,7 +5,8 @@ import pytest
 
 from bhf import cfk, ktd
 from bhf._linalg import rref
-from conftest import FIXTURE_NAMES, load_cfk, random_base_change, random_complex
+from conftest import (FIXTURE_NAMES, boxed_complex, load_cfk, random_base_change,
+                      random_complex)
 from staircase import mirror, torus_knot
 
 G = cfk.KnotGenerator
@@ -135,6 +136,26 @@ def test_simultaneous_simplify(any_complex):
     assert cfk.is_horizontally_simplified(S)
 
 
+def test_the_flip_of_a_simplified_basis_is_simplified():
+    # flip trades the vertical and horizontal arrows, so the flip of a
+    # simplified basis of C is one of flip(C): verify --algo basis builds its
+    # right side from it without simplifying again
+    knots = ([load_cfk(name) for name in FIXTURE_NAMES]
+             + [K for p in range(2, 8) for K in (torus_knot(p, p + 1), mirror(torus_knot(p, p + 1)))]
+             + [draw(name, seed) for draw in (random_complex, boxed_complex)
+                for name in FIXTURE_NAMES for seed in range(40)])
+    simplified = 0
+    for C in knots:
+        if cfk.validate(C) or (S := cfk.simultaneous_simplify(C)) is None:
+            continue
+        simplified += 1
+        F = cfk.flip(S)
+        assert cfk.is_reduced(F)
+        assert cfk.is_vertically_simplified(F) and cfk.is_horizontally_simplified(F)
+        assert cfk.simultaneous_simplify(F) == F
+    assert simplified == 413  # of the 417: four draws fall into the 2-cycle
+
+
 def test_rewrites_preserve_homology(any_complex):
     C = any_complex
     want = maslov_homology_ranks(C)
@@ -181,6 +202,14 @@ def test_random_base_changes_keep_validity():
                 assert cfk.validate(B) == []
                 assert maslov_homology_ranks(B) == want
     assert applied >= 50
+
+
+@pytest.mark.parametrize("a, b, j", [("a", "a", 0), ("a", "b", -1)])
+def test_base_change_refuses_a_generator_onto_itself_or_a_negative_power(a, b, j):
+    m = cfk._Mut(load_cfk("trefoil_right"))
+    with pytest.raises(ValueError, match="^invalid base change$"):
+        m.add_to(a, b, j)
+    assert m.freeze() == load_cfk("trefoil_right")
 
 
 # the four elimination loops that one rref replaced, and the supports read

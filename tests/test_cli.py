@@ -58,6 +58,25 @@ def test_missing_file(capsys):
     assert "error" in err
 
 
+NOT_UTF8 = ("not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte)")
+
+
+@pytest.mark.parametrize("command", [["validate"], ["iso", fx("unknot.cfk.json")],
+                                     ["tensor", "--bimodule", "builtin:H"]])
+def test_a_file_that_is_not_utf8_names_its_path(tmp_path, capsys, command):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, *command[:1], str(p), *command[1:])
+    assert (code, err) == (1, f"error: cannot read {p}: {NOT_UTF8}\n")
+
+
+def test_stdin_that_is_not_utf8_exits_1(capsys, monkeypatch):
+    # under a POSIX locale the bytes ff fe arrive as lone surrogates
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\udcff\udcfe{}"))
+    assert run(capsys, "validate", "-") == (1, "", f"error: cannot read -: {NOT_UTF8}\n")
+
+
 def test_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 2
 

@@ -187,6 +187,10 @@ def test_nesting_deeper_than_the_limit_is_refused():
         io_formats.parse_any("[" * 600 + "]" * 600)
     with pytest.raises(io_formats.ParseError, match="^document is not a JSON object$"):
         io_formats.parse_any("[" * limit + "]" * limit)
+    # deep enough that the decoder itself gives up on every supported
+    # Python (3.13 decodes 5,000 levels that 3.12 refuses)
+    with pytest.raises(io_formats.ParseError, match="^not valid JSON: nested too deeply$"):
+        io_formats.parse_any('{"a":' * 100_000 + "1" + "}" * 100_000)
 
 
 def test_unknown_payload_field_rejected():
